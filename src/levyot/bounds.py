@@ -17,7 +17,7 @@ from typing import Callable
 import numpy as np
 from scipy.integrate import quad
 
-from .measures import DiscreteMeasure, _check_p, _pow, weight_by_power, tv_distance
+from .measures import DiscreteMeasure, _check_p, _pow, _signed_sites, weight_by_power, tv_distance
 from . import transport
 
 __all__ = [
@@ -118,22 +118,11 @@ def positive_part_dual_bound(mu: DiscreteMeasure, nu: DiscreteMeasure, p: float)
     mu weight at the same site); raises on signed differences.
     """
     p = _check_p(p)
-    if mu.dim != nu.dim:
-        raise ValueError("measures must share the ambient dimension")
-    table: dict[bytes, float] = {}
-    radius: dict[bytes, float] = {}
-    for k in range(mu.n_atoms):
-        key = mu.positions[k].tobytes()
-        table[key] = table.get(key, 0.0) + float(mu.weights[k])
-        radius[key] = float(mu.radii[k])
-    for k in range(nu.n_atoms):
-        key = nu.positions[k].tobytes()
-        table[key] = table.get(key, 0.0) - float(nu.weights[k])
-        radius[key] = float(nu.radii[k])
-    bad = [w for w in table.values() if w < -1e-15]
-    if bad:
-        raise ValueError(f"mu - nu is a signed measure (worst deficit {min(bad)!r})")
-    return math.fsum(w * radius[key] ** p for key, w in table.items())
+    first, net = _signed_sites(mu, nu)
+    if np.any(net < -1e-15):
+        raise ValueError(f"mu - nu is a signed measure (worst deficit {float(net.min())!r})")
+    radii = np.concatenate([mu.radii, nu.radii])[first]
+    return math.fsum(w * r**p for w, r in zip(net.tolist(), radii.tolist()))
 
 
 def restriction_bound(mu: DiscreteMeasure, r: float, p: float) -> float:

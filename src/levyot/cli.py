@@ -3,7 +3,7 @@
 Subcommands: dist, dual, bounds, sweep, convolve, doubling, experiment,
 verify.  All numeric output uses 17-significant-digit decimal formatting and
 randomized commands echo their seed, so identical invocations are
-byte-identical.  LEVY_OT_THREADS caps internal parallelism.
+byte-identical.  Unreadable input exits with status 2, a failed solve with 3.
 """
 
 from __future__ import annotations
@@ -75,38 +75,18 @@ def _emit(text: str, out: Optional[str]) -> None:
             sys.stdout.write("\n")
 
 
-def _load_two(args) -> tuple[DiscreteMeasure, DiscreteMeasure]:
-    return load_measure(args.mu), load_measure(args.nu)
-
-
 # -- subcommands -------------------------------------------------------------
 
 def cmd_dist(args) -> int:
-    try:
-        mu, nu = _load_two(args)
-    except SchemaError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    try:
-        rep = transport.solve(mu, nu, transport.CostSpec(args.p))
-    except (RuntimeError, ValueError) as exc:
-        print(f"solver failure: {exc}", file=sys.stderr)
-        return EXIT_SOLVER
+    mu, nu = load_measure(args.mu), load_measure(args.nu)
+    rep = transport.solve(mu, nu, transport.CostSpec(args.p))
     _emit(_dump(rep.to_dict()), args.out)
     return EXIT_OK
 
 
 def cmd_dual(args) -> int:
-    try:
-        mu, nu = _load_two(args)
-    except SchemaError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    try:
-        rep = transport.solve(mu, nu, transport.CostSpec(args.p))
-    except (RuntimeError, ValueError) as exc:
-        print(f"solver failure: {exc}", file=sys.stderr)
-        return EXIT_SOLVER
+    mu, nu = load_measure(args.mu), load_measure(args.nu)
+    rep = transport.solve(mu, nu, transport.CostSpec(args.p))
     doc = rep.duals.to_dict()
     doc["dual_value"] = transport.dual_value(rep.duals, mu, nu)
     doc["primal_value"] = rep.value
@@ -116,11 +96,7 @@ def cmd_dual(args) -> int:
 
 
 def cmd_bounds(args) -> int:
-    try:
-        mu, nu = _load_two(args)
-    except SchemaError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    mu, nu = load_measure(args.mu), load_measure(args.nu)
     p = args.p
     slack_tol = 1e-8
     rows: list[dict] = []
@@ -241,11 +217,7 @@ def _load_grid(path: str) -> viscosity.GridFunction:
 
 
 def cmd_convolve(args) -> int:
-    try:
-        grid = _load_grid(args.grid)
-    except SchemaError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    grid = _load_grid(args.grid)
     op = viscosity.sup_convolution if args.mode == "sup" else viscosity.inf_convolution
     result = op(grid, args.delta)
     doc = {
@@ -260,12 +232,7 @@ def cmd_convolve(args) -> int:
 
 
 def cmd_doubling(args) -> int:
-    try:
-        u = _load_grid(args.u)
-        v = _load_grid(args.v)
-    except SchemaError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    u, v = _load_grid(args.u), _load_grid(args.v)
     spec = viscosity.PenalizationSpec(epsilon=args.epsilon, kappa=args.kappa, p=args.p)
     res = viscosity.doubling_maximize(u, v, spec)
     doc = {
@@ -346,11 +313,7 @@ def cmd_verify(args) -> int:
         print(f"[{status}] {bundle['suite']} i={result.index}: {result.detail}")
         return EXIT_OK if result.passed else EXIT_FAIL
 
-    tols = {}
-    if args.tol:
-        for tok in args.tol:
-            key, _, val = tok.partition("=")
-            tols[key] = float(val)
+    tols = dict(args.tol or [])
     try:
         report = suites.run_suite(args.suite, args.n, args.seed, tols)
     except KeyError as exc:
@@ -376,6 +339,13 @@ def cmd_verify(args) -> int:
         print(f"# reproducer written to {path}", file=sys.stderr)
         return EXIT_FAIL
     return EXIT_OK
+
+
+def _tol_override(tok: str) -> tuple[str, float]:
+    key, sep, val = tok.partition("=")
+    if not sep:
+        raise argparse.ArgumentTypeError(f"expected name=value, got {tok!r}")
+    return key, float(val)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -451,7 +421,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--suite", required=False, default=None)
     p.add_argument("--n", type=int, default=100)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--tol", action="append", default=None, help="override as name=value")
+    p.add_argument(
+        "--tol", action="append", type=_tol_override, default=None, help="override as name=value"
+    )
     p.add_argument("--replay", default=None, help="replay a failure bundle")
     p.add_argument("--reproducer", default=None, help="path for the failure bundle")
     p.set_defaults(func=cmd_verify)
@@ -465,7 +437,14 @@ def main(argv=None) -> int:
     if args.command == "verify" and not args.replay and not args.suite:
         print("error: verify needs --suite or --replay", file=sys.stderr)
         return EXIT_USAGE
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (SchemaError, OSError, UnicodeDecodeError) as exc:  # unreadable input
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except (RuntimeError, ValueError) as exc:
+        print(f"solver failure: {exc}", file=sys.stderr)
+        return EXIT_SOLVER
 
 
 if __name__ == "__main__":

@@ -12,15 +12,13 @@ ratio = distance(hat mu_x, hat mu_y) / |x - y|^s over a batch of pairs.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 from scipy.integrate import quad
 
-from .measures import DiscreteMeasure, decompose, _check_p
+from .measures import DiscreteMeasure, decompose, measure_from_dict, _check_p
 from . import transport
 
 __all__ = [
@@ -37,17 +35,7 @@ __all__ = [
     "sweep_pairs",
     "small_jump_profile",
     "build_family",
-    "worker_count",
 ]
-
-
-def worker_count() -> int:
-    """Parallel worker cap from LEVY_OT_THREADS (defaults to serial)."""
-    raw = os.environ.get("LEVY_OT_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
 
 
 @dataclass(frozen=True)
@@ -234,16 +222,6 @@ class FracLaplFamily:
         expo = -(self.dim + self.sigma)
         return lambda Z: coef * np.linalg.norm(np.atleast_2d(Z), axis=1) ** expo
 
-    def validate_lipschitz(self, pairs: Sequence[tuple], tol: float = 1e-9) -> list[str]:
-        out = []
-        for x, y in pairs:
-            x = np.atleast_1d(np.asarray(x, dtype=float))
-            y = np.atleast_1d(np.asarray(y, dtype=float))
-            lhs = abs(self.coefficient(x) ** (1 / self.sigma) - self.coefficient(y) ** (1 / self.sigma))
-            if lhs > self.lipschitz_L * np.linalg.norm(x - y) + tol:
-                out.append(f"Lipschitz declaration violated between {x} and {y}")
-        return out
-
 
 @dataclass(frozen=True)
 class LevyItoFamily:
@@ -284,13 +262,15 @@ class LevyItoFamily:
         return out
 
 
+def _discretize(density: Callable[[np.ndarray], np.ndarray], dim: int, grid: AnnularGrid) -> DiscreteMeasure:
+    pos, w, _ = _discretize_density(density, dim, grid)
+    return DiscreteMeasure(dim, pos, w)
+
+
 def discretize_kernel(family: KernelFamily, x, grid: AnnularGrid) -> DiscreteMeasure:
     """Quadrature discretization of K(x, z) dz on the annular grid."""
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    pos, w, _ = _discretize_density(lambda Z: family.density(x, Z), family.dim, grid)
-    if pos.shape[0] == 0:
-        return DiscreteMeasure.empty(family.dim)
-    return DiscreteMeasure(family.dim, pos, w)
+    return _discretize(lambda Z: family.density(x, Z), family.dim, grid)
 
 
 def split_fraclap(
@@ -393,12 +373,7 @@ def regularity_sweep(
             tc = max(float(truncation_cost(x)), float(truncation_cost(y)))
         return PairResult(x=x, y=y, separation=sep, distance=dist, ratio=dist / sep**s, truncation_cost=tc)
 
-    workers = min(worker_count(), len(prepared)) if prepared else 1
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(one, prepared))
-    else:
-        rows = [one(pair) for pair in prepared]
+    rows = [one(pair) for pair in prepared]
     max_ratio = max((r.ratio for r in rows), default=0.0)
     return SweepReport(rows=rows, max_ratio=max_ratio, p=p, s=s)
 
@@ -457,13 +432,10 @@ def small_jump_profile(
 class FamilyRuntime:
     """A family bound to a grid: produces measures and truncation costs per x."""
 
-    def __init__(self, kind: str, dim: int, grid: AnnularGrid, make, trunc, descriptor):
-        self.kind = kind
+    def __init__(self, dim: int, make, trunc):
         self.dim = dim
-        self.grid = grid
         self._make = make
         self._trunc = trunc
-        self.descriptor = descriptor
 
     def make_measure(self, x) -> DiscreteMeasure:
         return self._make(np.atleast_1d(np.asarray(x, dtype=float)))
@@ -472,19 +444,28 @@ class FamilyRuntime:
         return self._trunc(np.atleast_1d(np.asarray(x, dtype=float)), p)
 
 
-def _kernel_truncation(density_at, dim: int, r_min: float, p: float, grid: AnnularGrid) -> float:
+def _kernel_truncation(density, dim: int, p: float, grid: AnnularGrid) -> float:
+    """p-cost of the density's mass inside the grid's inner radius, by quadrature."""
     dirs, ang_w = grid.directions(dim)
     total = 0.0
     for e in dirs:
         val, _ = quad(
-            lambda r: float(density_at(np.array([r * e]))[0]) * r ** (dim - 1 + p),
+            lambda r: float(density(np.array([r * e]))[0]) * r ** (dim - 1 + p),
             0.0,
-            r_min,
+            grid.r_min,
             epsabs=1e-12,
             epsrel=1e-10,
         )
         total += val * ang_w
     return total
+
+
+def _power_law(dim: int, sigma: float) -> Callable[[np.ndarray], np.ndarray]:
+    """The reference density |z|^{-dim-sigma}."""
+    if sigma <= 0.0:
+        raise ValueError("need sigma > 0 and a nonnegative envelope constant")
+    expo = -(dim + sigma)
+    return lambda Z: np.linalg.norm(np.atleast_2d(Z), axis=1) ** expo
 
 
 def build_family(config: dict) -> FamilyRuntime:
@@ -518,12 +499,9 @@ def build_family(config: dict) -> FamilyRuntime:
             holder_gamma=None if gamma is None else float(gamma),
         )
         return FamilyRuntime(
-            kind, dim, grid,
+            dim,
             make=lambda x: discretize_kernel(family, x, grid),
-            trunc=lambda x, p: _kernel_truncation(
-                lambda Z: density(x, Z), dim, grid.r_min, p, grid
-            ),
-            descriptor=config,
+            trunc=lambda x, p: _kernel_truncation(lambda Z: density(x, Z), dim, p, grid),
         )
 
     if kind == "fraclap":
@@ -540,37 +518,21 @@ def build_family(config: dict) -> FamilyRuntime:
         if part == "split_hat":
             make = lambda x: split_fraclap(family, x, grid)[0]
         elif part == "full":
-            make = lambda x: discretize_kernel(
-                KernelFamily(
-                    density=lambda xx, Z: family.density_at(xx)(Z),
-                    sigma=sigma, lambda1=1.0, dim=dim,
-                ),
-                x, grid,
-            )
+            make = lambda x: _discretize(family.density_at(x), dim, grid)
         else:
             raise ValueError(f"unknown fraclap part {part!r}")
         return FamilyRuntime(
-            kind, dim, grid,
+            dim,
             make=make,
-            trunc=lambda x, p: _kernel_truncation(family.density_at(x), dim, grid.r_min, p, grid),
-            descriptor=config,
+            trunc=lambda x, p: _kernel_truncation(family.density_at(x), dim, p, grid),
         )
 
     if kind == "levyito":
         base_cfg = config.get("base")
         if base_cfg is not None:
-            from .measures import measure_from_dict
-
             base = measure_from_dict(base_cfg)
         else:
-            ref = KernelFamily(
-                density=lambda x, Z: np.linalg.norm(np.atleast_2d(Z), axis=1)
-                ** (-(dim + float(config.get("sigma", 0.5)))),
-                sigma=float(config.get("sigma", 0.5)),
-                lambda1=1.0,
-                dim=dim,
-            )
-            base = discretize_kernel(ref, np.zeros(dim), grid)
+            base = _discretize(_power_law(dim, float(config.get("sigma", 0.5))), dim, grid)
         mkind = params.get("kind", "translation")
         if mkind == "translation":
             shift = float(params.get("shift", 0.1))
@@ -596,30 +558,15 @@ def build_family(config: dict) -> FamilyRuntime:
         else:
             raise ValueError(f"unknown levyito map kind {mkind!r}")
         family = LevyItoFamily(base=base, maps=maps, rho=rho, bound_C=C, dim_out=dim)
-        return FamilyRuntime(
-            kind, dim, grid,
-            make=lambda x: pushforward(family, x),
-            trunc=lambda x, p: 0.0,
-            descriptor=config,
-        )
+        return FamilyRuntime(dim, make=lambda x: pushforward(family, x), trunc=lambda x, p: 0.0)
 
     if kind == "constant":
-        sigma = float(config.get("sigma", 0.5))
-        ref = KernelFamily(
-            density=lambda x, Z: np.linalg.norm(np.atleast_2d(Z), axis=1) ** (-(dim + sigma)),
-            sigma=sigma,
-            lambda1=1.0,
-            dim=dim,
-        )
-        fixed = discretize_kernel(ref, np.zeros(dim), grid)
+        ref = _power_law(dim, float(config.get("sigma", 0.5)))
+        fixed = _discretize(ref, dim, grid)
         return FamilyRuntime(
-            kind, dim, grid,
+            dim,
             make=lambda x: fixed,
-            trunc=lambda x, p: _kernel_truncation(
-                lambda Z: np.linalg.norm(np.atleast_2d(Z), axis=1) ** (-(dim + sigma)),
-                dim, grid.r_min, p, grid,
-            ),
-            descriptor=config,
+            trunc=lambda x, p: _kernel_truncation(ref, dim, p, grid),
         )
 
     raise ValueError(f"unknown family type {kind!r}")

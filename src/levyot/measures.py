@@ -14,7 +14,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import Iterable
 
 import numpy as np
 
@@ -82,6 +81,24 @@ class Atom:
         return float(np.linalg.norm(self.position))
 
 
+def _merge_sites(pos: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Merge the bit-identical rows of ``pos``: (first row of each site, summed weight).
+
+    Sites come in order of first occurrence and each sum runs in input order,
+    so the result matches a dict keyed by ``row.tobytes()`` bit for bit; in
+    particular 0.0 and -0.0 are different sites.
+    """
+    n, dim = pos.shape
+    rows = np.ascontiguousarray(pos).view(np.dtype((np.void, pos.itemsize * dim))).reshape(n)
+    if np.unique(rows).size == n:  # no duplicates, the common case
+        return np.arange(n), w.copy()
+    _, first, inverse = np.unique(rows, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    total = np.zeros(order.size)
+    np.add.at(total, np.argsort(order)[inverse], w)
+    return first[order], total
+
+
 class DiscreteMeasure:
     """A finite positive measure on R^d \\ {0}, stored as parallel arrays.
 
@@ -116,22 +133,9 @@ class DiscreteMeasure:
         if np.any(w <= 0.0):
             raise ValueError("weights must be strictly positive")
 
-        if pos.shape[0]:
-            merged: dict[bytes, int] = {}
-            keep_pos: list[np.ndarray] = []
-            keep_w: list[float] = []
-            for k in range(pos.shape[0]):
-                key = pos[k].tobytes()
-                if key in merged:
-                    keep_w[merged[key]] += w[k]
-                else:
-                    merged[key] = len(keep_pos)
-                    keep_pos.append(pos[k])
-                    keep_w.append(float(w[k]))
-            pos = np.array(keep_pos, dtype=float).reshape(-1, dim)
-            w = np.array(keep_w, dtype=float)
-
-        radii = np.linalg.norm(pos, axis=1) if pos.shape[0] else np.zeros(0)
+        first, w = _merge_sites(pos, w)
+        pos = pos[first]
+        radii = np.linalg.norm(pos, axis=1)
         if np.any(radii == 0.0):
             raise ValueError("atom at the origin is not allowed (the origin is the reservoir)")
 
@@ -150,18 +154,6 @@ class DiscreteMeasure:
     def empty(cls, dim: int) -> "DiscreteMeasure":
         return cls(dim, np.zeros((0, dim)), np.zeros(0))
 
-    @classmethod
-    def from_atoms(cls, dim: int, atoms: Iterable[Atom]) -> "DiscreteMeasure":
-        atoms = list(atoms)
-        if not atoms:
-            return cls.empty(dim)
-        for a in atoms:
-            if a.position.shape[0] != dim:
-                raise ValueError("atom dimension does not match measure dimension")
-        pos = np.array([a.position for a in atoms], dtype=float)
-        w = np.array([a.weight for a in atoms], dtype=float)
-        return cls(dim, pos, w)
-
     @property
     def n_atoms(self) -> int:
         return int(self.weights.shape[0])
@@ -169,10 +161,6 @@ class DiscreteMeasure:
     @property
     def radii(self) -> np.ndarray:
         return self._radii
-
-    @property
-    def atoms(self) -> list[Atom]:
-        return [Atom(self.positions[k], float(self.weights[k])) for k in range(self.n_atoms)]
 
     def total_mass(self) -> float:
         return math.fsum(self.weights.tolist())
@@ -230,21 +218,27 @@ def restrict_outside(mu: DiscreteMeasure, r: float) -> DiscreteMeasure:
     return DiscreteMeasure(mu.dim, mu.positions[keep], mu.weights[keep])
 
 
+def _signed_sites(mu: DiscreteMeasure, nu: DiscreteMeasure) -> tuple[np.ndarray, np.ndarray]:
+    """mu - nu on the union of atom sites, compared bit-exactly.
+
+    Returns (index, net): each site's first atom in mu's atoms followed by
+    nu's, and its net weight.
+    """
+    if mu.dim != nu.dim:
+        raise ValueError("measures must share the ambient dimension")
+    return _merge_sites(
+        np.concatenate([mu.positions, nu.positions]),
+        np.concatenate([mu.weights, -nu.weights]),
+    )
+
+
 def tv_distance(mu: DiscreteMeasure, nu: DiscreteMeasure) -> float:
     """Total variation of mu - nu: sum over the union of atom sites of |w_mu - w_nu|.
 
     Sites are compared bit-exactly, matching the construction-time merge rule.
     """
-    if mu.dim != nu.dim:
-        raise ValueError("measures must share the ambient dimension")
-    diff: dict[bytes, float] = {}
-    for k in range(mu.n_atoms):
-        key = mu.positions[k].tobytes()
-        diff[key] = diff.get(key, 0.0) + float(mu.weights[k])
-    for k in range(nu.n_atoms):
-        key = nu.positions[k].tobytes()
-        diff[key] = diff.get(key, 0.0) - float(nu.weights[k])
-    return math.fsum(abs(v) for v in diff.values())
+    _, diff = _signed_sites(mu, nu)
+    return math.fsum(np.abs(diff).tolist())
 
 
 def weight_by_power(mu: DiscreteMeasure, p: float) -> DiscreteMeasure:

@@ -93,12 +93,6 @@ class TransportPlan:
     to_reservoir: np.ndarray
     from_reservoir: np.ndarray
 
-    @classmethod
-    def empty(cls) -> "TransportPlan":
-        z = np.zeros(0)
-        zi = np.zeros(0, dtype=int)
-        return cls(0, 0, zi, zi, z, z, z)
-
     def mu_marginal(self) -> np.ndarray:
         out = np.array(self.to_reservoir, dtype=float, copy=True)
         np.add.at(out, self.direct_rows, self.direct_vals)
@@ -107,11 +101,6 @@ class TransportPlan:
     def nu_marginal(self) -> np.ndarray:
         out = np.array(self.from_reservoir, dtype=float, copy=True)
         np.add.at(out, self.direct_cols, self.direct_vals)
-        return out
-
-    def direct_dense(self) -> np.ndarray:
-        out = np.zeros((self.n_mu, self.n_nu))
-        out[self.direct_rows, self.direct_cols] = self.direct_vals
         return out
 
     def to_dict(self) -> dict:
@@ -206,6 +195,14 @@ class PlanViolation:
 # Transportation simplex on the balanced reservoir reduction
 # ---------------------------------------------------------------------------
 
+def _cost_scale(costs: np.ndarray) -> float:
+    """max(1, largest cost); rejects costs that overflowed to inf."""
+    scale = float(costs.max()) if costs.size else 1.0
+    if not math.isfinite(scale):
+        raise ValueError(f"transport cost overflows to {scale!r}; rescale the atom coordinates")
+    return max(1.0, scale)
+
+
 class _Simplex:
     """Primal transportation simplex specialised to the reservoir reduction.
 
@@ -239,8 +236,7 @@ class _Simplex:
         self.N = self.m + self.n  # node ids: sources 0..m-1, sinks m..m+n-1
         self.root = self.m - 1  # virtual source
         self.vsink = self.N - 1  # virtual sink
-        scale = float(cost.max()) if cost.size else 1.0
-        self.tol = PIVOT_TOL * max(1.0, scale)
+        self.tol = PIVOT_TOL * _cost_scale(cost)
         self.iterations = 0
 
         self.u = np.zeros(self.m)
@@ -601,6 +597,7 @@ def _forced_reservoir_report(mu: DiscreteMeasure, nu: DiscreteMeasure, cost: Cos
     """Closed-form solve when at least one side is empty: all mass meets the reservoir."""
     res_mu = cost.reservoir_cost(mu)
     res_nu = cost.reservoir_cost(nu)
+    _cost_scale(np.concatenate([res_mu, res_nu]))
     plan = TransportPlan(
         n_mu=mu.n_atoms,
         n_nu=nu.n_atoms,
@@ -737,19 +734,15 @@ def k_support_check(
     Returns (i, j, excess) triples for arcs with mass above ``mass_tol``.
     """
     cost = CostSpec(p)
-    out: list[tuple[int, int, float]] = []
-    if plan.direct_vals.size == 0:
-        return out
-    res_mu = cost.reservoir_cost(mu)
-    res_nu = cost.reservoir_cost(nu)
-    for i, j, v in zip(plan.direct_rows, plan.direct_cols, plan.direct_vals):
-        if v <= mass_tol:
-            continue
-        direct = float(_pow(np.linalg.norm(mu.positions[i] - nu.positions[j]), p))
-        through = float(res_mu[i] + res_nu[j])
-        if direct > through + tol:
-            out.append((int(i), int(j), direct - through))
-    return out
+    keep = plan.direct_vals > mass_tol
+    rows, cols = plan.direct_rows[keep], plan.direct_cols[keep]
+    direct = _pow(np.linalg.norm(mu.positions[rows] - nu.positions[cols], axis=1), cost.p)
+    through = cost.reservoir_cost(mu)[rows] + cost.reservoir_cost(nu)[cols]
+    bad = direct > through + tol
+    return [
+        (int(i), int(j), float(e))
+        for i, j, e in zip(rows[bad], cols[bad], (direct - through)[bad])
+    ]
 
 
 def dual_value(duals: DualPotentials, mu: DiscreteMeasure, nu: DiscreteMeasure) -> float:

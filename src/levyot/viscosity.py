@@ -17,6 +17,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 from scipy.interpolate import RegularGridInterpolator
+from scipy.spatial.distance import cdist
 
 from .measures import DiscreteMeasure, decompose, tv_distance, _check_p
 from . import transport
@@ -150,10 +151,6 @@ def psi_kappa_grad(x, spec: PenalizationSpec) -> np.ndarray:
     return spec.p * x * (spec.kappa + sq) ** (spec.p / 2.0 - 1.0)
 
 
-def _psi_kappa_radial(r: np.ndarray, kappa: float, p: float) -> np.ndarray:
-    return (kappa + r * r) ** (p / 2.0) - kappa ** (p / 2.0)
-
-
 @lru_cache(maxsize=None)
 def pointwise_power_constant(p: float, radius: float = 2.0, safety: float = 1.05) -> float:
     """Sampled uniform bound on the second-order penalty quotient.
@@ -178,12 +175,6 @@ def pointwise_power_constant(p: float, radius: float = 2.0, safety: float = 1.05
     return worst * safety
 
 
-def _pairwise_sq(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    from scipy.spatial.distance import cdist
-
-    return cdist(a, b, "sqeuclidean")
-
-
 def sup_convolution(
     u: GridFunction, delta: float, with_achievers: bool = False
 ):
@@ -203,7 +194,7 @@ def sup_convolution(
     chunk = max(1, (1 << 22) // max(1, vals.size))
     for start in range(0, vals.size, chunk):
         stop = min(vals.size, start + chunk)
-        cand = vals[None, :] - _pairwise_sq(nodes[start:stop], nodes) / delta
+        cand = vals[None, :] - cdist(nodes[start:stop], nodes, "sqeuclidean") / delta
         arg[start:stop] = np.argmax(cand, axis=1)
         out[start:stop] = cand[np.arange(stop - start), arg[start:stop]]
     result = u.with_values(out.reshape(u.values.shape))
@@ -273,7 +264,7 @@ def doubling_maximize(u: GridFunction, v: GridFunction, spec: PenalizationSpec) 
     chunk = max(1, (1 << 22) // max(1, vv.size))
     for start in range(0, uu.size, chunk):
         stop = min(uu.size, start + chunk)
-        sq = _pairwise_sq(nx[start:stop], ny)
+        sq = cdist(nx[start:stop], ny, "sqeuclidean")
         w = uu[start:stop, None] - vv[None, :] - alpha * (
             (spec.kappa + sq) ** (spec.p / 2.0) - kpow
         )
@@ -329,11 +320,9 @@ def coupling_inequality_check(
     if Cp is None:
         Cp = pointwise_power_constant(spec.p)
 
-    if xy_star is None:
-        res = doubling_maximize(u, v, spec)
-    else:
+    res = doubling_maximize(u, v, spec)
+    if xy_star is not None:
         x_st, y_st = xy_star
-        res = doubling_maximize(u, v, spec)
         claimed = (
             float(u(x_st)) - float(v(y_st)) - psi_kappa(np.asarray(x_st) - np.asarray(y_st), spec) / spec.epsilon
         )
@@ -350,10 +339,9 @@ def coupling_inequality_check(
         raise ValueError(f"unknown gradient mode {gradient_mode!r}")
 
     if full_measure:
-        mu_hat, mu_check = decompose(mu).hat, decompose(mu).check
-        nu_hat, nu_check = decompose(nu).hat, decompose(nu).check
-        dist_p = transport.distance(mu_hat, nu_hat, spec.p) ** spec.p
-        tv_term = 2.0 * v.sup_norm() * tv_distance(mu_check, nu_check)
+        dec_mu, dec_nu = decompose(mu), decompose(nu)
+        dist_p = transport.distance(dec_mu.hat, dec_nu.hat, spec.p) ** spec.p
+        tv_term = 2.0 * v.sup_norm() * tv_distance(dec_mu.check, dec_nu.check)
     else:
         dist_p = transport.distance(mu, nu, spec.p) ** spec.p
         tv_term = 0.0

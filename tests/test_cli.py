@@ -18,7 +18,10 @@ def measure_files(tmp_path):
 
 
 def run_cli(args, capsys):
-    code = main(args)
+    try:
+        code = main(args)
+    except SystemExit as exc:  # argparse rejects malformed options itself
+        code = exc.code
     captured = capsys.readouterr()
     return code, captured.out, captured.err
 
@@ -54,6 +57,57 @@ def test_dist_schema_violation(tmp_path, measure_files, capsys):
     zero.write_text(json.dumps({"dim": 1, "atoms": [{"z": [0.0], "w": 1.0}]}))
     code, _, err = run_cli(["dist", str(zero), measure_files[1], "--p", "1"], capsys)
     assert code == 2
+
+
+@pytest.fixture
+def grid_file(tmp_path):
+    grid = tmp_path / "grid.json"
+    grid.write_text(json.dumps({"lo": [0.0], "hi": [1.0], "values": [0.0, 1.0, 0.0]}))
+    return str(grid)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["dist", "{missing}", "{a}"],
+        ["dual", "{a}", "{missing}"],
+        ["bounds", "{missing}", "{a}"],
+        ["convolve", "{missing}", "--delta", "0.1"],
+        ["doubling", "{grid}", "{missing}", "--epsilon", "0.1"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_unreadable_input_file(argv, tmp_path, measure_files, grid_file, capsys):
+    binary = tmp_path / "binary.json"
+    binary.write_bytes(b"\xff\xfe\x00")
+    for bad in (tmp_path / "missing.json", binary):
+        names = {"missing": str(bad), "a": measure_files[0], "grid": grid_file}
+        code, _, err = run_cli([tok.format(**names) for tok in argv], capsys)
+        assert code == 2
+        assert err.startswith("error:")
+
+
+def _write_measure(path, dim, atoms):
+    path.write_text(json.dumps({"dim": dim, "atoms": [{"z": z, "w": w} for z, w in atoms]}))
+    return str(path)
+
+
+@pytest.mark.parametrize("command", ["dist", "bounds"])
+def test_dimension_mismatch_is_solver_failure(command, tmp_path, measure_files, capsys):
+    planar = _write_measure(tmp_path / "planar.json", 2, [([0.3, 0.1], 1.0)])
+    code, out, err = run_cli([command, measure_files[0], planar], capsys)
+    assert code == 3
+    assert out == "" and err.startswith("solver failure:")
+
+
+@pytest.mark.parametrize("nu_atoms", [[([-1e160, 1.0], 2.0)], []], ids=["pair", "empty-side"])
+def test_dist_overflow_is_solver_failure(nu_atoms, tmp_path, capsys):
+    big = _write_measure(tmp_path / "big.json", 2, [([1e160, 0.0], 1.0), ([0.0, 3.0], 1.0)])
+    other = _write_measure(tmp_path / "other.json", 2, nu_atoms)
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        code, out, err = run_cli(["dist", big, other, "--p", "2"], capsys)
+    assert code == 3
+    assert out == "" and err.startswith("solver failure:")
 
 
 def test_dual_reports_strong_duality(measure_files, capsys):
@@ -168,6 +222,9 @@ def test_verify_suites(capsys, tmp_path, monkeypatch):
     assert code == 2
     code, _, _ = run_cli(["verify"], capsys)
     assert code == 2
+    code, _, err = run_cli(["verify", "--suite", "duality", "--tol", "duality_rel"], capsys)
+    assert code == 2
+    assert "name=value" in err
 
 
 def test_verify_failure_writes_reproducer(capsys, tmp_path):

@@ -1,10 +1,12 @@
 """Tests for discrete measures: functionals, decompositions, JSON round trips."""
 
 import json
+import math
 
 import numpy as np
 import pytest
 
+from levyot.bounds import positive_part_dual_bound
 from levyot.measures import (
     Atom,
     DiscreteMeasure,
@@ -41,6 +43,77 @@ def test_measure_rejects_origin_and_merges_duplicates():
     # bit-exact merge only
     nu = DiscreteMeasure(1, [[0.5], [0.5 + 1e-16]], [1.0, 1.0])
     assert nu.n_atoms == 2 or 0.5 + 1e-16 == 0.5  # identical floats merge
+    # 0.0 and -0.0 are different sites; sites keep their first-occurrence order
+    pos = np.array([[0.0, 1.0], [-0.0, 1.0], [0.0, 1.0], [2.0, 0.0]])
+    signed = DiscreteMeasure(2, pos, [1.0, 2.0, 3.0, 4.0])
+    assert signed.weights.tolist() == [4.0, 2.0, 4.0]
+    assert np.signbit(signed.positions[:, 0]).tolist() == [False, True, False]
+    # the measure owns its arrays, with or without duplicates
+    for src in (pos, pos[1:]):
+        w = np.ones(len(src))
+        mu = DiscreteMeasure(2, src, w)
+        assert not np.shares_memory(mu.positions, src) and not np.shares_memory(mu.weights, w)
+
+
+def _dict_merge(pos, w):
+    """Reference: the bytes-keyed dict loop the constructor used to merge sites."""
+    merged, keep_pos, keep_w = {}, [], []
+    for k in range(pos.shape[0]):
+        key = pos[k].tobytes()
+        if key in merged:
+            keep_w[merged[key]] += w[k]
+        else:
+            merged[key] = len(keep_pos)
+            keep_pos.append(pos[k])
+            keep_w.append(float(w[k]))
+    return np.array(keep_pos, dtype=float).reshape(-1, pos.shape[1]), np.array(keep_w, dtype=float)
+
+
+def _dict_net(mu, nu):
+    """Reference: net weight and radius per site of mu - nu, as dict loops."""
+    net, radius = {}, {}
+    for m, sign in ((mu, 1.0), (nu, -1.0)):
+        for k in range(m.n_atoms):
+            key = m.positions[k].tobytes()
+            net[key] = net.get(key, 0.0) + sign * float(m.weights[k])
+            radius[key] = float(m.radii[k])
+    return net, radius
+
+
+def _repeating_sites(rng, n, dim):
+    """Coordinates from a small pool, so rows repeat and 0.0 meets -0.0; weights 1e-2 to 1e11."""
+    pool = np.array([0.0, -0.0, 0.25, -0.25, 1e-7, 3.0])
+    pos = rng.choice(pool, size=(n, dim))
+    pos = pos[np.any(pos != 0.0, axis=1)]
+    return pos, 10.0 ** rng.uniform(-2.0, 11.0, size=pos.shape[0])
+
+
+def test_site_merge_matches_dict_reference():
+    rng = np.random.default_rng(605)
+    for _ in range(300):
+        dim = int(rng.integers(1, 4))
+        pos, w = _repeating_sites(rng, int(rng.integers(0, 60)), dim)
+        mu = DiscreteMeasure(dim, pos, w)
+        ref_pos, ref_w = _dict_merge(pos, w)
+        assert mu.positions.tobytes() == ref_pos.tobytes()
+        assert mu.weights.tobytes() == ref_w.tobytes()
+
+        nu = DiscreteMeasure(dim, *_repeating_sites(rng, int(rng.integers(0, 60)), dim))
+        net, _ = _dict_net(mu, nu)
+        assert tv_distance(mu, nu) == math.fsum(abs(v) for v in net.values())
+
+        # an ordered pair (nu below mu site by site) and the signed pair above
+        keep = rng.random(mu.n_atoms) < 0.6
+        below = DiscreteMeasure(dim, mu.positions[keep], mu.weights[keep] * rng.uniform(0.1, 1.0, keep.sum()))
+        for other in (below, nu):
+            p = float(rng.choice([1.0, 1.5, 2.0]))
+            net, radius = _dict_net(mu, other)
+            if any(v < -1e-15 for v in net.values()):
+                with pytest.raises(ValueError, match="signed"):
+                    positive_part_dual_bound(mu, other, p)
+            else:
+                expected = math.fsum(v * radius[k] ** p for k, v in net.items())
+                assert positive_part_dual_bound(mu, other, p) == expected
 
 
 def test_measure_is_immutable():

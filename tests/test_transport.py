@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
-from levyot.measures import DiscreteMeasure, tv_distance
+from levyot.measures import DiscreteMeasure, _pow, tv_distance
 from levyot.transport import (
+    TransportPlan,
     CostSpec,
     DualPotentials,
     brute_force_unit,
@@ -107,6 +108,62 @@ def test_k_support_reports_hand_built_violation():
     arcs = k_support_check(bad_plan, mu, nu, 2.0)
     assert arcs and arcs[0][:2] == (0, 0)
     assert arcs[0][2] == pytest.approx(0.5)
+
+
+def _k_support_loop(plan, mu, nu, p, tol=1e-9, mass_tol=1e-12):
+    """Reference: the per-arc loop k_support_check used to run."""
+    cost = CostSpec(p)
+    res_mu, res_nu = cost.reservoir_cost(mu), cost.reservoir_cost(nu)
+    out = []
+    for i, j, v in zip(plan.direct_rows, plan.direct_cols, plan.direct_vals):
+        if v <= mass_tol:
+            continue
+        direct = float(_pow(np.linalg.norm(mu.positions[i] - nu.positions[j]), p))
+        if direct > float(res_mu[i] + res_nu[j]) + tol:
+            out.append((int(i), int(j)))
+    return out
+
+
+def test_k_support_matches_loop_reference(rng, make_measure):
+    mu = DiscreteMeasure(1, [[-0.5]], [1.0])
+    nu = DiscreteMeasure(1, [[0.5]], [1.0])
+    hand_built = TransportPlan(1, 1, np.array([0]), np.array([0]), np.array([1.0]), np.zeros(1), np.zeros(1))
+    cases = [(hand_built, mu, nu, 2.0)]
+    for _ in range(60):
+        dim = int(rng.integers(1, 4))
+        mu = make_measure(rng, dim, max_atoms=12, allow_empty=False)
+        nu = make_measure(rng, dim, max_atoms=12, allow_empty=False)
+        p = float(rng.choice([1.0, 1.5, 2.0]))
+        cases.append((solve(mu, nu, CostSpec(p)).plan, mu, nu, p))
+        # arbitrary arcs, some carrying no more than the mass tolerance
+        k = int(rng.integers(0, 20))
+        vals = rng.choice([0.0, 1e-13, 0.5, 2.0], size=k)
+        arcs = TransportPlan(
+            mu.n_atoms, nu.n_atoms, rng.integers(0, mu.n_atoms, k), rng.integers(0, nu.n_atoms, k),
+            vals, np.zeros(mu.n_atoms), np.zeros(nu.n_atoms),
+        )
+        cases.append((arcs, mu, nu, p))
+    flagged = 0
+    for plan, mu, nu, p in cases:
+        got = [(i, j) for i, j, _ in k_support_check(plan, mu, nu, p)]
+        assert got == _k_support_loop(plan, mu, nu, p)
+        flagged += len(got)
+    assert flagged > 0
+
+
+@pytest.mark.parametrize("nu_pos, nu_w", [([[-1e160, 1.0]], [2.0]), ([], [])], ids=["pair", "empty-side"])
+def test_solve_rejects_overflowing_costs(nu_pos, nu_w):
+    # |z|^2 overflows already in the constructor's radii
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        mu = DiscreteMeasure(2, [[1e160, 0.0], [0.0, 3.0]], [1.0, 1.0])
+        nu = DiscreteMeasure(2, nu_pos, nu_w)
+    for a, b in ((mu, nu), (nu, mu)):
+        with pytest.raises(ValueError, match="overflow"):
+            solve(a, b, CostSpec(2.0))
+    # finite radii and reservoir costs, but |x - y|^2 overflows
+    far = DiscreteMeasure(1, [[1e154]], [1.0])
+    with pytest.raises(ValueError, match="overflow"):
+        solve(far, DiscreteMeasure(1, [[-1e154]], [1.0]), CostSpec(2.0))
 
 
 def test_dual_value_examples():
