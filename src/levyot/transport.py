@@ -275,14 +275,10 @@ class _Simplex:
 
         # Candidate pool capacity for major/minor pricing.
         self.refill_size = int(min(self.cost.size, max(4096, 16 * self.N)))
-        self._scan_buf = np.empty_like(self.cost)
+        self._scan_buf = np.empty((min(self.m, max(1, 65536 // self.n)), self.n))
         self._arange = np.arange(self.N, dtype=np.int64)
 
     # -- tree mechanics ----------------------------------------------------
-
-    def _is_ancestor(self, a: int, b: int) -> bool:
-        pa = self.pos[a]
-        return pa <= self.pos[b] < pa + self.size[a]
 
     def _arc_of(self, node: int) -> tuple[int, int]:
         par = int(self.parent[node])
@@ -293,95 +289,86 @@ class _Simplex:
     def _pivot(self, i: int, j: int) -> None:
         s_node, t_node = i, self.m + j
         delta = float(self.cost[i, j] - self.u[i] - self.v[j])
+        m, pos, size, parent, flow = self.m, self.pos, self.size, self.parent, self.flow
 
         # Climb from each endpoint to the lowest common ancestor.
         up_s: list[int] = []
+        pt = pos.item(t_node)
         node = s_node
-        while not self._is_ancestor(node, t_node):
+        while True:
+            pn = pos.item(node)
+            if pn <= pt < pn + size[node]:
+                break
             up_s.append(node)
-            node = int(self.parent[node])
+            node = parent[node]
         lca = node
         up_t: list[int] = []
         node = t_node
         while node != lca:
             up_t.append(node)
-            node = int(self.parent[node])
+            node = parent[node]
 
         # Pushing mass along the entering arc drains alternating tree arcs,
-        # starting with the arc immediately above each endpoint.
+        # starting with the arc immediately above each endpoint.  The leaving
+        # arc is the lexicographically smallest (i, j) among the tightest.
         theta = math.inf
-        for chain in (up_s, up_t):
-            for k in range(0, len(chain), 2):
-                f = float(self.flow[chain[k]])
-                if f < theta:
-                    theta = f
-        leave_node = -1
-        best_arc: Optional[tuple[int, int]] = None
+        best_arc = (-1, -1)
+        leave_chain: list[int] = up_s
+        leave_k = -1
         for chain in (up_s, up_t):
             for k in range(0, len(chain), 2):
                 node = chain[k]
-                if float(self.flow[node]) == theta:
-                    arc = self._arc_of(node)
-                    if best_arc is None or arc < best_arc:
-                        best_arc = arc
-                        leave_node = node
-        assert leave_node >= 0
+                f = flow[node]
+                if f > theta:
+                    continue
+                arc = (node, parent[node] - m) if node < m else (parent[node], node - m)
+                if f < theta or arc < best_arc:
+                    theta, best_arc, leave_chain, leave_k = f, arc, chain, k
 
         # Apply the flow change around the cycle.
         for chain in (up_s, up_t):
-            sign = -1.0
-            for node in chain:
-                self.flow[node] += sign * theta
-                sign = -sign
+            for k in range(0, len(chain), 2):
+                flow[chain[k]] -= theta
+            for k in range(1, len(chain), 2):
+                flow[chain[k]] += theta
 
         # The leaving arc splits off the subtree rooted at it; the entering
         # arc re-roots that subtree at its inside endpoint.
-        if leave_node in up_s:
+        if leave_chain is up_s:
             e_sub, e_root = s_node, t_node
         else:
             e_sub, e_root = t_node, s_node
-
-        chain_nodes: list[int] = []
-        node = e_sub
-        while True:
-            chain_nodes.append(node)
-            if node == leave_node:
-                break
-            node = int(self.parent[node])
-        self._rehang(chain_nodes, e_root, theta)
+        self._rehang(leave_chain[: leave_k + 1], e_root, theta, lca)
 
         # Dual update: every potential in the detached subtree shifts by the
         # entering arc's reduced cost (sign split between sources and sinks).
         # When the detached side is the larger one, shift the complement the
         # other way instead; reduced costs only see the difference.
-        a = int(self.pos[e_sub])
-        sz = int(self.size[e_sub])
-        du = delta if e_sub < self.m else -delta
+        a = pos.item(e_sub)
+        sz = size[e_sub]
+        du = delta if e_sub < m else -delta
         if 2 * sz <= self.N:
             seg = self.order[a : a + sz]
-            src = seg[seg < self.m]
-            snk = seg[seg >= self.m] - self.m
-            self.u[src] += du
-            self.v[snk] -= du
         else:
             seg = np.concatenate((self.order[:a], self.order[a + sz :]))
-            src = seg[seg < self.m]
-            snk = seg[seg >= self.m] - self.m
-            self.u[src] -= du
-            self.v[snk] += du
+            du = -du
+        is_src = seg < m
+        self.u[seg[is_src]] += du
+        self.v[seg[~is_src] - m] -= du
         self.iterations += 1
 
-    def _rehang(self, chain: list[int], e_root: int, theta: float) -> None:
+    def _rehang(self, chain: list[int], e_root: int, theta: float, lca: int) -> None:
         """Re-root the detached subtree at chain[0] and attach it under e_root.
 
         ``chain`` runs from the new subtree root up to the node whose parent
-        arc is leaving.  Re-rooting reverses the chain; the new preorder is
-        assembled from contiguous slices of the old one in a single splice.
+        arc is leaving; ``lca`` is the top of the pivot cycle.  Re-rooting
+        reverses the chain; the new preorder is assembled from contiguous
+        slices of the old one in a single splice.
         """
         order, pos, size, parent, flow = self.order, self.pos, self.size, self.parent, self.flow
         k = len(chain) - 1
-        starts = [int(pos[c]) for c in chain]
-        old_sz = [int(size[c]) for c in chain]
+        starts = [pos.item(c) for c in chain]
+        old_sz = [size[c] for c in chain]
         ends = [starts[t] + old_sz[t] for t in range(k + 1)]
         a, b = starts[k], ends[k]
         total = b - a
@@ -397,8 +384,8 @@ class _Simplex:
 
         # Chain bookkeeping: the arc between chain[t-1] and chain[t] now
         # hangs at chain[t]; its flow was stored at chain[t-1].
-        carried = [float(flow[c]) for c in chain]
-        old_parent = int(parent[chain[k]])
+        carried = [flow[c] for c in chain]
+        old_parent = parent[chain[k]]
         parent[chain[0]] = e_root
         flow[chain[0]] = theta
         size[chain[0]] = total
@@ -407,16 +394,18 @@ class _Simplex:
             flow[chain[t]] = carried[t - 1]
             size[chain[t]] = total - old_sz[t - 1]
 
+        # The subtree moves from below old_parent to below e_root; both paths
+        # meet at the cycle top, above which the sizes do not change.
         node = old_parent
-        while node != -1:
+        while node != lca:
             size[node] -= total
-            node = int(parent[node])
+            node = parent[node]
         node = e_root
-        while node != -1:
+        while node != lca:
             size[node] += total
-            node = int(parent[node])
+            node = parent[node]
 
-        p = int(pos[e_root])
+        p = pos.item(e_root)
         if p >= b:
             order[a : p + 1 - total] = order[b : p + 1].copy()
             order[p + 1 - total : p + 1] = seg
@@ -436,14 +425,26 @@ class _Simplex:
         the lexicographically smallest (i, j).
         """
         take = self.refill_size
-        red = self._scan_buf
-        np.subtract(self.cost, self.u[:, None], out=red)
-        np.subtract(red, self.v[None, :], out=red)
-        flat = red.ravel()
-        idx = np.flatnonzero(flat < -self.tol).astype(np.int64)
-        if idx.size == 0:
-            return idx
-        vals = flat[idx]
+        n = self.n
+        step = self._scan_buf.shape[0]
+        idx_parts: list[np.ndarray] = []
+        val_parts: list[np.ndarray] = []
+        # Row blocks keep the scratch buffer cache-resident across the two
+        # subtractions and the comparison.
+        for r0 in range(0, self.m, step):
+            r1 = min(r0 + step, self.m)
+            red = self._scan_buf[: r1 - r0]
+            np.subtract(self.cost[r0:r1], self.u[r0:r1, None], out=red)
+            red -= self.v
+            flat = red.reshape(-1)
+            hit = np.flatnonzero(flat < -self.tol)
+            if hit.size:
+                idx_parts.append(hit + r0 * n)
+                val_parts.append(flat[hit])
+        if not idx_parts:
+            return np.zeros(0, dtype=np.int64)
+        idx = np.concatenate(idx_parts).astype(np.int64, copy=False)
+        vals = np.concatenate(val_parts)
         if idx.size > take:
             part = np.argpartition(vals, take - 1)[:take]
             idx = idx[part]
@@ -471,10 +472,14 @@ class _Simplex:
         n = self.n
         pool_rows = pool // n
         pool_cols = pool - pool_rows * n
+        # Gathered once: re-pricing then reads the pool's costs contiguously
+        # instead of scattering into the full cost matrix every batch.
+        pool_cost = self.cost.reshape(-1)[pool]
         while True:
             if self.iterations > deadline:
                 return
-            red = self.cost[pool_rows, pool_cols] - self.u[pool_rows] - self.v[pool_cols]
+            red = pool_cost - self.u[pool_rows]
+            red -= self.v[pool_cols]
             alive = np.nonzero(red < -self.tol)[0]
             if alive.size == 0:
                 return
@@ -485,6 +490,7 @@ class _Simplex:
                 pool = pool[alive]
                 pool_rows = pool_rows[alive]
                 pool_cols = pool_cols[alive]
+                pool_cost = pool_cost[alive]
                 red = red[alive]
                 alive = np.arange(pool.size)
             if alive.size > batch:
