@@ -224,8 +224,8 @@ class _Simplex:
         cost: np.ndarray,
         supply: np.ndarray,
         demand: np.ndarray,
-        points_mu: Optional[np.ndarray] = None,
-        points_nu: Optional[np.ndarray] = None,
+        points_mu: np.ndarray,
+        points_nu: np.ndarray,
     ):
         self.cost = cost
         self.supply = supply
@@ -279,12 +279,6 @@ class _Simplex:
         self._arange = np.arange(self.N, dtype=np.int64)
 
     # -- tree mechanics ----------------------------------------------------
-
-    def _arc_of(self, node: int) -> tuple[int, int]:
-        par = int(self.parent[node])
-        if node < self.m:  # source node, parent is a sink
-            return node, par - self.m
-        return par, node - self.m
 
     def _pivot(self, i: int, j: int) -> None:
         s_node, t_node = i, self.m + j
@@ -507,7 +501,7 @@ class _Simplex:
         """Flat indices of a sparse warm-start arc set: mutual nearest
         neighbours between the two real atom clouds plus all reservoir arcs."""
         m_real, n_real = self.m - 1, self.n - 1
-        if m_real * n_real <= 65536 or self.points_mu is None or self.points_nu is None:
+        if m_real * n_real <= 65536:
             return None
         from scipy.spatial import cKDTree
 
@@ -599,26 +593,6 @@ class _Simplex:
 # Public solver API
 # ---------------------------------------------------------------------------
 
-def _forced_reservoir_report(mu: DiscreteMeasure, nu: DiscreteMeasure, cost: CostSpec) -> SolveReport:
-    """Closed-form solve when at least one side is empty: all mass meets the reservoir."""
-    res_mu = cost.reservoir_cost(mu)
-    res_nu = cost.reservoir_cost(nu)
-    _cost_scale(np.concatenate([res_mu, res_nu]))
-    plan = TransportPlan(
-        n_mu=mu.n_atoms,
-        n_nu=nu.n_atoms,
-        direct_rows=np.zeros(0, dtype=int),
-        direct_cols=np.zeros(0, dtype=int),
-        direct_vals=np.zeros(0),
-        to_reservoir=np.array(mu.weights, dtype=float, copy=True),
-        from_reservoir=np.array(nu.weights, dtype=float, copy=True),
-    )
-    value = math.fsum((mu.weights * res_mu).tolist()) + math.fsum((nu.weights * res_nu).tolist())
-    duals = DualPotentials(phi=res_mu.copy(), psi=res_nu.copy(), p=cost.p)
-    dual = math.fsum((mu.weights * duals.phi).tolist()) + math.fsum((nu.weights * duals.psi).tolist())
-    return SolveReport(value=value, plan=plan, duals=duals, iterations=0, gap=abs(value - dual))
-
-
 def solve(mu: DiscreteMeasure, nu: DiscreteMeasure, cost: CostSpec) -> SolveReport:
     """Exact minimiser of the reservoir transport LP between two measures.
 
@@ -629,9 +603,6 @@ def solve(mu: DiscreteMeasure, nu: DiscreteMeasure, cost: CostSpec) -> SolveRepo
     if mu.dim != nu.dim:
         raise ValueError("measures must share the ambient dimension")
     m, n = mu.n_atoms, nu.n_atoms
-    if m == 0 or n == 0:
-        return _forced_reservoir_report(mu, nu, cost)
-
     res_mu = cost.reservoir_cost(mu)
     res_nu = cost.reservoir_cost(nu)
     C = np.zeros((m + 1, n + 1))
@@ -648,34 +619,31 @@ def solve(mu: DiscreteMeasure, nu: DiscreteMeasure, cost: CostSpec) -> SolveRepo
     sx = _Simplex(C, supply, demand, points_mu=mu.positions, points_nu=nu.positions)
     sx.run()
 
-    direct_r: list[int] = []
-    direct_c: list[int] = []
-    direct_v: list[float] = []
+    # Each non-root tree node carries the flow on the arc to its parent; a
+    # source's parent is a sink and vice versa.  Arcs keep node order.
+    node = np.arange(sx.N)
+    parent = np.array(sx.parent)
+    flow = np.array(sx.flow)
+    is_src = node < sx.m
+    rows = np.where(is_src, node, parent)
+    cols = np.where(is_src, parent, node) - sx.m
+    live = (flow > 0.0) & (node != sx.root)
+    direct = live & (rows < m) & (cols < n)
+    into = live & (rows < m) & (cols == n)
+    out_of = live & (rows == m) & (cols < n)
+    # rows == m and cols == n: reservoir self-loop, dropped by convention
     to_res = np.zeros(m)
     from_res = np.zeros(n)
-    for node in range(sx.N):
-        if node == sx.root:
-            continue
-        f = float(sx.flow[node])
-        if f <= 0.0:
-            continue
-        i, j = sx._arc_of(node)
-        if i < m and j < n:
-            direct_r.append(i)
-            direct_c.append(j)
-            direct_v.append(f)
-        elif i < m:  # j == n: into the reservoir
-            to_res[i] += f
-        elif j < n:  # i == m: out of the reservoir
-            from_res[j] += f
-        # i == m and j == n: reservoir self-loop, dropped by convention
+    to_res[rows[into]] = flow[into]
+    from_res[cols[out_of]] = flow[out_of]
+    direct_r, direct_c, direct_v = rows[direct], cols[direct], flow[direct]
 
     plan = TransportPlan(
         n_mu=m,
         n_nu=n,
-        direct_rows=np.array(direct_r, dtype=int),
-        direct_cols=np.array(direct_c, dtype=int),
-        direct_vals=np.array(direct_v, dtype=float),
+        direct_rows=direct_r,
+        direct_cols=direct_c,
+        direct_vals=direct_v,
         to_reservoir=to_res,
         from_reservoir=from_res,
     )
@@ -686,7 +654,7 @@ def solve(mu: DiscreteMeasure, nu: DiscreteMeasure, cost: CostSpec) -> SolveRepo
     psi = sx.v[:n] + sx.u[m]
     duals = DualPotentials(phi=phi, psi=psi, p=cost.p)
 
-    terms = [C[i, j] * f for i, j, f in zip(direct_r, direct_c, direct_v)]
+    terms = (C[direct_r, direct_c] * direct_v).tolist()
     terms.extend((to_res * res_mu).tolist())
     terms.extend((from_res * res_nu).tolist())
     value = math.fsum(terms)

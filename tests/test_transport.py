@@ -1,5 +1,7 @@
 """Tests for the reservoir transport solver, duals, and oracles."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -36,6 +38,70 @@ def test_solve_one_sided():
     assert rep.gap <= 1e-12
     both = solve(empty, empty, CostSpec(1.5))
     assert both.value == 0.0
+
+
+@pytest.mark.parametrize("p", [1.0, 1.5, 2.0])
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_empty_side_matches_closed_form(dim, p):
+    # With one side empty every atom meets the reservoir: no pivots, the plan
+    # is the weights, the duals are the reservoir costs |z|^p.
+    rng = np.random.default_rng(17)
+    empty = DiscreteMeasure.empty(dim)
+    for scale in (1e-3, 1.0, 1e8):
+        full = DiscreteMeasure(dim, rng.normal(size=(5, dim)), rng.uniform(0.1, 1.0, 5) * scale)
+        res = _pow(full.radii, p)
+        value = math.fsum((full.weights * res).tolist())
+        one_sided = solve(full, empty, CostSpec(p))
+        other_sided = solve(empty, full, CostSpec(p))
+        for rep, flows, duals in (
+            (one_sided, one_sided.plan.to_reservoir, one_sided.duals.phi),
+            (other_sided, other_sided.plan.from_reservoir, other_sided.duals.psi),
+        ):
+            assert rep.iterations == 0 and rep.plan.direct_vals.size == 0
+            assert np.array_equal(flows, full.weights)
+            assert np.array_equal(duals, res)
+            assert rep.value == value and rep.gap == 0.0
+
+
+def _plan_loop(sx, m, n):
+    """Reference: the per-node loop that read the plan off the final tree."""
+    direct, to_res, from_res = [], np.zeros(m), np.zeros(n)
+    for node in range(sx.N):
+        f = float(sx.flow[node])
+        if node == sx.root or f <= 0.0:
+            continue
+        par = sx.parent[node]
+        i, j = (node, par - sx.m) if node < sx.m else (par, node - sx.m)
+        if i < m and j < n:
+            direct.append([i, j, f])
+        elif i < m:
+            to_res[i] += f
+        elif j < n:
+            from_res[j] += f
+    return {"direct": direct, "to_reservoir": to_res.tolist(), "from_reservoir": from_res.tolist()}
+
+
+def test_plan_extraction_matches_loop_reference(monkeypatch, rng, make_measure, make_unit_measure):
+    import levyot.transport as tr
+
+    trees = []
+    run = tr._Simplex.run
+
+    def recording_run(self):
+        run(self)
+        trees.append(self)
+
+    monkeypatch.setattr(tr._Simplex, "run", recording_run)
+    cases = [(make_measure(rng, 2, max_atoms=15), make_measure(rng, 2, max_atoms=15)) for _ in range(30)]
+    # unit weights give degenerate trees with zero-flow basic arcs
+    cases += [(make_unit_measure(rng, 1, 6), make_unit_measure(rng, 1, 6)) for _ in range(30)]
+    # above the k-NN warm-start threshold
+    cases.append(tuple(DiscreteMeasure(3, rng.normal(size=(k, 3)), rng.uniform(0.2, 2.0, k)) for k in (300, 260)))
+    for k, (mu, nu) in enumerate(cases):
+        rep = solve(mu, nu, CostSpec((1.0, 1.5, 2.0)[k % 3]))
+        plan = rep.plan
+        assert plan.to_dict() == _plan_loop(trees.pop(), mu.n_atoms, nu.n_atoms)
+        assert plan.direct_rows.dtype == plan.direct_cols.dtype == np.int64
 
 
 def test_solve_single_pair_direct():

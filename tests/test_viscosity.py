@@ -5,8 +5,10 @@ import math
 
 import numpy as np
 import pytest
+from scipy.spatial.distance import cdist
 
 from levyot.measures import DiscreteMeasure
+from levyot.suites import random_grid_function
 from levyot.viscosity import (
     EquationSpec,
     GridFunction,
@@ -125,6 +127,64 @@ def test_sup_convolution_properties(rng, make_grid_function):
         nodes = u.nodes()
         dist = np.linalg.norm(nodes - nodes[ach], axis=1)
         assert np.all(dist <= math.sqrt(2.0 * delta * u.sup_norm()) + 1e-12)
+
+
+def _dense_sup_convolution(u, delta, achievers):
+    """The dense scan as an oracle: every node x against every node y.
+
+    Returns max_y u(y) - |x - y|^2 / delta per node x, and the candidate
+    value at the given achiever of each x, computed in row blocks.
+    """
+    nodes = u.nodes()
+    vals = u.values.reshape(-1)
+    best = np.empty(vals.size)
+    at = np.empty(vals.size)
+    for start in range(0, vals.size, 512):
+        rows = slice(start, start + 512)
+        cand = vals[None, :] - cdist(nodes[rows], nodes, "sqeuclidean") / delta
+        best[rows] = cand.max(axis=1)
+        at[rows] = cand[np.arange(cand.shape[0]), achievers[rows]]
+    return best, at
+
+
+def _reference_grid(case):
+    rng = np.random.default_rng(1805)
+    if case == "2d-30x17-box":
+        return GridFunction(np.array([-0.4, 0.3]), np.array([1.1, 0.8]), rng.normal(size=(30, 17)))
+    dim, n_nodes = {"1d-512": (1, 512), "2d-64x64": (2, 64), "3d-16^3": (3, 16)}[case]
+    return random_grid_function(rng, dim, n_nodes)
+
+
+@pytest.mark.parametrize("delta", [1e-1, 1e-2, 1e-3])
+@pytest.mark.parametrize("case", ["1d-512", "2d-64x64", "2d-30x17-box", "3d-16^3"])
+def test_convolutions_match_dense_scan(case, delta):
+    u = _reference_grid(case)
+    conv, ach = sup_convolution(u, delta, with_achievers=True)
+    assert conv.values.shape == u.values.shape and ach.shape == (u.values.size,)
+    best, at = _dense_sup_convolution(u, delta, ach)
+    assert np.max(np.abs(conv.values.reshape(-1) - best)) <= 1e-13
+    assert np.max(np.abs(at - best)) <= 1e-13
+    # inf-convolution: the dense min of u(y) + |x - y|^2 / delta
+    low, low_ach = inf_convolution(u, delta, with_achievers=True)
+    neg_best, neg_at = _dense_sup_convolution(u.with_values(-u.values), delta, low_ach)
+    assert np.max(np.abs(low.values.reshape(-1) + neg_best)) <= 1e-13
+    assert np.max(np.abs(neg_at - neg_best)) <= 1e-13
+
+
+def test_sup_convolution_tie_rule():
+    # 1-d: from node 1 the nodes 0 and 2 tie; the lower index wins.
+    u = GridFunction(np.array([0.0]), np.array([4.0]), np.array([1.0, -5.0, 1.0, -5.0, -5.0]))
+    conv, ach = sup_convolution(u, 1.0, with_achievers=True)
+    assert conv.values[1] == 0.0 and ach[1] == 0
+    # 2-d: two spikes at (0, 2) and (2, 0), flat indices 2 and 6, tie on the
+    # diagonal.  The lowest index on the last axis wins, so the diagonal
+    # picks (2, 0), where the lowest flat index would pick (0, 2).
+    vals = np.full((3, 3), -10.0)
+    vals[0, 2] = vals[2, 0] = 1.0
+    u = GridFunction(np.array([0.0, 0.0]), np.array([2.0, 2.0]), vals)
+    conv, ach = sup_convolution(u, 1.0, with_achievers=True)
+    assert ach.reshape(3, 3).tolist() == [[6, 2, 2], [6, 6, 2], [6, 6, 6]]
+    assert conv.values[1, 1] == -1.0 and conv.values[0, 0] == -3.0
 
 
 def test_levy_op_affine_compensation_exact():
