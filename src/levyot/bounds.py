@@ -23,6 +23,7 @@ from . import transport
 __all__ = [
     "RadialTestFunction",
     "tv_power_bound",
+    "is_ordered",
     "positive_part_dual_bound",
     "restriction_bound",
     "pushforward_bound",
@@ -32,6 +33,8 @@ __all__ = [
 ]
 
 QUAD_TOL = 1e-10
+# Net site weights above -SIGN_TOL count as nonnegative in mu - nu.
+SIGN_TOL = 1e-15
 
 
 def sphere_area(dim: int) -> float:
@@ -111,6 +114,11 @@ def tv_power_bound(mu: DiscreteMeasure, nu: DiscreteMeasure, p: float) -> float:
     return 2.0 ** ((p - 1.0) / p) * tv ** (1.0 / p)
 
 
+def is_ordered(mu: DiscreteMeasure, nu: DiscreteMeasure) -> bool:
+    """True when mu - nu >= 0 atomwise, so positive_part_dual_bound applies."""
+    return not np.any(_signed_sites(mu, nu)[1] < -SIGN_TOL)
+
+
 def positive_part_dual_bound(mu: DiscreteMeasure, nu: DiscreteMeasure, p: float) -> float:
     """The p-th power bound for ordered measures: distance^p <= p-moment of mu - nu.
 
@@ -119,7 +127,7 @@ def positive_part_dual_bound(mu: DiscreteMeasure, nu: DiscreteMeasure, p: float)
     """
     p = _check_p(p)
     first, net = _signed_sites(mu, nu)
-    if np.any(net < -1e-15):
+    if np.any(net < -SIGN_TOL):
         raise ValueError(f"mu - nu is a signed measure (worst deficit {float(net.min())!r})")
     radii = np.concatenate([mu.radii, nu.radii])[first]
     return math.fsum(w * r**p for w, r in zip(net.tolist(), radii.tolist()))

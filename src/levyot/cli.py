@@ -3,7 +3,9 @@
 Subcommands: dist, dual, bounds, sweep, convolve, doubling, experiment,
 verify.  All numeric output uses 17-significant-digit decimal formatting and
 randomized commands echo their seed, so identical invocations are
-byte-identical.  Unreadable input exits with status 2, a failed solve with 3.
+byte-identical.  ``main`` is the one error boundary: a failed ``verify``
+exits with status 1, unreadable input or bad usage with 2, a failed solve
+with 3.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ from . import bounds, families, suites, transport, viscosity
 from .measures import (
     DiscreteMeasure,
     SchemaError,
+    _read_json,
     load_measure,
     restrict_outside,
 )
@@ -64,15 +67,33 @@ def _dump(obj, indent: int = 0) -> str:
 
 
 def _emit(text: str, out: Optional[str]) -> None:
+    text = text if text.endswith("\n") else text + "\n"
     if out:
         with open(out, "w", encoding="utf-8") as fh:
             fh.write(text)
-            if not text.endswith("\n"):
-                fh.write("\n")
     else:
         sys.stdout.write(text)
-        if not text.endswith("\n"):
-            sys.stdout.write("\n")
+
+
+def _cell(v) -> str:
+    if isinstance(v, str):
+        return v
+    if isinstance(v, bool):
+        return "true" if v else "false"
+    if isinstance(v, list):
+        return ";".join(_fmt(c) for c in v)
+    return _fmt(v)
+
+
+def _emit_table(
+    doc: dict, columns: tuple[str, ...], as_csv: bool, out: Optional[str], head: str = ""
+) -> None:
+    """``doc`` as JSON, or as CSV: the ``head`` line, the ``columns`` header, one line per row."""
+    if as_csv:
+        rows = [",".join(_cell(row[c]) for c in columns) for row in doc["rows"]]
+        _emit("\n".join(([head] if head else []) + [",".join(columns)] + rows), out)
+    else:
+        _emit(_dump(doc), out)
 
 
 # -- subcommands -------------------------------------------------------------
@@ -95,23 +116,20 @@ def cmd_dual(args) -> int:
     return EXIT_OK
 
 
+BOUNDS_COLUMNS = ("bound_name", "lhs", "rhs", "slack", "pass")
+SWEEP_COLUMNS = ("x", "y", "separation", "distance", "ratio", "truncation_cost")
+EXPERIMENT_COLUMNS = ("epsilon", "kappa", "x_star", "y_star", "gap", "penalty_term", "distance_term")
+
+
 def cmd_bounds(args) -> int:
     mu, nu = load_measure(args.mu), load_measure(args.nu)
     p = args.p
-    slack_tol = 1e-8
+    slack_tol = suites.DEFAULT_TOLS["bound_slack"]
     rows: list[dict] = []
 
     def row(name: str, lhs: float, rhs: float) -> None:
         slack = rhs - lhs
-        rows.append(
-            {
-                "bound_name": name,
-                "lhs": lhs,
-                "rhs": rhs,
-                "slack": slack,
-                "pass": bool(slack >= -slack_tol),
-            }
-        )
+        rows.append(dict(zip(BOUNDS_COLUMNS, (name, lhs, rhs, slack, bool(slack >= -slack_tol)))))
 
     in_ball = (mu.n_atoms == 0 or mu.max_radius() < 1.0) and (
         nu.n_atoms == 0 or nu.max_radius() < 1.0
@@ -122,98 +140,52 @@ def cmd_bounds(args) -> int:
         psi = bounds.RadialTestFunction.hat(0.2, 0.8)
         lhs, rhs = bounds.restricted_integral_bound(mu, nu, psi, p)
         row("restricted_integral", lhs, rhs)
-    try:
-        ppb = bounds.positive_part_dual_bound(mu, nu, p)
-        row("positive_part_dual", dist**p, ppb)
-    except ValueError:
-        pass  # difference is signed; bound does not apply
+    if bounds.is_ordered(mu, nu):
+        row("positive_part_dual", dist**p, bounds.positive_part_dual_bound(mu, nu, p))
     r = args.r
     row(
         "restriction",
         transport.distance(mu, restrict_outside(mu, r), p) ** p,
         bounds.restriction_bound(mu, r, p),
     )
-    if args.json:
-        _emit(_dump({"p": p, "rows": rows}), args.out)
-    else:
-        lines = ["bound_name,lhs,rhs,slack,pass"]
-        for rw in rows:
-            lines.append(
-                f"{rw['bound_name']},{_fmt(rw['lhs'])},{_fmt(rw['rhs'])},"
-                f"{_fmt(rw['slack'])},{str(rw['pass']).lower()}"
-            )
-        _emit("\n".join(lines), args.out)
+    _emit_table({"p": p, "rows": rows}, BOUNDS_COLUMNS, not args.json, args.out)
     return EXIT_OK
 
 
 def cmd_sweep(args) -> int:
-    try:
-        with open(args.config, "r", encoding="utf-8") as fh:
-            config = json.load(fh)
-        runtime = families.build_family(config)
-    except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    pairs = families.sweep_pairs(args.pairs, runtime.dim, args.seed)
-    report = None
-    if pairs:
-        report = families.regularity_sweep(
-            runtime.make_measure,
-            pairs,
-            p=args.p,
-            s=args.s,
-            truncation_cost=lambda x: runtime.truncation_cost(x, args.p),
-        )
-        print(f"max_ratio={_fmt(report.max_ratio)}", file=sys.stderr)
-    if args.json:
-        doc = {
-            "seed": args.seed,
-            "p": args.p,
-            "s": args.s,
-            "max_ratio": report.max_ratio if report else 0.0,
-            "rows": [
-                {
-                    "x": [float(c) for c in rw.x],
-                    "y": [float(c) for c in rw.y],
-                    "separation": rw.separation,
-                    "distance": rw.distance,
-                    "ratio": rw.ratio,
-                    "truncation_cost": rw.truncation_cost,
-                }
-                for rw in (report.rows if report else [])
-            ],
-        }
-        _emit(_dump(doc), args.out)
-        return EXIT_OK
-    lines = [f"# seed={args.seed} p={_fmt(args.p)} s={_fmt(args.s)}"]
-    lines.append("x,y,separation,distance,ratio,truncation_cost")
-    for rw in (report.rows if report else []):
-        xs = ";".join(_fmt(c) for c in rw.x)
-        ys = ";".join(_fmt(c) for c in rw.y)
-        lines.append(
-            f"{xs},{ys},{_fmt(rw.separation)},{_fmt(rw.distance)},"
-            f"{_fmt(rw.ratio)},{_fmt(rw.truncation_cost)}"
-        )
-    _emit("\n".join(lines), args.out)
+    runtime = families.build_family(_read_json(args.config))
+    report = families.regularity_sweep(
+        runtime.make_measure,
+        families.sweep_pairs(args.pairs, runtime.dim, args.seed),
+        p=args.p,
+        s=args.s,
+        truncation_cost=lambda x: runtime.truncation_cost(x, args.p),
+    )
+    print(f"max_ratio={_fmt(report.max_ratio)}", file=sys.stderr)
+    doc = {
+        "seed": args.seed,
+        "p": args.p,
+        "s": args.s,
+        "max_ratio": report.max_ratio,
+        "rows": [
+            {
+                "x": rw.x.tolist(),
+                "y": rw.y.tolist(),
+                "separation": rw.separation,
+                "distance": rw.distance,
+                "ratio": rw.ratio,
+                "truncation_cost": rw.truncation_cost,
+            }
+            for rw in report.rows
+        ],
+    }
+    head = f"# seed={args.seed} p={_fmt(args.p)} s={_fmt(args.s)}"
+    _emit_table(doc, SWEEP_COLUMNS, not args.json, args.out, head)
     return EXIT_OK
 
 
 def _load_grid(path: str) -> viscosity.GridFunction:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise SchemaError(
-                f"{path}: malformed JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
-            ) from exc
-    try:
-        return viscosity.GridFunction(
-            np.asarray(doc["lo"], dtype=float),
-            np.asarray(doc["hi"], dtype=float),
-            np.asarray(doc["values"], dtype=float),
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise SchemaError(f"{path}: invalid grid function document: {exc}") from exc
+    return viscosity.grid_from_dict(_read_json(path), path)
 
 
 def cmd_convolve(args) -> int:
@@ -269,56 +241,22 @@ def cmd_experiment(args) -> int:
         "lipschitz_C": shift,
         "u_leq_v": report.u_leq_v,
         "penalty_decreasing": report.penalty_decreasing,
-        "rows": [
-            {
-                "epsilon": r.epsilon,
-                "kappa": r.kappa,
-                "x_star": r.x_star,
-                "y_star": r.y_star,
-                "gap": r.gap,
-                "penalty_term": r.penalty_term,
-                "distance_term": r.distance_term,
-            }
-            for r in report.rows
-        ],
+        "rows": [{c: getattr(r, c) for c in EXPERIMENT_COLUMNS} for r in report.rows],
     }
-    if args.csv:
-        lines = ["epsilon,kappa,x_star,y_star,gap,penalty_term,distance_term"]
-        for r in report.rows:
-            lines.append(
-                ",".join(
-                    _fmt(v)
-                    for v in (
-                        r.epsilon, r.kappa, r.x_star, r.y_star,
-                        r.gap, r.penalty_term, r.distance_term,
-                    )
-                )
-            )
-        _emit("\n".join(lines), args.out)
-    else:
-        _emit(_dump(doc), args.out)
+    _emit_table(doc, EXPERIMENT_COLUMNS, args.csv, args.out)
     return EXIT_OK
 
 
 def cmd_verify(args) -> int:
     if args.replay:
-        try:
-            with open(args.replay, "r", encoding="utf-8") as fh:
-                bundle = json.load(fh)
-            result = suites.replay(bundle)
-        except (OSError, KeyError, json.JSONDecodeError) as exc:
-            print(f"error: cannot replay bundle: {exc}", file=sys.stderr)
-            return EXIT_USAGE
+        bundle = _read_json(args.replay)
+        result = suites.replay(bundle)
         status = "ok" if result.passed else "FAIL"
         print(f"[{status}] {bundle['suite']} i={result.index}: {result.detail}")
         return EXIT_OK if result.passed else EXIT_FAIL
 
     tols = dict(args.tol or [])
-    try:
-        report = suites.run_suite(args.suite, args.n, args.seed, tols)
-    except KeyError as exc:
-        print(f"error: {exc.args[0]}", file=sys.stderr)
-        return EXIT_USAGE
+    report = suites.run_suite(args.suite, args.n, args.seed, tols)
     print(f"# suite={report.suite} n={args.n} seed={report.seed}")
     fails = report.failures
     for row in report.rows:
@@ -345,6 +283,10 @@ def _tol_override(tok: str) -> tuple[str, float]:
     key, sep, val = tok.partition("=")
     if not sep:
         raise argparse.ArgumentTypeError(f"expected name=value, got {tok!r}")
+    if key not in suites.DEFAULT_TOLS:
+        raise argparse.ArgumentTypeError(
+            f"unknown tolerance {key!r}; known: {', '.join(suites.DEFAULT_TOLS)}"
+        )
     return key, float(val)
 
 
@@ -418,13 +360,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_experiment)
 
     p = sub.add_parser("verify", help="run a randomized invariant suite")
-    p.add_argument("--suite", required=False, default=None)
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--suite", choices=list(suites.SUITES))
+    source.add_argument("--replay", default=None, help="replay a failure bundle")
     p.add_argument("--n", type=int, default=100)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument(
         "--tol", action="append", type=_tol_override, default=None, help="override as name=value"
     )
-    p.add_argument("--replay", default=None, help="replay a failure bundle")
     p.add_argument("--reproducer", default=None, help="path for the failure bundle")
     p.set_defaults(func=cmd_verify)
 
@@ -434,9 +377,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command == "verify" and not args.replay and not args.suite:
-        print("error: verify needs --suite or --replay", file=sys.stderr)
-        return EXIT_USAGE
     try:
         return args.func(args)
     except (SchemaError, OSError, UnicodeDecodeError) as exc:  # unreadable input

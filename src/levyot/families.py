@@ -18,7 +18,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 from scipy.integrate import quad
 
-from .measures import DiscreteMeasure, decompose, measure_from_dict, _check_p
+from .measures import DiscreteMeasure, SchemaError, decompose, measure_from_dict, _check_p
 from . import transport
 
 __all__ = [
@@ -36,6 +36,11 @@ __all__ = [
     "small_jump_profile",
     "build_family",
 ]
+
+
+def _radial_power(Z: np.ndarray, expo: float) -> np.ndarray:
+    """|z|^expo for every row z of Z."""
+    return np.linalg.norm(np.atleast_2d(Z), axis=1) ** expo
 
 
 @dataclass(frozen=True)
@@ -165,8 +170,7 @@ class KernelFamily:
             raise ValueError("need sigma > 0 and a nonnegative envelope constant")
 
     def envelope(self, Z: np.ndarray) -> np.ndarray:
-        r = np.linalg.norm(np.atleast_2d(Z), axis=1)
-        return self.lambda1 * r ** (-(self.dim + self.sigma))
+        return self.lambda1 * _radial_power(Z, -(self.dim + self.sigma))
 
     def validate(self, xs: Sequence[np.ndarray], Z: np.ndarray, tol: float = 1e-9) -> list[str]:
         """Sampled envelope and Holder checks; empty list when all hold."""
@@ -220,7 +224,7 @@ class FracLaplFamily:
     def density_at(self, x) -> Callable[[np.ndarray], np.ndarray]:
         coef = self.coefficient(x)
         expo = -(self.dim + self.sigma)
-        return lambda Z: coef * np.linalg.norm(np.atleast_2d(Z), axis=1) ** expo
+        return lambda Z: coef * _radial_power(Z, expo)
 
 
 @dataclass(frozen=True)
@@ -465,7 +469,32 @@ def _power_law(dim: int, sigma: float) -> Callable[[np.ndarray], np.ndarray]:
     if sigma <= 0.0:
         raise ValueError("need sigma > 0 and a nonnegative envelope constant")
     expo = -(dim + sigma)
-    return lambda Z: np.linalg.norm(np.atleast_2d(Z), axis=1) ** expo
+    return lambda Z: _radial_power(Z, expo)
+
+
+def _section(config: dict, key: str) -> dict:
+    val = config.get(key, {})
+    if not isinstance(val, dict):
+        raise ValueError(f"{key!r} must be an object, got {val!r}")
+    return val
+
+
+def _number(section: dict, key: str, default: Optional[float] = None) -> float:
+    val = section.get(key, default)
+    try:
+        return float(val)
+    except (TypeError, ValueError):
+        raise ValueError(f"{key!r} must be a number, got {val!r}") from None
+
+
+def _count(section: dict, key: str, default: Optional[int] = None) -> int:
+    val = section.get(key, default)
+    if isinstance(val, bool) or not isinstance(val, int) or val < 1:
+        raise ValueError(f"{key!r} must be a positive integer, got {val!r}")
+    return val
+
+
+_GRID_FIELDS = {"r_min": _number, "r_max": _number, "n_radial": _count, "n_angular": _count, "refine": _count}
 
 
 def build_family(config: dict) -> FamilyRuntime:
@@ -473,30 +502,40 @@ def build_family(config: dict) -> FamilyRuntime:
 
     Supported types: "kernel" (sinusoidally modulated power-law density),
     "fraclap" (a(x)|z|^{-d-sigma} with the annulus split), "levyito"
-    (translation or scaling push-forwards), and "constant".
+    (translation or scaling push-forwards), and "constant".  Any malformed
+    config raises SchemaError with a message starting "config error".
     """
+    try:
+        return _build_family(config)
+    except ValueError as exc:
+        raise SchemaError(f"config error: {exc}") from exc
+
+
+def _build_family(config: dict) -> FamilyRuntime:
     if not isinstance(config, dict) or "type" not in config:
         raise ValueError("family config must be an object with a 'type' field")
     kind = config["type"]
-    dim = int(config.get("dim", 1))
-    grid = AnnularGrid(**config.get("grid", {}))
-    params = config.get("params", {})
+    dim = _count(config, "dim", 1)
+    grid_cfg = _section(config, "grid")
+    unknown = sorted(set(grid_cfg) - set(_GRID_FIELDS))
+    if unknown:
+        raise ValueError(f"unknown grid field(s) {', '.join(map(repr, unknown))}")
+    grid = AnnularGrid(**{key: _GRID_FIELDS[key](grid_cfg, key) for key in grid_cfg})
+    params = _section(config, "params")
 
     if kind == "kernel":
-        sigma = float(config.get("sigma", 0.5))
-        base = float(params.get("base", 1.0))
-        amplitude = float(params.get("amplitude", 0.5))
-        lambda1 = float(params.get("lambda1", base + abs(amplitude)))
-        gamma = config.get("gamma", 1.0)
+        sigma = _number(config, "sigma", 0.5)
+        base = _number(params, "base", 1.0)
+        amplitude = _number(params, "amplitude", 0.5)
+        lambda1 = _number(params, "lambda1", base + abs(amplitude))
         expo = -(dim + sigma)
 
         def density(x, Z):
-            r = np.linalg.norm(np.atleast_2d(Z), axis=1)
-            return (base + amplitude * math.sin(float(x[0]))) * r**expo
+            return (base + amplitude * math.sin(float(x[0]))) * _radial_power(Z, expo)
 
         family = KernelFamily(
             density=density, sigma=sigma, lambda1=lambda1, dim=dim,
-            holder_gamma=None if gamma is None else float(gamma),
+            holder_gamma=None if config.get("gamma", 1.0) is None else _number(config, "gamma", 1.0),
         )
         return FamilyRuntime(
             dim,
@@ -505,10 +544,12 @@ def build_family(config: dict) -> FamilyRuntime:
         )
 
     if kind == "fraclap":
-        sigma = float(config.get("sigma", 1.5))
-        a0 = float(params.get("a0", 0.5))
-        a1 = float(params.get("a1", 0.25))
+        sigma = _number(config, "sigma", 1.5)
+        a0 = _number(params, "a0", 0.5)
+        a1 = _number(params, "a1", 0.25)
         part = params.get("part", "full")
+        if not (a0 - abs(a1) > 0.0 and a0 + abs(a1) <= 1.0):
+            raise ValueError("fraclap needs 0 < a0 - |a1| and a0 + |a1| <= 1, so a(x) lies in (0, 1]")
 
         def a(x):
             return (a0 + a1 * math.sin(float(x[0]))) ** sigma
@@ -531,11 +572,13 @@ def build_family(config: dict) -> FamilyRuntime:
         base_cfg = config.get("base")
         if base_cfg is not None:
             base = measure_from_dict(base_cfg)
+            if base.dim != dim:
+                raise ValueError(f"base measure has dimension {base.dim}, family has {dim}")
         else:
-            base = _discretize(_power_law(dim, float(config.get("sigma", 0.5))), dim, grid)
+            base = _discretize(_power_law(dim, _number(config, "sigma", 0.5)), dim, grid)
         mkind = params.get("kind", "translation")
         if mkind == "translation":
-            shift = float(params.get("shift", 0.1))
+            shift = _number(params, "shift", 0.1)
 
             def maps(x):
                 offset = np.zeros(dim)
@@ -545,9 +588,11 @@ def build_family(config: dict) -> FamilyRuntime:
             rho = lambda Z: 1.0 + np.linalg.norm(np.atleast_2d(Z), axis=1)
             C = max(1.0, abs(shift))
         elif mkind == "scaling":
-            sigma = float(config.get("sigma", 1.5))
-            a0 = float(params.get("a0", 0.5))
-            a1 = float(params.get("a1", 0.25))
+            sigma = _number(config, "sigma", 1.5)
+            a0 = _number(params, "a0", 0.5)
+            a1 = _number(params, "a1", 0.25)
+            if a0 - abs(a1) <= 0.0:
+                raise ValueError("levyito scaling needs a0 > |a1|, so the scale stays positive")
 
             def maps(x):
                 scale = (a0 + a1 * math.sin(float(x[0]))) ** (1.0 / sigma)
@@ -561,7 +606,7 @@ def build_family(config: dict) -> FamilyRuntime:
         return FamilyRuntime(dim, make=lambda x: pushforward(family, x), trunc=lambda x, p: 0.0)
 
     if kind == "constant":
-        ref = _power_law(dim, float(config.get("sigma", 0.5)))
+        ref = _power_law(dim, _number(config, "sigma", 0.5))
         fixed = _discretize(ref, dim, grid)
         return FamilyRuntime(
             dim,

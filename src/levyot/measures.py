@@ -35,7 +35,7 @@ __all__ = [
 
 
 class SchemaError(ValueError):
-    """Raised when measure JSON violates the on-disk schema."""
+    """Raised when an input file (measure, grid, family config, bundle) is malformed."""
 
 
 def _check_p(p: float) -> float:
@@ -299,15 +299,19 @@ def measure_from_dict(data: dict) -> DiscreteMeasure:
     return DiscreteMeasure(dim, np.array(positions), np.array(weights))
 
 
-def load_measure(path: str) -> DiscreteMeasure:
+def _read_json(path: str):
+    """The parsed JSON document in ``path``; malformed JSON raises SchemaError."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            data = json.load(fh)
+            return json.load(fh)
         except json.JSONDecodeError as exc:
             raise SchemaError(
                 f"{path}: malformed JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
             ) from exc
-    return measure_from_dict(data)
+
+
+def load_measure(path: str) -> DiscreteMeasure:
+    return measure_from_dict(_read_json(path))
 
 
 def save_measure(mu: DiscreteMeasure, path: str) -> None:

@@ -16,7 +16,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import bounds, transport, viscosity
-from .measures import DiscreteMeasure, restrict_outside, tv_distance
+from .measures import DiscreteMeasure, SchemaError, restrict_outside, tv_distance
 
 __all__ = [
     "InstanceResult",
@@ -319,22 +319,36 @@ SUITES: dict[str, Callable[[int, int, dict], InstanceResult]] = {
 }
 
 
+def _tolerances(overrides: Optional[dict]) -> dict:
+    """DEFAULT_TOLS updated by ``overrides``; unknown names or non-numbers raise SchemaError."""
+    overrides = overrides or {}
+    if not isinstance(overrides, dict) or not all(
+        k in DEFAULT_TOLS and isinstance(v, (int, float)) and not isinstance(v, bool)
+        for k, v in overrides.items()
+    ):
+        raise SchemaError(f"tolerances {overrides!r} need names in {', '.join(DEFAULT_TOLS)} and numbers")
+    return {**DEFAULT_TOLS, **overrides}
+
+
 def run_suite(name: str, n: int, seed: int, tol_overrides: Optional[dict] = None) -> SuiteReport:
     if name not in SUITES:
         raise KeyError(f"unknown suite {name!r}; available: {', '.join(sorted(SUITES))}")
-    tols = dict(DEFAULT_TOLS)
-    if tol_overrides:
-        tols.update(tol_overrides)
+    tols = _tolerances(tol_overrides)
     check = SUITES[name]
     rows = [check(seed, index, tols) for index in range(n)]
     return SuiteReport(suite=name, seed=seed, rows=rows)
 
 
 def replay(bundle: dict) -> InstanceResult:
-    """Re-run a single failed instance from its reproducer bundle."""
-    name = bundle["suite"]
-    if name not in SUITES:
-        raise KeyError(f"unknown suite {name!r}")
-    tols = dict(DEFAULT_TOLS)
-    tols.update(bundle.get("tols", {}))
-    return SUITES[name](int(bundle["seed"]), int(bundle["index"]), tols)
+    """Re-run a single failed instance from its reproducer bundle.
+
+    The bundle is the object ``verify`` writes: a suite name, nonnegative
+    integer ``seed`` and ``index``, and numeric ``tols`` overrides.  Any other shape
+    raises SchemaError.
+    """
+    if not isinstance(bundle, dict) or bundle.get("suite") not in list(SUITES):
+        raise SchemaError(f"replay bundle must be an object naming a suite in {', '.join(SUITES)}")
+    seed, index = bundle.get("seed"), bundle.get("index")
+    if not all(isinstance(v, int) and not isinstance(v, bool) and v >= 0 for v in (seed, index)):
+        raise SchemaError(f"replay bundle 'seed' and 'index' must be nonnegative integers: {seed!r}, {index!r}")
+    return SUITES[bundle["suite"]](seed, index, _tolerances(bundle.get("tols")))

@@ -66,14 +66,6 @@ class CostSpec:
         """Per-atom cost |z|^p of moving to (or from) the reservoir."""
         return _pow(mu.radii, self.p)
 
-    def tilde(self, x: np.ndarray, y: np.ndarray) -> float:
-        """min(|x-y|^p, |x|^p + |y|^p): the effective cost once the reservoir helps."""
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
-        direct = float(_pow(np.linalg.norm(x - y), self.p))
-        through = float(_pow(np.linalg.norm(x), self.p) + _pow(np.linalg.norm(y), self.p))
-        return min(direct, through)
-
 
 @dataclass(frozen=True)
 class TransportPlan:

@@ -19,11 +19,12 @@ import numpy as np
 from scipy.interpolate import RegularGridInterpolator
 from scipy.spatial.distance import cdist
 
-from .measures import DiscreteMeasure, decompose, tv_distance, _check_p
+from .measures import DiscreteMeasure, SchemaError, decompose, tv_distance, _check_p
 from . import transport
 
 __all__ = [
     "GridFunction",
+    "grid_from_dict",
     "PenalizationSpec",
     "EquationSpec",
     "psi_kappa",
@@ -109,16 +110,17 @@ class GridFunction:
     def with_values(self, values: np.ndarray) -> "GridFunction":
         return GridFunction(self.lo, self.hi, values)
 
-    def gradient_at(self, point) -> np.ndarray:
-        """Central-difference gradient at an arbitrary point (grid data)."""
-        point = np.atleast_1d(np.asarray(point, dtype=float))
-        h = self.spacing
-        grad = np.zeros(self.dim)
-        for k in range(self.dim):
-            e = np.zeros(self.dim)
-            e[k] = h[k]
-            grad[k] = (self(point + e) - self(point - e)) / (2.0 * h[k])
-        return grad
+
+def grid_from_dict(doc: dict, source: str) -> GridFunction:
+    """GridFunction from {"lo", "hi", "values"}; a malformed ``source`` raises SchemaError."""
+    try:
+        return GridFunction(
+            np.asarray(doc["lo"], dtype=float),
+            np.asarray(doc["hi"], dtype=float),
+            np.asarray(doc["values"], dtype=float),
+        )
+    except (KeyError, TypeError, ValueError) as exc:
+        raise SchemaError(f"{source}: invalid grid function document: {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -292,7 +294,6 @@ class CouplingCheck:
     passed: bool
     x_star: np.ndarray
     y_star: np.ndarray
-    gradient_mode: str
     distance_p: float
     tv_term: float
 
@@ -303,26 +304,22 @@ def coupling_inequality_check(
     spec: PenalizationSpec,
     mu: DiscreteMeasure,
     nu: DiscreteMeasure,
-    Cp: Optional[float] = None,
     full_measure: bool = False,
     xy_star: Optional[tuple[np.ndarray, np.ndarray]] = None,
-    gradient_mode: str = "penalization",
     tol: float = 1e-8,
 ) -> CouplingCheck:
     """Operator difference at a doubling maximum against the transport bound.
 
     At the grid maximum (x*, y*) of u(x) - v(y) - (1/eps) psi_kappa(x - y):
     lhs = L_mu(u, x*) - L_nu(v, y*), with the compensation gradient read from
-    the penalty's first-order condition (or central differences on request);
-    rhs = Cp (1/eps) distance(mu, nu)^p, plus 2 ||v||_inf d_TV of the parts
+    the penalty's first-order condition; rhs = C_p (1/eps) distance(mu, nu)^p
+    with C_p = pointwise_power_constant(p), plus 2 ||v||_inf d_TV of the parts
     outside the unit ball in the full-measure variant.
     """
     if not full_measure:
         for m, name in ((mu, "mu"), (nu, "nu")):
             if m.n_atoms and float(m.radii.max()) >= 1.0:
                 raise ValueError(f"{name} must live in the unit ball (or use full_measure)")
-    if Cp is None:
-        Cp = pointwise_power_constant(spec.p)
 
     res = doubling_maximize(u, v, spec)
     if xy_star is not None:
@@ -335,12 +332,7 @@ def coupling_inequality_check(
         res = DoublingResult(np.atleast_1d(np.asarray(x_st, float)), np.atleast_1d(np.asarray(y_st, float)), claimed, (-1, -1))
 
     alpha = 1.0 / spec.epsilon
-    if gradient_mode == "penalization":
-        grad = alpha * psi_kappa_grad(res.x_star - res.y_star, spec)
-    elif gradient_mode == "central":
-        grad = u.gradient_at(res.x_star)
-    else:
-        raise ValueError(f"unknown gradient mode {gradient_mode!r}")
+    grad = alpha * psi_kappa_grad(res.x_star - res.y_star, spec)
 
     if full_measure:
         dec_mu, dec_nu = decompose(mu), decompose(nu)
@@ -351,14 +343,13 @@ def coupling_inequality_check(
         tv_term = 0.0
 
     lhs = levy_op_eval(u, res.x_star, mu, grad) - levy_op_eval(v, res.y_star, nu, grad)
-    rhs = Cp * alpha * dist_p + tv_term
+    rhs = pointwise_power_constant(spec.p) * alpha * dist_p + tv_term
     return CouplingCheck(
         lhs=lhs,
         rhs=rhs,
         passed=lhs <= rhs + tol,
         x_star=res.x_star,
         y_star=res.y_star,
-        gradient_mode=gradient_mode,
         distance_p=dist_p,
         tv_term=tv_term,
     )

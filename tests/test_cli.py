@@ -87,6 +87,19 @@ def test_unreadable_input_file(argv, tmp_path, measure_files, grid_file, capsys)
         assert err.startswith("error:")
 
 
+@pytest.mark.parametrize(
+    "doc",
+    [[0.0, 1.0], {"lo": [0.0], "values": [0.0, 1.0]}, {"lo": [0.0], "hi": [1.0], "values": [[0.0], [1.0, 2.0]]}],
+    ids=["list", "missing-hi", "ragged"],
+)
+def test_convolve_malformed_grid(doc, tmp_path, capsys):
+    grid = tmp_path / "grid.json"
+    grid.write_text(json.dumps(doc))
+    code, out, err = run_cli(["convolve", str(grid), "--delta", "0.1"], capsys)
+    assert code == 2
+    assert out == "" and err.startswith(f"error: {grid}: invalid grid function document")
+
+
 def _write_measure(path, dim, atoms):
     path.write_text(json.dumps({"dim": dim, "atoms": [{"z": z, "w": w} for z, w in atoms]}))
     return str(path)
@@ -166,9 +179,21 @@ def test_sweep_zero_pairs(tmp_path, capsys):
     assert len(out.strip().splitlines()) == 2  # comment + header only
 
 
-def test_sweep_config_error(tmp_path, capsys):
+@pytest.mark.parametrize(
+    "config",
+    [
+        {"type": "unknown-kind"},
+        {"type": "kernel", "grid": {"bogus": 1}},
+        {"type": "kernel", "params": []},
+        {"type": "kernel", "grid": {"n_radial": "x"}},
+        {"type": "fraclap", "params": {"a0": 0.1, "a1": 0.5}},
+        {"type": "levyito", "params": {"kind": "scaling", "a0": 0.1, "a1": 0.5}},
+    ],
+    ids=["unknown-kind", "grid-field", "params-list", "grid-count", "fraclap-range", "scaling-range"],
+)
+def test_sweep_config_error(config, tmp_path, capsys):
     cfg = tmp_path / "family.json"
-    cfg.write_text(json.dumps({"type": "unknown-kind"}))
+    cfg.write_text(json.dumps(config))
     code, _, err = run_cli(["sweep", "--config", str(cfg)], capsys)
     assert code == 2
     assert "config error" in err
@@ -222,9 +247,15 @@ def test_verify_suites(capsys, tmp_path, monkeypatch):
     assert code == 2
     code, _, _ = run_cli(["verify"], capsys)
     assert code == 2
+    code, _, err = run_cli(["verify", "--suite", "metric", "--replay", "bundle.json"], capsys)
+    assert code == 2
+    assert "not allowed with" in err
     code, _, err = run_cli(["verify", "--suite", "duality", "--tol", "duality_rel"], capsys)
     assert code == 2
     assert "name=value" in err
+    code, out, err = run_cli(["verify", "--suite", "metric", "--n", "2", "--tol", "symmetyr=1e-30"], capsys)
+    assert code == 2
+    assert out == "" and "unknown tolerance 'symmetyr'" in err
 
 
 def test_verify_failure_writes_reproducer(capsys, tmp_path):
@@ -245,6 +276,26 @@ def test_verify_failure_writes_reproducer(capsys, tmp_path):
     code, out, _ = run_cli(["verify", "--replay", bundle_path], capsys)
     assert code == 1
     assert "FAIL" in out
+
+
+@pytest.mark.parametrize(
+    "bundle",
+    [
+        [{"suite": "duality", "seed": 1, "index": 0}],
+        {"suite": "duality", "seed": "x", "index": 0},
+        {"suite": "duality", "seed": 1, "index": -1},
+        {"suite": "nonexistent", "seed": 1, "index": 0},
+        {"suite": "duality", "seed": 1, "index": 0, "tols": {"symmetyr": 1e-30}},
+        {"suite": "duality", "seed": 1, "index": 0, "tols": {"duality_rel": "x"}},
+    ],
+    ids=["list", "seed-string", "negative-index", "unknown-suite", "unknown-tol", "tol-string"],
+)
+def test_replay_malformed_bundle(bundle, tmp_path, capsys):
+    path = tmp_path / "bundle.json"
+    path.write_text(json.dumps(bundle))
+    code, out, err = run_cli(["verify", "--replay", str(path)], capsys)
+    assert code == 2
+    assert out == "" and err.startswith("error:")
 
 
 def test_outputs_use_17_digit_format(measure_files, capsys, tmp_path):

@@ -24,9 +24,11 @@ def test_cost_spec():
         CostSpec(0.5)
     with pytest.raises(ValueError):
         CostSpec(2.5)
+    # the effective cost min(|x-y|^p, |x|^p + |y|^p) of one unit atom each
     c = CostSpec(2.0)
-    assert c.tilde(np.array([-0.5]), np.array([0.5])) == pytest.approx(0.5)
-    assert c.tilde(np.array([0.3]), np.array([0.4])) == pytest.approx(0.01)
+    unit = lambda z: DiscreteMeasure(1, [[z]], [1.0])
+    assert solve(unit(-0.5), unit(0.5), c).value == pytest.approx(0.5)
+    assert solve(unit(0.3), unit(0.4), c).value == pytest.approx(0.01)
 
 
 def test_solve_one_sided():
