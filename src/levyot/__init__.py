@@ -9,7 +9,6 @@ variables comparison machinery.
 """
 
 from .measures import (
-    Atom,
     DiscreteMeasure,
     MeasureDecomposition,
     SchemaError,
@@ -17,7 +16,6 @@ from .measures import (
     load_measure,
     n_p,
     restrict_outside,
-    save_measure,
     tv_distance,
     weight_by_power,
 )
@@ -35,7 +33,6 @@ from .transport import (
 )
 
 __all__ = [
-    "Atom",
     "DiscreteMeasure",
     "MeasureDecomposition",
     "SchemaError",
@@ -43,7 +40,6 @@ __all__ = [
     "load_measure",
     "n_p",
     "restrict_outside",
-    "save_measure",
     "tv_distance",
     "weight_by_power",
     "CostSpec",

@@ -86,8 +86,6 @@ class RadialTestFunction:
         return np.interp(np.asarray(radii, dtype=float), self.radii, self.values, left=0.0, right=0.0)
 
     def integral(self, mu: DiscreteMeasure) -> float:
-        if mu.n_atoms == 0:
-            return 0.0
         return math.fsum((mu.weights * self(mu.radii)).tolist())
 
     def support_mass(self, mu: DiscreteMeasure) -> float:
@@ -97,7 +95,7 @@ class RadialTestFunction:
 
 
 def _require_in_unit_ball(mu: DiscreteMeasure, name: str) -> None:
-    if mu.n_atoms and float(mu.radii.max()) >= 1.0:
+    if mu.max_radius() >= 1.0:
         raise ValueError(f"{name} must be supported inside the open unit ball")
 
 
@@ -144,8 +142,6 @@ def restriction_bound(mu: DiscreteMeasure, r: float, p: float) -> float:
     if not 0.0 < r <= 1.0:
         raise ValueError("restriction radius must lie in (0, 1]")
     mask = mu.radii < r
-    if not mask.any():
-        return 0.0
     return math.fsum((mu.weights[mask] * _pow(mu.radii[mask], p)).tolist())
 
 
@@ -162,7 +158,7 @@ def pushforward_bound(
     correctly.
     """
     p = _check_p(p)
-    if base.n_atoms == 0:
+    if base.n_atoms == 0:  # reshape(0, -1) below cannot infer the image width
         return 0.0
     img1 = np.asarray(T1(base.positions), dtype=float).reshape(base.n_atoms, -1)
     img2 = np.asarray(T2(base.positions), dtype=float).reshape(base.n_atoms, -1)

@@ -32,6 +32,8 @@ EXIT_FAIL = 1
 EXIT_USAGE = 2
 EXIT_SOLVER = 3
 
+VERIFY_N = 100  # default --n of a verify run
+
 
 def _fmt(x: float) -> str:
     return format(float(x), ".17g")
@@ -131,9 +133,7 @@ def cmd_bounds(args) -> int:
         slack = rhs - lhs
         rows.append(dict(zip(BOUNDS_COLUMNS, (name, lhs, rhs, slack, bool(slack >= -slack_tol)))))
 
-    in_ball = (mu.n_atoms == 0 or mu.max_radius() < 1.0) and (
-        nu.n_atoms == 0 or nu.max_radius() < 1.0
-    )
+    in_ball = mu.max_radius() < 1.0 and nu.max_radius() < 1.0
     dist = transport.distance(mu, nu, p)
     if in_ball:
         row("tv_power", dist, bounds.tv_power_bound(mu, nu, p))
@@ -234,8 +234,7 @@ def cmd_experiment(args) -> int:
         measures=measures,
         lipschitz_C=shift,
     )
-    epsilons = [float(tok) for tok in args.epsilons.split(",")]
-    report = viscosity.basic_idea_experiment(eq, n_nodes=args.nodes, epsilons=epsilons)
+    report = viscosity.basic_idea_experiment(eq, n_nodes=args.nodes, epsilons=args.epsilons)
     doc = {
         "nodes": args.nodes,
         "lipschitz_C": shift,
@@ -256,8 +255,9 @@ def cmd_verify(args) -> int:
         return EXIT_OK if result.passed else EXIT_FAIL
 
     tols = dict(args.tol or [])
-    report = suites.run_suite(args.suite, args.n, args.seed, tols)
-    print(f"# suite={report.suite} n={args.n} seed={report.seed}")
+    n = VERIFY_N if args.n is None else args.n
+    report = suites.run_suite(args.suite, n, 0 if args.seed is None else args.seed, tols)
+    print(f"# suite={report.suite} n={n} seed={report.seed}")
     fails = report.failures
     for row in report.rows:
         status = "ok" if row.passed else "FAIL"
@@ -277,6 +277,28 @@ def cmd_verify(args) -> int:
         print(f"# reproducer written to {path}", file=sys.stderr)
         return EXIT_FAIL
     return EXIT_OK
+
+
+def _at_least(low: int):
+    """argparse type for an integer option that must be >= ``low``."""
+
+    def parse(tok: str) -> int:
+        try:
+            val = int(tok)
+        except ValueError:
+            val = None
+        if val is None or val < low:
+            raise argparse.ArgumentTypeError(f"expected an integer >= {low}, got {tok!r}")
+        return val
+
+    return parse
+
+
+def _float_list(tok: str) -> list[float]:
+    try:
+        return [float(t) for t in tok.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected comma-separated numbers, got {tok!r}") from None
 
 
 def _tol_override(tok: str) -> tuple[str, float]:
@@ -327,8 +349,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", required=True)
     p.add_argument("--p", type=float, default=1.0)
     p.add_argument("--s", type=float, default=1.0)
-    p.add_argument("--pairs", type=int, default=10)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--pairs", type=_at_least(0), default=10)
+    p.add_argument("--seed", type=_at_least(0), default=0)
     p.add_argument("--json", action="store_true", help="emit JSON instead of CSV")
     add_out(p)
     p.set_defaults(func=cmd_sweep)
@@ -350,8 +372,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_doubling)
 
     p = sub.add_parser("experiment", help="linear-equation doubling experiment on a periodic line")
-    p.add_argument("--nodes", type=int, default=512)
-    p.add_argument("--epsilons", default="1e-1,1e-2,1e-3,1e-4")
+    p.add_argument("--nodes", type=_at_least(2), default=512)
+    p.add_argument("--epsilons", type=_float_list, default="1e-1,1e-2,1e-3,1e-4")
     p.add_argument("--lam", type=float, default=1.0)
     p.add_argument("--shift", type=float, default=0.1, help="translation amplitude of the family")
     p.add_argument("--center", type=float, default=0.5, help="base position of the single atom")
@@ -363,8 +385,9 @@ def build_parser() -> argparse.ArgumentParser:
     source = p.add_mutually_exclusive_group(required=True)
     source.add_argument("--suite", choices=list(suites.SUITES))
     source.add_argument("--replay", default=None, help="replay a failure bundle")
-    p.add_argument("--n", type=int, default=100)
-    p.add_argument("--seed", type=int, default=0)
+    # a replay takes its settings from the bundle, so these four stay unset for it
+    p.add_argument("--n", type=_at_least(0), default=None, help=f"instances to draw (default {VERIFY_N})")
+    p.add_argument("--seed", type=_at_least(0), default=None, help="default 0")
     p.add_argument(
         "--tol", action="append", type=_tol_override, default=None, help="override as name=value"
     )
@@ -377,6 +400,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if getattr(args, "replay", None):
+        given = [f"--{k}" for k in ("tol", "n", "seed", "reproducer") if getattr(args, k) is not None]
+        if given:
+            parser.error(f"argument --replay: not allowed with {', '.join(given)}")
     try:
         return args.func(args)
     except (SchemaError, OSError, UnicodeDecodeError) as exc:  # unreadable input

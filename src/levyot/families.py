@@ -137,15 +137,10 @@ def _discretize_density(
         cell_mass = (vals * sub_vol).sum(axis=1) * ang_w
         moment = (vals * sub_vol * sub_mid).sum(axis=1) * ang_w
         keep = cell_mass > 0.0
-        if not keep.any():
-            continue
         r_centroid = moment[keep] / cell_mass[keep]
         positions.append(r_centroid[:, None] * (angular_pull * e)[None, :])
         weights.append(cell_mass[keep])
         lefts.append(edges[:-1][keep])
-    if not positions:
-        z = np.zeros((0, dim))
-        return z, np.zeros(0), np.zeros(0)
     return np.concatenate(positions), np.concatenate(weights), np.concatenate(lefts)
 
 
@@ -244,7 +239,7 @@ class LevyItoFamily:
 
     def validate_bounds(self, xs: Sequence, tol: float = 1e-9) -> list[str]:
         out: list[str] = []
-        if self.base.n_atoms == 0:
+        if self.base.n_atoms == 0:  # reshape(0, -1) below cannot infer the image width
             return out
         prof = self.bound_C * np.asarray(self.rho(self.base.positions), dtype=float)
         images = {}
@@ -291,13 +286,8 @@ def split_fraclap(
         family.density_at(x), family.dim, grid, extra_breaks=(rx, 1.0)
     )
     dim = family.dim
-    if pos.shape[0] == 0:
-        e = DiscreteMeasure.empty(dim)
-        return e, e, e
 
     def pick(mask) -> DiscreteMeasure:
-        if not mask.any():
-            return DiscreteMeasure.empty(dim)
         return DiscreteMeasure(dim, pos[mask], w[mask])
 
     hat = pick(lefts < min(rx, 1.0))
@@ -308,7 +298,7 @@ def split_fraclap(
 
 def pushforward(family: LevyItoFamily, x) -> DiscreteMeasure:
     """The image measure (T_x)_# base; mass mapped onto the origin is dropped."""
-    if family.base.n_atoms == 0:
+    if family.base.n_atoms == 0:  # reshape(0, -1) below cannot infer the image width
         return DiscreteMeasure.empty(family.dim_out)
     x = np.atleast_1d(np.asarray(x, dtype=float))
     img = np.asarray(family.maps(x)(family.base.positions), dtype=float).reshape(
@@ -317,8 +307,6 @@ def pushforward(family: LevyItoFamily, x) -> DiscreteMeasure:
     if img.shape[1] != family.dim_out:
         raise ValueError("map images disagree with the declared output dimension")
     keep = np.linalg.norm(img, axis=1) > 0.0
-    if not keep.any():
-        return DiscreteMeasure.empty(family.dim_out)
     return DiscreteMeasure(family.dim_out, img[keep], family.base.weights[keep])
 
 
@@ -422,9 +410,7 @@ def small_jump_profile(
         worst = 0.0
         for mu in measures:
             mask = mu.radii < r
-            if mask.any():
-                val = math.fsum((mu.weights[mask] * mu.radii[mask] ** p).tolist())
-                worst = max(worst, val)
+            worst = max(worst, math.fsum((mu.weights[mask] * mu.radii[mask] ** p).tolist()))
         curve.append(worst)
     return curve
 
@@ -483,8 +469,8 @@ def _number(section: dict, key: str, default: Optional[float] = None) -> float:
     val = section.get(key, default)
     try:
         return float(val)
-    except (TypeError, ValueError):
-        raise ValueError(f"{key!r} must be a number, got {val!r}") from None
+    except (TypeError, ValueError, OverflowError):
+        raise ValueError(f"{key!r} must be a number in the float range, got {val!r}") from None
 
 
 def _count(section: dict, key: str, default: Optional[int] = None) -> int:
@@ -507,7 +493,7 @@ def build_family(config: dict) -> FamilyRuntime:
     """
     try:
         return _build_family(config)
-    except ValueError as exc:
+    except (ValueError, OverflowError) as exc:  # OverflowError: a count too large for a float
         raise SchemaError(f"config error: {exc}") from exc
 
 

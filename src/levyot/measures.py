@@ -18,7 +18,6 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
-    "Atom",
     "DiscreteMeasure",
     "MeasureDecomposition",
     "SchemaError",
@@ -30,7 +29,6 @@ __all__ = [
     "measure_to_dict",
     "measure_from_dict",
     "load_measure",
-    "save_measure",
 ]
 
 
@@ -53,32 +51,6 @@ def _pow(r: np.ndarray, p: float) -> np.ndarray:
         r = np.asarray(r, dtype=float)
         return r * r
     return np.power(np.asarray(r, dtype=float), p)
-
-
-@dataclass(frozen=True)
-class Atom:
-    """A single weighted atom: positive mass ``weight`` at ``position`` != 0."""
-
-    position: np.ndarray
-    weight: float
-
-    def __post_init__(self) -> None:
-        pos = np.atleast_1d(np.asarray(self.position, dtype=float))
-        if pos.ndim != 1:
-            raise ValueError("atom position must be a flat coordinate vector")
-        if not np.all(np.isfinite(pos)):
-            raise ValueError("atom position must be finite")
-        if float(np.linalg.norm(pos)) == 0.0:
-            raise ValueError("atom at the origin is not allowed (the origin is the reservoir)")
-        w = float(self.weight)
-        if not math.isfinite(w) or w <= 0.0:
-            raise ValueError(f"atom weight must be positive and finite, got {w}")
-        object.__setattr__(self, "position", pos)
-        object.__setattr__(self, "weight", w)
-
-    @property
-    def radius(self) -> float:
-        return float(np.linalg.norm(self.position))
 
 
 def _merge_sites(pos: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -111,9 +83,13 @@ class DiscreteMeasure:
     dim : int
         Ambient dimension d >= 1.
     positions : array-like, shape (n, dim)
-        Atom coordinates; no row may be the zero vector.
+        Atom coordinates; no row may be the zero vector.  n = 0 is the zero
+        measure, which every function in the package accepts.
     weights : array-like, shape (n,)
         Strictly positive masses.
+
+    This constructor owns every numeric rule for atoms; its errors name the
+    first offending atom by its input index.
     """
 
     __slots__ = ("dim", "positions", "weights", "_radii")
@@ -121,23 +97,33 @@ class DiscreteMeasure:
     def __init__(self, dim: int, positions, weights) -> None:
         dim = int(dim)
         if dim < 1:
-            raise ValueError("dim must be >= 1")
-        pos = np.asarray(positions, dtype=float).reshape(-1, dim)
-        w = np.asarray(weights, dtype=float).reshape(-1)
+            raise ValueError(f"dim must be >= 1, got {dim}")
+        try:
+            pos = np.asarray(positions, dtype=float).reshape(-1, dim)
+            w = np.asarray(weights, dtype=float).reshape(-1)
+        except OverflowError:  # an integer beyond the float range
+            for k, (z, wk) in enumerate(zip(positions, weights)):
+                try:
+                    np.asarray(z, dtype=float), float(wk)
+                except OverflowError:
+                    raise ValueError(f"atom {k}: coordinate or weight is too large for a float") from None
+            raise
         if pos.shape[0] != w.shape[0]:
             raise ValueError("positions and weights disagree in length")
+        # the vectorised checks run first; an atom index is found only on failure
         if not np.all(np.isfinite(pos)):
-            raise ValueError("positions must be finite")
-        if not np.all(np.isfinite(w)):
-            raise ValueError("weights must be finite")
-        if np.any(w <= 0.0):
-            raise ValueError("weights must be strictly positive")
+            k = int(np.argmin(np.isfinite(pos).all(axis=1)))
+            raise ValueError(f"atom {k}: coordinates must be finite, got {pos[k].tolist()}")
+        if not (np.all(np.isfinite(w)) and np.all(w > 0.0)):
+            k = int(np.argmin(np.isfinite(w) & (w > 0.0)))
+            raise ValueError(f"atom {k}: weight must be positive and finite, got {w[k]}")
 
         first, w = _merge_sites(pos, w)
         pos = pos[first]
         radii = np.linalg.norm(pos, axis=1)
         if np.any(radii == 0.0):
-            raise ValueError("atom at the origin is not allowed (the origin is the reservoir)")
+            k = int(first[np.argmax(radii == 0.0)])
+            raise ValueError(f"atom {k}: |z| = 0 is not allowed (the origin is the reservoir)")
 
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "positions", pos)
@@ -168,11 +154,10 @@ class DiscreteMeasure:
     def p_moment(self, p: float) -> float:
         """The p-th cost moment: sum of w_i |z_i|^p."""
         p = _check_p(p)
-        if self.n_atoms == 0:
-            return 0.0
         return math.fsum((self.weights * _pow(self._radii, p)).tolist())
 
     def max_radius(self) -> float:
+        """Largest |z|; 0.0 for the zero measure, where an array max is undefined."""
         return float(self._radii.max()) if self.n_atoms else 0.0
 
     def __eq__(self, other) -> bool:
@@ -195,8 +180,6 @@ class MeasureDecomposition:
 def n_p(mu: DiscreteMeasure, p: float) -> float:
     """Capped p-mass: sum of min(1, |z_i|^p) w_i.  Zero for the empty measure."""
     p = _check_p(p)
-    if mu.n_atoms == 0:
-        return 0.0
     capped = np.minimum(1.0, _pow(mu.radii, p))
     return math.fsum((capped * mu.weights).tolist())
 
@@ -244,8 +227,6 @@ def tv_distance(mu: DiscreteMeasure, nu: DiscreteMeasure) -> float:
 def weight_by_power(mu: DiscreteMeasure, p: float) -> DiscreteMeasure:
     """Reweight every atom by |z|^p, leaving positions unchanged."""
     p = _check_p(p)
-    if mu.n_atoms == 0:
-        return DiscreteMeasure.empty(mu.dim)
     return DiscreteMeasure(mu.dim, mu.positions, mu.weights * _pow(mu.radii, p))
 
 
@@ -263,40 +244,36 @@ def measure_to_dict(mu: DiscreteMeasure) -> dict:
     }
 
 
+def _is_number(x) -> bool:
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
 def measure_from_dict(data: dict) -> DiscreteMeasure:
+    """The measure in a parsed JSON document.
+
+    Only the document's shape is checked here; ``DiscreteMeasure`` decides
+    every numeric rule and its errors come back as SchemaError.
+    """
     if not isinstance(data, dict):
         raise SchemaError("measure document must be a JSON object")
-    try:
-        dim = int(data["dim"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise SchemaError("missing or invalid 'dim' field") from exc
+    dim = data.get("dim")
+    if not isinstance(dim, int) or isinstance(dim, bool):
+        raise SchemaError(f"missing or invalid 'dim' field: expected a JSON integer, got {dim!r}")
     atoms = data.get("atoms", [])
     if not isinstance(atoms, list):
         raise SchemaError("'atoms' must be a list")
-    positions = []
-    weights = []
     for idx, entry in enumerate(atoms):
         if not isinstance(entry, dict) or "z" not in entry or "w" not in entry:
             raise SchemaError(f"atom {idx} must be an object with 'z' and 'w'")
         z = entry["z"]
-        if not isinstance(z, list) or len(z) != dim:
-            raise SchemaError(f"atom {idx}: 'z' must be a list of {dim} coordinates")
-        try:
-            pos = [float(c) for c in z]
-            w = float(entry["w"])
-        except (TypeError, ValueError) as exc:
-            raise SchemaError(f"atom {idx}: non-numeric coordinate or weight") from exc
-        if w <= 0.0 or not math.isfinite(w):
-            raise SchemaError(f"atom {idx}: weight must be positive and finite, got {w}")
-        if not all(math.isfinite(c) for c in pos):
-            raise SchemaError(f"atom {idx}: coordinates must be finite")
-        if math.fsum(c * c for c in pos) == 0.0:
-            raise SchemaError(f"atom {idx}: |z| = 0 is not a valid atom site")
-        positions.append(pos)
-        weights.append(w)
-    if not positions:
-        return DiscreteMeasure.empty(dim)
-    return DiscreteMeasure(dim, np.array(positions), np.array(weights))
+        if not isinstance(z, list) or len(z) != dim or not all(map(_is_number, z)):
+            raise SchemaError(f"atom {idx}: 'z' must be a list of {dim} JSON numbers")
+        if not _is_number(entry["w"]):
+            raise SchemaError(f"atom {idx}: 'w' must be a JSON number, got {entry['w']!r}")
+    try:
+        return DiscreteMeasure(dim, [a["z"] for a in atoms], [a["w"] for a in atoms])
+    except (ValueError, OverflowError) as exc:
+        raise SchemaError(str(exc)) from exc
 
 
 def _read_json(path: str):
@@ -313,8 +290,3 @@ def _read_json(path: str):
 def load_measure(path: str) -> DiscreteMeasure:
     return measure_from_dict(_read_json(path))
 
-
-def save_measure(mu: DiscreteMeasure, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(measure_to_dict(mu), fh, indent=2)
-        fh.write("\n")

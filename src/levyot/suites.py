@@ -74,8 +74,6 @@ def random_measure(
     """A random measure with atoms in the annulus [inner, outer]."""
     low = 0 if allow_empty else 1
     n = int(rng.integers(low, max_atoms + 1))
-    if n == 0:
-        return DiscreteMeasure.empty(dim)
     dirs = rng.normal(size=(n, dim))
     dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
     radii = rng.uniform(inner, outer, size=n)
@@ -86,8 +84,6 @@ def random_measure(
 def random_unit_measure(rng: np.random.Generator, dim: int, max_atoms: int = 5) -> DiscreteMeasure:
     """Unit-weight measure small enough for the exhaustive oracle."""
     n = int(rng.integers(0, max_atoms + 1))
-    if n == 0:
-        return DiscreteMeasure.empty(dim)
     dirs = rng.normal(size=(n, dim))
     dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
     radii = rng.uniform(0.05, 2.0, size=n)
@@ -210,7 +206,7 @@ def _check_bounds(seed: int, index: int, tols: dict) -> InstanceResult:
         dim,
         np.concatenate([nu.positions, extra.positions]),
         np.concatenate([nu.weights, extra.weights]),
-    ) if extra.n_atoms else nu
+    )
     ppb = bounds.positive_part_dual_bound(total, nu, p)
     dpow = transport.distance(total, nu, p) ** p
     if ppb < dpow - slack:
@@ -231,7 +227,7 @@ def _check_bounds(seed: int, index: int, tols: dict) -> InstanceResult:
     img1 = base
     img2_pos = T2(base.positions)
     keep = np.linalg.norm(img2_pos, axis=1) > 0
-    img2 = DiscreteMeasure(dim, img2_pos[keep], base.weights[keep]) if keep.any() else DiscreteMeasure.empty(dim)
+    img2 = DiscreteMeasure(dim, img2_pos[keep], base.weights[keep])
     dpf = transport.distance(img1, img2, p) ** p
     if pfb < dpf - slack:
         problems.append(f"pushforward {pfb:.6f} < dist^p {dpf:.6f}")

@@ -55,8 +55,6 @@ class CostSpec:
 
     def pair_matrix(self, mu: DiscreteMeasure, nu: DiscreteMeasure) -> np.ndarray:
         """Dense |x_i - y_j|^p over the atom grids."""
-        if mu.n_atoms == 0 or nu.n_atoms == 0:
-            return np.zeros((mu.n_atoms, nu.n_atoms))
         if self.p == 2.0:
             return cdist(mu.positions, nu.positions, "sqeuclidean")
         d = cdist(mu.positions, nu.positions, "euclidean")
@@ -129,13 +127,9 @@ class DualPotentials:
             out.append(f"phi[{i}] = {self.phi[i]!r} exceeds |x|^p = {res_mu[i]!r}")
         for j in np.nonzero(self.psi > res_nu + tol)[0]:
             out.append(f"psi[{j}] = {self.psi[j]!r} exceeds |y|^p = {res_nu[j]!r}")
-        if mu.n_atoms and nu.n_atoms:
-            slack = cost.pair_matrix(mu, nu) - self.phi[:, None] - self.psi[None, :]
-            bad = np.argwhere(slack < -tol)
-            for i, j in bad:
-                out.append(
-                    f"phi[{i}] + psi[{j}] exceeds |x-y|^p by {float(-slack[i, j])!r}"
-                )
+        slack = cost.pair_matrix(mu, nu) - self.phi[:, None] - self.psi[None, :]
+        for i, j in np.argwhere(slack < -tol):
+            out.append(f"phi[{i}] + psi[{j}] exceeds |x-y|^p by {float(-slack[i, j])!r}")
         return out
 
     def to_dict(self) -> dict:
@@ -188,8 +182,12 @@ class PlanViolation:
 # ---------------------------------------------------------------------------
 
 def _cost_scale(costs: np.ndarray) -> float:
-    """max(1, largest cost); rejects costs that overflowed to inf."""
-    scale = float(costs.max()) if costs.size else 1.0
+    """max(1, largest cost); rejects costs that overflowed to inf.
+
+    The reservoir reduction always holds the reservoir entry, so ``costs`` is
+    never empty.
+    """
+    scale = float(costs.max())
     if not math.isfinite(scale):
         raise ValueError(f"transport cost overflows to {scale!r}; rescale the atom coordinates")
     return max(1.0, scale)

@@ -235,8 +235,6 @@ def levy_op_eval(
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
     grad = np.atleast_1d(np.asarray(grad_u_at_x, dtype=float))
-    if mu.n_atoms == 0:
-        return 0.0
     shifted = u(x[None, :] + mu.positions)
     ux = u(x)
     comp = np.where(mu.radii < 1.0, mu.positions @ grad, 0.0)
@@ -318,7 +316,7 @@ def coupling_inequality_check(
     """
     if not full_measure:
         for m, name in ((mu, "mu"), (nu, "nu")):
-            if m.n_atoms and float(m.radii.max()) >= 1.0:
+            if m.max_radius() >= 1.0:
                 raise ValueError(f"{name} must live in the unit ball (or use full_measure)")
 
     res = doubling_maximize(u, v, spec)

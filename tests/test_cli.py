@@ -7,6 +7,8 @@ import pytest
 
 from levyot.cli import main
 
+from test_measures import MALFORMED_MEASURES
+
 
 @pytest.fixture
 def measure_files(tmp_path):
@@ -52,11 +54,17 @@ def test_dist_malformed_json(tmp_path, measure_files, capsys):
     assert "line" in err and "column" in err
 
 
-def test_dist_schema_violation(tmp_path, measure_files, capsys):
-    zero = tmp_path / "zero.json"
-    zero.write_text(json.dumps({"dim": 1, "atoms": [{"z": [0.0], "w": 1.0}]}))
-    code, _, err = run_cli(["dist", str(zero), measure_files[1], "--p", "1"], capsys)
+@pytest.mark.parametrize(
+    "doc",
+    [{"dim": 1, "atoms": [{"z": [0.0], "w": 1.0}]}, *MALFORMED_MEASURES.values()],
+    ids=["origin", *MALFORMED_MEASURES],
+)
+def test_dist_schema_violation(doc, tmp_path, measure_files, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    code, out, err = run_cli(["dist", str(bad), measure_files[1], "--p", "1"], capsys)
     assert code == 2
+    assert out == "" and err.startswith("error:")
 
 
 @pytest.fixture
@@ -188,8 +196,13 @@ def test_sweep_zero_pairs(tmp_path, capsys):
         {"type": "kernel", "grid": {"n_radial": "x"}},
         {"type": "fraclap", "params": {"a0": 0.1, "a1": 0.5}},
         {"type": "levyito", "params": {"kind": "scaling", "a0": 0.1, "a1": 0.5}},
+        {"type": "kernel", "sigma": 10**400},
+        {"type": "constant", "dim": 10**400},
     ],
-    ids=["unknown-kind", "grid-field", "params-list", "grid-count", "fraclap-range", "scaling-range"],
+    ids=[
+        "unknown-kind", "grid-field", "params-list", "grid-count", "fraclap-range", "scaling-range",
+        "sigma-huge", "dim-huge",
+    ],
 )
 def test_sweep_config_error(config, tmp_path, capsys):
     cfg = tmp_path / "family.json"
@@ -197,6 +210,28 @@ def test_sweep_config_error(config, tmp_path, capsys):
     code, _, err = run_cli(["sweep", "--config", str(cfg)], capsys)
     assert code == 2
     assert "config error" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--suite", "duality", "--n", "1", "--seed", "-1"],
+        ["sweep", "--config", "{cfg}", "--pairs", "2", "--seed", "-1"],
+        ["verify", "--suite", "duality", "--n", "-3"],
+        ["verify", "--suite", "duality", "--n", "2.5"],
+        ["sweep", "--config", "{cfg}", "--pairs", "-2"],
+        ["experiment", "--nodes", "0"],
+        ["experiment", "--nodes", "1"],
+        ["experiment", "--epsilons", "1e-1,abc"],
+    ],
+    ids=["verify-seed", "sweep-seed", "verify-n", "verify-n-float", "sweep-pairs", "nodes-0", "nodes-1", "epsilons"],
+)
+def test_option_out_of_range_is_usage_error(argv, tmp_path, capsys):
+    cfg = tmp_path / "family.json"
+    cfg.write_text(json.dumps({"type": "constant", "dim": 1, "grid": {"r_min": 0.05, "n_radial": 10}}))
+    code, out, err = run_cli([tok.format(cfg=cfg) for tok in argv], capsys)
+    assert code == 2
+    assert out == "" and f"error: argument {argv[-2]}" in err
 
 
 def test_convolve_round_trip(tmp_path, capsys):
@@ -256,6 +291,11 @@ def test_verify_suites(capsys, tmp_path, monkeypatch):
     code, out, err = run_cli(["verify", "--suite", "metric", "--n", "2", "--tol", "symmetyr=1e-30"], capsys)
     assert code == 2
     assert out == "" and "unknown tolerance 'symmetyr'" in err
+    # a replay takes its settings from the bundle; run options next to it are usage errors
+    for extra in (["--tol", "duality_rel=1"], ["--n", "5"], ["--seed", "0"], ["--reproducer", "r.json"]):
+        code, out, err = run_cli(["verify", "--replay", "bundle.json", *extra], capsys)
+        assert code == 2
+        assert out == "" and f"not allowed with {extra[0]}" in err
 
 
 def test_verify_failure_writes_reproducer(capsys, tmp_path):

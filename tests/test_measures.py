@@ -6,9 +6,9 @@ import math
 import numpy as np
 import pytest
 
-from levyot.bounds import positive_part_dual_bound
+from levyot.bounds import RadialTestFunction, positive_part_dual_bound, restriction_bound
+from levyot.families import AnnularGrid, FracLaplFamily, LevyItoFamily, pushforward, split_fraclap
 from levyot.measures import (
-    Atom,
     DiscreteMeasure,
     SchemaError,
     decompose,
@@ -19,24 +19,29 @@ from levyot.measures import (
     tv_distance,
     weight_by_power,
 )
-
-
-def test_atom_validation():
-    with pytest.raises(ValueError):
-        Atom(np.array([0.0, 0.0]), 1.0)
-    with pytest.raises(ValueError):
-        Atom(np.array([1.0]), 0.0)
-    with pytest.raises(ValueError):
-        Atom(np.array([1.0]), -2.0)
-    with pytest.raises(ValueError):
-        Atom(np.array([np.inf]), 1.0)
-    a = Atom(np.array([3.0, 4.0]), 2.0)
-    assert a.radius == 5.0
+from levyot.suites import random_grid_function, random_measure, random_unit_measure
+from levyot.transport import CostSpec, DualPotentials, solve
+from levyot.viscosity import levy_op_eval
 
 
 def test_measure_rejects_origin_and_merges_duplicates():
-    with pytest.raises(ValueError):
-        DiscreteMeasure(2, [[0.0, 0.0]], [1.0])
+    # each error names the first bad atom by its input index
+    for positions, weights, message in [
+        ([[3.0, 4.0], [0.0, 0.0]], [1.0, 1.0], "atom 1: |z| = 0"),
+        ([[1.0, 0.0], [0.0, 1.0], [1.0, 0.0], [-0.0, 0.0]], [1.0] * 4, "atom 3: |z| = 0"),
+        ([[1.0], [2.0]], [1.0, 0.0], "atom 1: weight must be positive and finite, got 0.0"),
+        ([[1.0], [2.0], [3.0], [4.0]], [1.0, 2.0, 1.0, -1.0], "atom 3: weight must be positive and finite, got -1.0"),
+        ([[1.0], [2.0]], [np.inf, 1.0], "atom 0: weight must be positive and finite, got inf"),
+        ([[1.0], [2.0]], [1.0, np.nan], "atom 1: weight must be positive and finite, got nan"),
+        ([[1.0, 2.0], [np.inf, 0.0]], [1.0, 1.0], "atom 1: coordinates must be finite"),
+        ([[1.0], [10**400]], [1.0, 1.0], "atom 1: coordinate or weight is too large"),
+    ]:
+        with pytest.raises(ValueError) as info:
+            DiscreteMeasure(len(positions[0]), positions, weights)
+        assert str(info.value).startswith(message)
+    with pytest.raises(ValueError, match="dim must be >= 1"):
+        DiscreteMeasure(0, [], [])
+    assert DiscreteMeasure(2, [[3.0, 4.0]], [2.0]).radii.tolist() == [5.0]
     mu = DiscreteMeasure(1, [[0.5], [0.5], [1.0]], [1.0, 2.0, 3.0])
     assert mu.n_atoms == 2
     assert mu.total_mass() == 6.0
@@ -232,3 +237,69 @@ def test_json_schema_errors():
         measure_from_dict({"dim": 2, "atoms": [{"z": [0.5], "w": 1.0}]})
     with pytest.raises(SchemaError):
         measure_from_dict({"dim": 1, "atoms": [{"z": [0.5]}]})
+    for doc in MALFORMED_MEASURES.values():
+        with pytest.raises(SchemaError):
+            measure_from_dict(doc)
+    with pytest.raises(SchemaError, match="atom 1: weight must be positive and finite, got -1.0"):
+        measure_from_dict({"dim": 1, "atoms": [{"z": [0.5], "w": 1}, {"z": [0.7], "w": -1}]})
+    # "atoms": [] is the zero measure; integer coordinates and weights are JSON numbers
+    assert measure_from_dict({"dim": 3, "atoms": []}).n_atoms == 0
+    assert measure_from_dict({"dim": 1, "atoms": [{"z": [2], "w": 3}]}).p_moment(1.0) == 6.0
+
+
+# Documents that must be rejected as malformed input, each for one rule.
+MALFORMED_MEASURES = {
+    "dim-zero": {"dim": 0, "atoms": []},
+    "dim-negative": {"dim": -1, "atoms": []},
+    "dim-bool": {"dim": True, "atoms": [{"z": [0.5], "w": 1.0}]},
+    "dim-float": {"dim": 2.7, "atoms": [{"z": [0.5, 0.1], "w": 1.0}]},
+    "dim-string": {"dim": "1", "atoms": []},
+    "coordinate-string": {"dim": 1, "atoms": [{"z": ["1.5"], "w": 1.0}]},
+    "weight-bool": {"dim": 1, "atoms": [{"z": [1.5], "w": True}]},
+    "coordinate-huge": {"dim": 1, "atoms": [{"z": [10**400], "w": 1.0}]},
+    "weight-huge": {"dim": 2, "atoms": [{"z": [0.5, 0.5], "w": 1.0}, {"z": [0.1, 0.0], "w": 10**400}]},
+}
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_zero_atom_measure_takes_the_general_path(dim):
+    empty = DiscreteMeasure.empty(dim)
+    assert empty.p_moment(1.5) == 0.0 and empty.max_radius() == 0.0
+    u = random_grid_function(np.random.default_rng(dim), dim, 6)
+    assert levy_op_eval(u, np.full(dim, 0.1), empty, np.ones(dim)) == 0.0
+    assert RadialTestFunction.hat(0.2, 0.8).integral(empty) == 0.0
+    far = DiscreteMeasure(dim, np.eye(dim) * 0.6, np.ones(dim))
+    assert restriction_bound(empty, 0.5, 2.0) == 0.0
+    assert restriction_bound(far, 0.5, 2.0) == 0.0
+
+    for mu, nu in ((far, empty), (empty, far), (empty, empty)):
+        duals = solve(mu, nu, CostSpec(1.5)).duals
+        assert duals.violations(mu, nu) == []
+        pinned = DualPotentials(phi=np.zeros(mu.n_atoms), psi=np.zeros(nu.n_atoms), p=1.5)
+        assert pinned.violations(mu, nu) == []
+
+    # far out every cell mass underflows to zero (while |z|^2 and |z|^d stay
+    # finite), so the discretization has no atoms and all three pieces are empty
+    r_min = 1e140 if dim == 1 else 1e100
+    grid = AnnularGrid(r_min=r_min, r_max=2.0 * r_min, n_radial=4, n_angular=3)
+    family = FracLaplFamily(a=lambda x: 0.5, sigma=1.5, lipschitz_L=0.0, dim=dim)
+    assert family.split_radius([0.0]) < r_min
+    for piece in split_fraclap(family, [0.0], grid):
+        assert piece.dim == dim and piece.n_atoms == 0
+
+    collapse = LevyItoFamily(
+        base=far,
+        maps=lambda x: (lambda Z: np.zeros_like(np.atleast_2d(Z))),
+        rho=lambda Z: np.ones(np.atleast_2d(Z).shape[0]),
+        bound_C=1.0,
+        dim_out=dim,
+    )
+    image = pushforward(collapse, np.zeros(dim))
+    assert image.dim == dim and image.n_atoms == 0
+
+    # an n = 0 draw consumes only the count from the random stream
+    for draw in (random_measure, random_unit_measure):
+        rng, ref = np.random.default_rng(dim), np.random.default_rng(dim)
+        assert draw(rng, dim, max_atoms=0).n_atoms == 0
+        ref.integers(0, 1)
+        assert rng.random(4).tolist() == ref.random(4).tolist()

@@ -55,6 +55,8 @@ def test_empty_side_matches_closed_form(dim, p):
         value = math.fsum((full.weights * res).tolist())
         one_sided = solve(full, empty, CostSpec(p))
         other_sided = solve(empty, full, CostSpec(p))
+        assert one_sided.duals.violations(full, empty) == []
+        assert other_sided.duals.violations(empty, full) == []
         for rep, flows, duals in (
             (one_sided, one_sided.plan.to_reservoir, one_sided.duals.phi),
             (other_sided, other_sided.plan.from_reservoir, other_sided.duals.psi),
