@@ -473,10 +473,15 @@ def _number(section: dict, key: str, default: Optional[float] = None) -> float:
         raise ValueError(f"{key!r} must be a number in the float range, got {val!r}") from None
 
 
+# Counts size arrays (shells, directions, subsamples) and feed float
+# arithmetic, so a config may not ask for more than this.
+_MAX_COUNT = 1 << 20
+
+
 def _count(section: dict, key: str, default: Optional[int] = None) -> int:
     val = section.get(key, default)
-    if isinstance(val, bool) or not isinstance(val, int) or val < 1:
-        raise ValueError(f"{key!r} must be a positive integer, got {val!r}")
+    if isinstance(val, bool) or not isinstance(val, int) or not 1 <= val <= _MAX_COUNT:
+        raise ValueError(f"{key!r} must be an integer in [1, {_MAX_COUNT}], got {val!r}")
     return val
 
 
@@ -493,7 +498,7 @@ def build_family(config: dict) -> FamilyRuntime:
     """
     try:
         return _build_family(config)
-    except (ValueError, OverflowError) as exc:  # OverflowError: a count too large for a float
+    except (ValueError, OverflowError) as exc:  # OverflowError: float arithmetic on extreme parameters
         raise SchemaError(f"config error: {exc}") from exc
 
 

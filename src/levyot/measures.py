@@ -71,6 +71,14 @@ def _merge_sites(pos: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray
     return first[order], total
 
 
+# Bounds on what a measure may hold.  A site's |z| <= 2^510 (about 3.4e153)
+# keeps |z|^2 and every pair's |x - y|^2 <= (|x| + |y|)^2 <= 2^1022 finite.
+# The dimension bound keeps a site's bytes within what NumPy can view as one
+# record in ``_merge_sites``.
+_MAX_RADIUS = 2.0 ** 510
+_MAX_DIM = 1 << 16
+
+
 class DiscreteMeasure:
     """A finite positive measure on R^d \\ {0}, stored as parallel arrays.
 
@@ -81,9 +89,9 @@ class DiscreteMeasure:
     Parameters
     ----------
     dim : int
-        Ambient dimension d >= 1.
+        Ambient dimension, 1 <= d <= 65536.
     positions : array-like, shape (n, dim)
-        Atom coordinates; no row may be the zero vector.  n = 0 is the zero
+        Atom coordinates; every row has 0 < |z| <= 2^510.  n = 0 is the zero
         measure, which every function in the package accepts.
     weights : array-like, shape (n,)
         Strictly positive masses.
@@ -98,6 +106,8 @@ class DiscreteMeasure:
         dim = int(dim)
         if dim < 1:
             raise ValueError(f"dim must be >= 1, got {dim}")
+        if dim > _MAX_DIM:
+            raise ValueError(f"dim must be at most {_MAX_DIM}, got {dim}")
         try:
             pos = np.asarray(positions, dtype=float).reshape(-1, dim)
             w = np.asarray(weights, dtype=float).reshape(-1)
@@ -120,10 +130,17 @@ class DiscreteMeasure:
 
         first, w = _merge_sites(pos, w)
         pos = pos[first]
-        radii = np.linalg.norm(pos, axis=1)
-        if np.any(radii == 0.0):
-            k = int(first[np.argmax(radii == 0.0)])
-            raise ValueError(f"atom {k}: |z| = 0 is not allowed (the origin is the reservoir)")
+        with np.errstate(over="ignore"):  # an overflowing |z| is rejected just below
+            radii = np.linalg.norm(pos, axis=1)
+        in_range = (radii > 0.0) & (radii <= _MAX_RADIUS)
+        if not np.all(in_range):
+            k = int(np.argmin(in_range))
+            if radii[k] == 0.0:
+                raise ValueError(f"atom {first[k]}: |z| = 0 is not allowed (the origin is the reservoir)")
+            raise ValueError(
+                f"atom {first[k]}: |z| = {float(radii[k])!r} exceeds 2^510 (about 3.4e153), "
+                "beyond which squared distances overflow; rescale the coordinates"
+            )
 
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "positions", pos)

@@ -17,7 +17,6 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 from scipy.interpolate import RegularGridInterpolator
-from scipy.spatial.distance import cdist
 
 from .measures import DiscreteMeasure, SchemaError, decompose, tv_distance, _check_p
 from . import transport
@@ -132,8 +131,8 @@ class PenalizationSpec:
     p: float
 
     def __post_init__(self) -> None:
-        if self.epsilon <= 0.0:
-            raise ValueError("epsilon must be positive")
+        if not (0.0 < self.epsilon < math.inf and 1.0 / self.epsilon < math.inf):
+            raise ValueError(f"epsilon must be positive and finite, with 1/epsilon finite, got {self.epsilon!r}")
         if not 0.0 < self.kappa < 1.0:
             raise ValueError("kappa must lie in (0, 1)")
         object.__setattr__(self, "p", _check_p(self.p))
@@ -250,38 +249,124 @@ class DoublingResult:
     index: tuple[int, int]
 
 
+# Nodes per axis in one tile of u nodes; each tile is scored against the
+# v nodes close enough to beat the lower bound.
+_TILE = 8
+
+
+def _along(a: np.ndarray, axis: int, ndim: int) -> np.ndarray:
+    """A 1-d array laid along ``axis`` of an ``ndim``-dimensional broadcast."""
+    return a.reshape((1,) * axis + (-1,) + (1,) * (ndim - axis - 1))
+
+
+def _scores(uu, vv, sq_terms, alpha: float, spec: PenalizationSpec) -> np.ndarray:
+    """uu - vv - (1/eps) psi_kappa for broadcast pairs with |x - y|^2 split by axis.
+
+    The axes are summed in order, as ``cdist(..., "sqeuclidean")`` does, and
+    every pair goes through the same array expression, so a pair's score does
+    not depend on which other pairs are scored with it.
+    """
+    sq = sq_terms[0]
+    for term in sq_terms[1:]:
+        sq = sq + term
+    return uu - vv - alpha * ((spec.kappa + sq) ** (spec.p / 2.0) - spec.kappa ** (spec.p / 2.0))
+
+
 def doubling_maximize(u: GridFunction, v: GridFunction, spec: PenalizationSpec) -> DoublingResult:
     """Exact maximizer of u(x) - v(y) - (1/eps) psi_kappa(x - y) over node pairs.
 
-    Ties resolve to the lexicographically smallest (x, y) node index pair.
+    The grids of u and v may differ in box and node count.  The result is
+    that of scoring every node pair, value and index bit for bit, with ties
+    resolved to the lexicographically smallest (x, y) node index pair.  A
+    pair's score is always the expression
+    u(x) - v(y) - (1/eps) ((kappa + |x - y|^2)^{p/2} - kappa^{p/2}) with
+    |x - y|^2 summed axis by axis, and only pairs that provably score below a
+    score some pair attains are skipped:
+
+    - each u node against its nearest v node gives the lower bound L;
+    - u is cut into tiles of ``_TILE`` nodes per axis.  A pair from tile T
+      scores at most max_T u - min v - (1/eps) psi_kappa(x - y), so a tile
+      with max_T u - min v < L is skipped, and the others are scored only
+      against the v sub-box within distance R of the tile, where
+      (1/eps) psi_kappa(R) = max_T u - min v - L (psi_kappa grows with |h|);
+    - rounding margin: a float score differs from the exact score of the
+      same node coordinates by less than (d + 28) 2^-53 times
+      |u(x)| + |v(y)| + (1/eps)(kappa + |x - y|^2)^{p/2}, allowing pow four
+      units in the last place.  With eta = (d + 64) 2^-50, the bound gets
+      eta (max|u| + max|v| + |L| + kappa^{p/2}/eps) added and is scaled by
+      1 + eta; R^2 gets eta (kappa + R^2) added, R is scaled by 1 + eta and
+      gets eta times the largest |coordinate| added.  This covers that error
+      and the rounding in the bound and in R, so every pair whose float score
+      can reach L is scored.
+
+    Work is about the number of pairs within R of their tile, plus one
+    nearest-node pass.  u(x) - v(y) must not overflow.
     """
     if u.dim != v.dim:
         raise ValueError("grids must share the ambient dimension")
-    nx = u.nodes()
-    ny = v.nodes()
-    uu = u.values.reshape(-1)
-    vv = v.values.reshape(-1)
-    alpha = 1.0 / spec.epsilon
+    v_min = float(v.values.min())
+    if not math.isfinite(float(u.values.max()) - v_min):
+        raise ValueError("u(x) - v(y) overflows; rescale the grid values")
+    dim, alpha = u.dim, 1.0 / spec.epsilon
+    ax_u, ax_v = u.axes(), v.axes()
+
+    # L: every u node against its nearest v node, found axis by axis
+    near = []
+    for a, b in zip(ax_u, ax_v):
+        j = np.clip(np.searchsorted(b, a), 1, b.size - 1)
+        near.append(j - (a - b[j - 1] <= b[j] - a))
+    sq_near = [_along((a - b[j]) ** 2, k, dim) for k, (a, b, j) in enumerate(zip(ax_u, ax_v, near))]
+    lower = float(_scores(u.values, v.values[np.ix_(*near)], sq_near, alpha, spec).max())
+
+    # per tile: the widened bound on the penalty a pair can carry, and R
+    eta = (dim + 64) * 2.0 ** -50
     kpow = spec.kappa ** (spec.p / 2.0)
-    best = -math.inf
-    best_idx = (0, 0)
-    chunk = max(1, (1 << 22) // max(1, vv.size))
-    for start in range(0, uu.size, chunk):
-        stop = min(uu.size, start + chunk)
-        sq = cdist(nx[start:stop], ny, "sqeuclidean")
-        w = uu[start:stop, None] - vv[None, :] - alpha * (
-            (spec.kappa + sq) ** (spec.p / 2.0) - kpow
-        )
-        k = int(np.argmax(w))
-        val = float(w.flat[k])
-        if val > best:
-            best = val
-            best_idx = (start + k // vv.size, k % vv.size)
+    starts = [np.arange(0, n, _TILE) for n in u.values.shape]
+    tile_max = u.values
+    for k, s in enumerate(starts):
+        tile_max = np.maximum.reduceat(tile_max, s, axis=k)
+    scale = np.abs(np.concatenate([u.lo, u.hi, v.lo, v.hi])).max()
+    with np.errstate(over="ignore"):  # an infinite bound only means scoring every pair
+        slack = eta * (np.abs(u.values).max() + np.abs(v.values).max() + abs(lower) + alpha * kpow)
+        reach = (tile_max - v_min - lower + slack) * (1.0 + eta)
+        r2 = (np.maximum(reach, 0.0) / alpha + kpow) ** (2.0 / spec.p) - spec.kappa
+        radius = np.sqrt(np.maximum(r2 + eta * (spec.kappa + np.abs(r2)), 0.0)) * (1.0 + eta) + eta * scale
+    live = reach >= 0.0
+    box = []  # per axis: the v index range [lo, hi) within R of each tile
+    for k, (a, b, s) in enumerate(zip(ax_u, ax_v, starts)):
+        first = _along(a[s], k, dim)
+        last = _along(a[np.minimum(s + _TILE, a.size) - 1], k, dim)
+        lo = np.searchsorted(b, first - radius, "left")
+        hi = np.searchsorted(b, last + radius, "right")
+        live &= hi > lo
+        box.append((lo, hi))
+
+    found = []  # per tile: (its best score, x multi-index, y multi-index)
+    for tile in zip(*np.nonzero(live)):
+        ui = tuple(slice(t * _TILE, (t + 1) * _TILE) for t in tile)
+        vj = tuple(slice(lo[tile], hi[tile]) for lo, hi in box)
+        # pairs laid out as (x axes..., y axes...)
+        sq = [
+            (_along(a[i], k, 2 * dim) - _along(b[j], dim + k, 2 * dim)) ** 2
+            for k, (a, b, i, j) in enumerate(zip(ax_u, ax_v, ui, vj))
+        ]
+        uu = u.values[ui]
+        w = _scores(uu.reshape(uu.shape + (1,) * dim), v.values[vj], sq, alpha, spec)
+        at = np.unravel_index(int(np.argmax(w)), w.shape)
+        found.append((
+            float(w[at]),
+            tuple(s.start + int(a) for s, a in zip(ui, at[:dim])),
+            tuple(s.start + int(a) for s, a in zip(vj, at[dim:])),
+        ))
+    value = max(f[0] for f in found)
+    # row-major order is lexicographic in the multi-index, so this is the
+    # lexicographically smallest flat (x, y) pair among the maxima
+    _, xi, yj = min(f for f in found if f[0] == value)
     return DoublingResult(
-        x_star=nx[best_idx[0]],
-        y_star=ny[best_idx[1]],
-        value=best,
-        index=best_idx,
+        x_star=np.array([a[i] for a, i in zip(ax_u, xi)]),
+        y_star=np.array([b[j] for b, j in zip(ax_v, yj)]),
+        value=value,
+        index=(int(np.ravel_multi_index(xi, u.values.shape)), int(np.ravel_multi_index(yj, v.values.shape))),
     )
 
 

@@ -121,14 +121,22 @@ def test_dimension_mismatch_is_solver_failure(command, tmp_path, measure_files, 
     assert out == "" and err.startswith("solver failure:")
 
 
-@pytest.mark.parametrize("nu_atoms", [[([-1e160, 1.0], 2.0)], []], ids=["pair", "empty-side"])
-def test_dist_overflow_is_solver_failure(nu_atoms, tmp_path, capsys):
-    big = _write_measure(tmp_path / "big.json", 2, [([1e160, 0.0], 1.0), ([0.0, 3.0], 1.0)])
-    other = _write_measure(tmp_path / "other.json", 2, nu_atoms)
-    with pytest.warns(RuntimeWarning, match="overflow"):
-        code, out, err = run_cli(["dist", big, other, "--p", "2"], capsys)
-    assert code == 3
-    assert out == "" and err.startswith("solver failure:")
+@pytest.mark.parametrize(
+    "mu_atoms, nu_atoms, p",
+    [
+        ([([1e160, 0.0], 1.0), ([0.0, 3.0], 1.0)], [([-1e160, 1.0], 2.0)], "2"),
+        ([([1e160, 0.0], 1.0), ([0.0, 3.0], 1.0)], [], "2"),
+        ([([1e154], 1.0)], [([-1e154], 1.0)], "1.5"),
+    ],
+    ids=["pair", "empty-side", "1e154-p1.5"],
+)
+def test_dist_overflow_is_schema_error(mu_atoms, nu_atoms, p, tmp_path, capsys):
+    # coordinates whose squared distances overflow are rejected when the file is read
+    big = _write_measure(tmp_path / "big.json", len(mu_atoms[0][0]), mu_atoms)
+    other = _write_measure(tmp_path / "other.json", len(mu_atoms[0][0]), nu_atoms)
+    code, out, err = run_cli(["dist", big, other, "--p", p], capsys)
+    assert code == 2
+    assert out == "" and err.startswith("error: atom 0: |z| = ") and "exceeds 2^510" in err
 
 
 def test_dual_reports_strong_duality(measure_files, capsys):
@@ -198,10 +206,12 @@ def test_sweep_zero_pairs(tmp_path, capsys):
         {"type": "levyito", "params": {"kind": "scaling", "a0": 0.1, "a1": 0.5}},
         {"type": "kernel", "sigma": 10**400},
         {"type": "constant", "dim": 10**400},
+        {"type": "kernel", "dim": 1, "grid": {"n_radial": 10**400}},
+        {"type": "kernel", "dim": 1, "grid": {"n_radial": 2**62}},
     ],
     ids=[
         "unknown-kind", "grid-field", "params-list", "grid-count", "fraclap-range", "scaling-range",
-        "sigma-huge", "dim-huge",
+        "sigma-huge", "dim-huge", "count-huge", "count-2^62",
     ],
 )
 def test_sweep_config_error(config, tmp_path, capsys):
@@ -209,7 +219,7 @@ def test_sweep_config_error(config, tmp_path, capsys):
     cfg.write_text(json.dumps(config))
     code, _, err = run_cli(["sweep", "--config", str(cfg)], capsys)
     assert code == 2
-    assert "config error" in err
+    assert err.startswith("error: config error: ")
 
 
 @pytest.mark.parametrize(
@@ -258,6 +268,30 @@ def test_doubling_command(tmp_path, capsys):
     doc = json.loads(out)
     assert doc["value"] == pytest.approx(0.0, abs=1e-12)
     assert doc["x_star"] == doc["y_star"]
+
+
+def test_doubling_command_on_different_grids(tmp_path, capsys):
+    # u and v differ in box and node count; every value and node is dyadic,
+    # so at p = 2 the output bytes are those of the dense scan on any platform
+    u = {"lo": [-0.5, 0.25], "hi": [1.0, 1.5],
+         "values": [[((3 * i + 5 * j) % 7) / 8 - 0.25 for j in range(5)] for i in range(7)]}
+    v = {"lo": [0.0, -1.0], "hi": [2.0, 0.5],
+         "values": [[((2 * i + 3 * j) % 5) / 4 - 0.5 for j in range(9)] for i in range(4)]}
+    files = []
+    for name, doc in (("u", u), ("v", v)):
+        files.append(str(tmp_path / f"{name}.json"))
+        (tmp_path / f"{name}.json").write_text(json.dumps(doc))
+    expected = {
+        (0, 1): ("[0, 0.25]", "[0, 0.3125]", "0.734375"),
+        (1, 0): ("[0, 0.5]", "[0.25, 0.5625]", "0.484375"),
+    }
+    for (a, b), (x_star, y_star, value) in expected.items():
+        code, out, _ = run_cli(["doubling", files[a], files[b], "--epsilon", "0.25", "--p", "2"], capsys)
+        assert code == 0
+        assert out == (
+            f'{{\n  "x_star": {x_star},\n  "y_star": {y_star},\n  "value": {value},\n'
+            '  "epsilon": 0.25,\n  "kappa": 0.5,\n  "p": 2\n}\n'
+        )
 
 
 def test_experiment_csv(capsys):

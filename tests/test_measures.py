@@ -35,12 +35,18 @@ def test_measure_rejects_origin_and_merges_duplicates():
         ([[1.0], [2.0]], [1.0, np.nan], "atom 1: weight must be positive and finite, got nan"),
         ([[1.0, 2.0], [np.inf, 0.0]], [1.0, 1.0], "atom 1: coordinates must be finite"),
         ([[1.0], [10**400]], [1.0, 1.0], "atom 1: coordinate or weight is too large"),
+        # |z| <= 2^510 keeps every squared distance finite
+        ([[1.0], [1e154]], [1.0, 1.0], "atom 1: |z| = 1e+154 exceeds 2^510"),
+        ([[1.0, 0.0], [1.0, 0.0], [1e160, 0.0]], [1.0] * 3, "atom 2: |z| = inf exceeds 2^510"),
+        ([[3e153, 3e153]], [1.0], "atom 0: |z| = 4.24"),
     ]:
         with pytest.raises(ValueError) as info:
             DiscreteMeasure(len(positions[0]), positions, weights)
         assert str(info.value).startswith(message)
     with pytest.raises(ValueError, match="dim must be >= 1"):
         DiscreteMeasure(0, [], [])
+    with pytest.raises(ValueError, match="dim must be at most 65536"):
+        DiscreteMeasure(10**18, [], [])
     assert DiscreteMeasure(2, [[3.0, 4.0]], [2.0]).radii.tolist() == [5.0]
     mu = DiscreteMeasure(1, [[0.5], [0.5], [1.0]], [1.0, 2.0, 3.0])
     assert mu.n_atoms == 2
@@ -258,6 +264,8 @@ MALFORMED_MEASURES = {
     "weight-bool": {"dim": 1, "atoms": [{"z": [1.5], "w": True}]},
     "coordinate-huge": {"dim": 1, "atoms": [{"z": [10**400], "w": 1.0}]},
     "weight-huge": {"dim": 2, "atoms": [{"z": [0.5, 0.5], "w": 1.0}, {"z": [0.1, 0.0], "w": 10**400}]},
+    "dim-huge": {"dim": 10**18, "atoms": []},
+    "radius-huge": {"dim": 1, "atoms": [{"z": [1e154], "w": 1.0}]},
 }
 
 

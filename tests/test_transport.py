@@ -221,19 +221,18 @@ def test_k_support_matches_loop_reference(rng, make_measure):
     assert flagged > 0
 
 
-@pytest.mark.parametrize("nu_pos, nu_w", [([[-1e160, 1.0]], [2.0]), ([], [])], ids=["pair", "empty-side"])
-def test_solve_rejects_overflowing_costs(nu_pos, nu_w):
-    # |z|^2 overflows already in the constructor's radii
-    with pytest.warns(RuntimeWarning, match="overflow"):
-        mu = DiscreteMeasure(2, [[1e160, 0.0], [0.0, 3.0]], [1.0, 1.0])
-        nu = DiscreteMeasure(2, nu_pos, nu_w)
-    for a, b in ((mu, nu), (nu, mu)):
-        with pytest.raises(ValueError, match="overflow"):
-            solve(a, b, CostSpec(2.0))
-    # finite radii and reservoir costs, but |x - y|^2 overflows
-    far = DiscreteMeasure(1, [[1e154]], [1.0])
-    with pytest.raises(ValueError, match="overflow"):
-        solve(far, DiscreteMeasure(1, [[-1e154]], [1.0]), CostSpec(2.0))
+def test_sites_up_to_2_510_solve_to_finite_costs():
+    # [1e154] against [-1e154] has a finite cost, but |x - y|^2 = 4e308
+    # overflows, so the constructor rejects |z| > 2^510 before any solve
+    with pytest.raises(ValueError, match="exceeds 2\\^510"):
+        DiscreteMeasure(1, [[1e154]], [1.0])
+    edge = DiscreteMeasure(1, [[2.0**510]], [1.0])
+    assert edge.radii.tolist() == [2.0**510]
+    far, near = DiscreteMeasure(1, [[3e153]], [1.0]), DiscreteMeasure(1, [[-3e153]], [1.0])
+    for p in (1.5, 2.0):
+        # routing both atoms through the reservoir beats the direct move
+        assert solve(far, near, CostSpec(p)).value == pytest.approx(2.0 * 3e153**p, rel=1e-14)
+    assert math.isfinite(solve(edge, DiscreteMeasure(1, [[-(2.0**510)]], [1.0]), CostSpec(2.0)).value)
 
 
 def test_dual_value_examples():

@@ -32,6 +32,9 @@ def test_penalization_spec_validation():
         PenalizationSpec(epsilon=0.1, kappa=1.0, p=2.0)
     with pytest.raises(ValueError):
         PenalizationSpec(epsilon=0.1, kappa=0.5, p=0.5)
+    for eps in (math.inf, math.nan, 1e-320):  # 1/1e-320 overflows
+        with pytest.raises(ValueError, match="epsilon"):
+            PenalizationSpec(epsilon=eps, kappa=0.5, p=2.0)
 
 
 def test_psi_kappa_values_and_gradient():
@@ -169,6 +172,123 @@ def test_convolutions_match_dense_scan(case, delta):
     neg_best, neg_at = _dense_sup_convolution(u.with_values(-u.values), delta, low_ach)
     assert np.max(np.abs(low.values.reshape(-1) + neg_best)) <= 1e-13
     assert np.max(np.abs(neg_at - neg_best)) <= 1e-13
+
+
+def _dense_doubling(u, v, spec):
+    """The dense scan as an oracle: every node pair, in cdist chunks of 1 << 22 pairs.
+
+    Returns (value, index); ties resolve to the lexicographically smallest pair.
+    """
+    nx, ny = u.nodes(), v.nodes()
+    uu, vv = u.values.reshape(-1), v.values.reshape(-1)
+    alpha = 1.0 / spec.epsilon
+    kpow = spec.kappa ** (spec.p / 2.0)
+    best, best_idx = -math.inf, (0, 0)
+    chunk = max(1, (1 << 22) // vv.size)
+    for start in range(0, uu.size, chunk):
+        sq = cdist(nx[start : start + chunk], ny, "sqeuclidean")
+        w = uu[start : start + chunk, None] - vv[None, :] - alpha * ((spec.kappa + sq) ** (spec.p / 2.0) - kpow)
+        k = int(np.argmax(w))
+        if float(w.flat[k]) > best:
+            best, best_idx = float(w.flat[k]), (start + k // vv.size, k % vv.size)
+    return best, best_idx
+
+
+def _wavy(rng, lo, hi, shape):
+    """A smooth random sample on the box grid [lo, hi] with the given node counts."""
+    g = GridFunction(np.array(lo, float), np.array(hi, float), np.zeros(shape))
+    mesh = np.meshgrid(*g.axes(), indexing="ij")
+    vals = sum(
+        rng.normal() / k * np.prod([np.cos(k * 2.0 * x + rng.uniform(0, 2 * math.pi)) for x in mesh], axis=0)
+        for k in range(1, 6)
+    )
+    return g.with_values(vals)
+
+
+def _doubling_grids(case):
+    rng = np.random.default_rng(1805)
+    if case in ("1d-512", "2d-48x48"):
+        dim, n_nodes = (1, 512) if case == "1d-512" else (2, 48)
+        return random_grid_function(rng, dim, n_nodes, box=2.0), random_grid_function(rng, dim, n_nodes, box=2.0)
+    if case == "2d-30x17-box":  # anisotropic, lo != -hi
+        return (_wavy(rng, [-0.4, 0.3], [1.1, 0.8], (30, 17)), _wavy(rng, [-0.4, 0.3], [1.1, 0.8], (30, 17)))
+    if case == "1d-mismatched":  # different boxes and node counts
+        return _wavy(rng, [-0.3], [1.7], (300,)), _wavy(rng, [0.5], [3.0], (77,))
+    return _wavy(rng, [-0.4, 0.3], [1.1, 0.8], (30, 17)), _wavy(rng, [-1.0, 0.0], [0.7, 1.5], (21, 40))
+
+
+@pytest.mark.parametrize("kappa", [1e-3, 0.1, 0.5])
+@pytest.mark.parametrize("p", [1.0, 1.5, 2.0])
+@pytest.mark.parametrize("case", ["1d-512", "2d-48x48", "2d-30x17-box", "1d-mismatched", "2d-mismatched"])
+def test_doubling_matches_dense_scan(case, p, kappa):
+    u, v = _doubling_grids(case)
+    for grids in ((u, v), (v, u)) if "mismatched" in case else ((u, v),):
+        for eps in (0.05, 0.5):
+            spec = PenalizationSpec(epsilon=eps, kappa=kappa, p=p)
+            res = doubling_maximize(*grids, spec)
+            # the same float and the same pair, not merely close
+            assert (res.value, res.index) == _dense_doubling(*grids, spec)
+            assert np.array_equal(res.x_star, grids[0].nodes()[res.index[0]])
+            assert np.array_equal(res.y_star, grids[1].nodes()[res.index[1]])
+
+
+def test_doubling_tie_rule():
+    spec = PenalizationSpec(epsilon=8.0, kappa=0.5, p=2.0)
+    line = (np.array([0.0]), np.array([8.0]))  # integer nodes, so tied distances are exact
+    # from x = 4 the dips of v at y = 2 and y = 6 tie; the lower y wins
+    u = GridFunction(*line, np.eye(9)[4])
+    v = GridFunction(*line, -np.eye(9)[2] - np.eye(9)[6])
+    assert doubling_maximize(u, v, spec).index == (4, 2) == _dense_doubling(u, v, spec)[1]
+    # the spikes of u at x = 2 and x = 6 tie against the dip of v at y = 4; the lower x wins
+    u = GridFunction(*line, np.eye(9)[2] + np.eye(9)[6])
+    v = GridFunction(*line, -np.eye(9)[4])
+    assert doubling_maximize(u, v, spec).index == (2, 4) == _dense_doubling(u, v, spec)[1]
+    # 2-d: spikes at (1, 0) (flat 16) and (0, 8) (flat 8) tie on the diagonal;
+    # the one scanned later in row-major tile order has the lower flat index
+    vals = np.zeros((16, 16))
+    vals[1, 0] = vals[0, 8] = 1.0
+    square = (np.array([0.0, 0.0]), np.array([15.0, 15.0]))
+    u, v = GridFunction(*square, vals), GridFunction(*square, np.zeros((16, 16)))
+    spec = PenalizationSpec(epsilon=0.1, kappa=0.5, p=2.0)
+    assert doubling_maximize(u, v, spec).index == (8, 8) == _dense_doubling(u, v, spec)[1]
+
+
+@pytest.mark.parametrize("p", [1.0, 1.5, 2.0])
+@pytest.mark.parametrize("dim", [1, 2])
+def test_doubling_near_tie_needs_the_rounding_margin(dim, p):
+    # The penalty falls below the rounding of u - v = 1, so every pair scores
+    # exactly the lower bound L = 1.  The tie rule picks pair (0, 0), which
+    # lies farther apart than the nearest-node pairs behind L; only the
+    # rounding margin brings it inside the scanned radius.
+    u = GridFunction(np.full(dim, 1.0), np.full(dim, 2.0), np.ones((9,) * dim))
+    v = GridFunction(np.full(dim, -1.0), np.full(dim, 0.0), np.zeros((6,) * dim))
+    spec = PenalizationSpec(epsilon=1e18, kappa=0.5, p=p)
+    res = doubling_maximize(u, v, spec)
+    assert (res.value, res.index) == _dense_doubling(u, v, spec) == (1.0, (0, 0))
+
+
+def test_doubling_maximiser_on_the_pruning_radius():
+    # u on the nodes 0..7, v on -4..11, all integers, p = 2 and eps = 1, so
+    # every score is exact.  The maximum 1 is attained at (x, y) = (5, 5),
+    # the nearest-node pair behind L = 1, and at (0, -2), which the tie rule
+    # picks.  The bound max u - min v - L = 2 + 3 - 1 = 4 = psi(R) gives R = 2,
+    # so y = -2 sits exactly on the edge of the scanned sub-box.
+    u_vals = np.zeros(8)
+    u_vals[0], u_vals[5] = 2.0, 1.0
+    v_vals = np.zeros(16)  # v_vals[k] is v at y = k - 4
+    v_vals[[2, 3, 4, 5]] = [-3.0, 0.5, 1.5, 0.5]
+    u = GridFunction(np.array([0.0]), np.array([7.0]), u_vals)
+    v = GridFunction(np.array([-4.0]), np.array([11.0]), v_vals)
+    spec = PenalizationSpec(epsilon=1.0, kappa=0.5, p=2.0)
+    res = doubling_maximize(u, v, spec)
+    assert (res.value, res.index) == _dense_doubling(u, v, spec) == (1.0, (0, 2))
+    assert res.x_star.tolist() == [0.0] and res.y_star.tolist() == [-2.0]
+
+
+def test_doubling_rejects_overflowing_difference():
+    u = GridFunction(np.array([0.0]), np.array([1.0]), np.full(4, 1e308))
+    with pytest.raises(ValueError, match="overflows"):
+        doubling_maximize(u, u.with_values(-u.values), PenalizationSpec(epsilon=0.1, kappa=0.5, p=2.0))
 
 
 def test_sup_convolution_tie_rule():
