@@ -9,6 +9,7 @@ from levyot.measures import DiscreteMeasure, _pow, tv_distance
 from levyot.transport import (
     TransportPlan,
     CostSpec,
+    _cost_scale,
     DualPotentials,
     brute_force_unit,
     distance,
@@ -219,6 +220,21 @@ def test_k_support_matches_loop_reference(rng, make_measure):
         assert got == _k_support_loop(plan, mu, nu, p)
         flagged += len(got)
     assert flagged > 0
+
+
+@pytest.mark.parametrize("nu_pos, nu_w", [([[-3e153, 1.0]], [2.0]), ([], [])], ids=["pair", "empty-side"])
+def test_solve_rejects_overflowing_costs(nu_pos, nu_w):
+    # a site whose |z|^2 overflows is refused before it can reach a solve
+    with pytest.raises(ValueError, match="overflow"):
+        DiscreteMeasure(2, [[1e160, 0.0], [0.0, 3.0]], [1.0, 1.0])
+    # at the 2^510 bound every direct and reservoir cost stays finite, in either order
+    mu = DiscreteMeasure(2, [[2.0**510, 0.0], [0.0, 3.0]], [1.0, 1.0])
+    nu = DiscreteMeasure(2, nu_pos, nu_w)
+    for a, b in ((mu, nu), (nu, mu)):
+        assert math.isfinite(solve(a, b, CostSpec(2.0)).value)
+    # the solver's own guard still refuses a cost table that overflowed to inf
+    with pytest.raises(ValueError, match="overflow"):
+        _cost_scale(np.array([0.0, 1.0, math.inf]))
 
 
 def test_sites_up_to_2_510_solve_to_finite_costs():
