@@ -18,7 +18,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 from scipy.integrate import quad
 
-from .measures import DiscreteMeasure, SchemaError, decompose, measure_from_dict, _check_p
+from .measures import _MAX_RADIUS, DiscreteMeasure, SchemaError, decompose, measure_from_dict, _check_p
 from . import transport
 
 __all__ = [
@@ -584,6 +584,18 @@ def _build_family(config: dict) -> FamilyRuntime:
             a1 = _number(params, "a1", 0.25)
             if a0 - abs(a1) <= 0.0:
                 raise ValueError("levyito scaling needs a0 > |a1|, so the scale stays positive")
+            if not sigma > 0.0:
+                raise ValueError(f"levyito scaling needs sigma > 0, got {sigma!r}")
+            # Every point's scale lies in [lo, hi], so checking both ends here
+            # keeps each pushed-forward measure valid.
+            try:
+                lo, hi = ((a0 + s * abs(a1)) ** (1.0 / sigma) for s in (-1.0, 1.0))
+            except OverflowError:
+                raise ValueError("levyito scaling (a0 + |a1|) ** (1/sigma) overflows") from None
+            if not (lo > 0.0 and hi * base.max_radius() <= _MAX_RADIUS):
+                raise ValueError(
+                    f"levyito scales {lo!r} to {hi!r} take the base atoms outside 0 < |z| <= 2^510"
+                )
 
             def maps(x):
                 scale = (a0 + a1 * math.sin(float(x[0]))) ** (1.0 / sigma)

@@ -302,6 +302,8 @@ def _read_json(path: str):
             raise SchemaError(
                 f"{path}: malformed JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
             ) from exc
+        except ValueError as exc:  # an integer with more digits than int() may parse
+            raise SchemaError(f"{path}: unreadable JSON: {exc}") from exc
 
 
 def load_measure(path: str) -> DiscreteMeasure:

@@ -198,8 +198,11 @@ class _Simplex:
 
     Sources are rows of ``cost`` (the last row is the virtual reservoir
     source), sinks are columns (last column virtual).  The initial spanning
-    tree routes everything through the reservoir, mirroring the always
-    feasible plan that projects both measures onto the origin.
+    tree hangs a forest of greedy atom-to-atom arcs under the reservoir, so
+    that what the forest does not move goes through the origin.  Below the
+    k-NN threshold the forest is a greedy pass over the arcs that beat the
+    reservoir; above it the forest is empty, and the tree is the star that
+    projects both measures onto the origin.
 
     The spanning tree is kept as a preorder sequence (``order``/``pos``) with
     subtree sizes, so each pivot moves contiguous array segments and applies
@@ -231,42 +234,124 @@ class _Simplex:
 
         self.u = np.zeros(self.m)
         self.v = np.zeros(self.n)
-
-        # Initial tree: root (virtual source) feeds every sink directly; real
-        # sources hang off the virtual sink.  Flows satisfy the marginals.
-        # parent/flow/size are plain lists: the pivot loops touch them one
-        # scalar at a time.
-        m, n = self.m, self.n
-        parent = np.full(self.N, -1, dtype=np.int64)
-        flow = np.zeros(self.N)  # flow on the arc node -> parent
-        sinks = np.arange(m, self.N)
-        parent[sinks] = self.root
-        flow[m : self.N - 1] = demand[: n - 1]
-        flow[self.vsink] = 0.0
-        parent[: m - 1] = self.vsink
-        flow[: m - 1] = supply[: m - 1]
-        self.parent = parent.tolist()
-        self.flow = flow.tolist()
-        self.v[:] = cost[m - 1, :]
-        self.u[: m - 1] = cost[: m - 1, n - 1] - self.v[n - 1]
-        self.u[self.root] = 0.0
-
-        # Preorder: root, real sinks, then the virtual sink with all real
-        # sources below it.
-        self.order = np.concatenate(
-            [[self.root], sinks[:-1], [self.vsink], np.arange(m - 1)]
-        ).astype(np.int64)
-        self.pos = np.empty(self.N, dtype=np.int64)
-        self.pos[self.order] = np.arange(self.N)
-        size = np.ones(self.N, dtype=np.int64)
-        size[self.root] = self.N
-        size[self.vsink] = m
-        self.size = size.tolist()
+        # Above the k-NN threshold the warm-start pool finds the cheap arcs
+        # instead; a greedy start there measured slower (deeper trees).
+        self.warm = self._neighbor_arcs()
+        left = np.concatenate([supply, demand]).tolist()
+        self._build_tree(self._greedy_forest(left) if self.warm is None else [], left)
 
         # Candidate pool capacity for major/minor pricing.
         self.refill_size = int(min(self.cost.size, max(4096, 16 * self.N)))
         self._scan_buf = np.empty((min(self.m, max(1, 65536 // self.n)), self.n))
         self._arange = np.arange(self.N, dtype=np.int64)
+
+    # -- initial tree ------------------------------------------------------
+
+    def _greedy_forest(self, left: list[float]) -> list[tuple[int, int, float]]:
+        """Greedy arcs (i, j, flow) over the cheap real arcs.
+
+        An arc is cheap when it prices negative against the star tree's duals,
+        c_ij - |x_i|^p - |y_j|^p < -tol.  Arcs are taken in (reduced cost,
+        flat index) order and each moves min(supply left, demand left), so it
+        exhausts at least one endpoint.  ``left`` (supplies then demands, by
+        node id) is drawn down in place.
+        """
+        m, n, sink0 = self.m - 1, self.n - 1, self.m  # real sources, real sinks, first sink id
+        cost = self.cost
+        red = (cost[:m, :n] - cost[:m, n, None] - cost[m, :n]).reshape(-1)
+        cand = np.flatnonzero(red < -self.tol)
+        arcs: list[tuple[int, int, float]] = []
+        # The cheapest arcs go first, a batch at a time; after each batch the
+        # arcs at an exhausted node are dropped unseen, as they stay useless.
+        # Ties at a batch's threshold all fall in the batch, so the order is
+        # exactly (reduced cost, flat index).
+        batch = 2 * (m + n)
+        while cand.size:
+            vals = red[cand]
+            if cand.size > batch:
+                first = vals <= np.partition(vals, batch - 1)[batch - 1]
+                take, cand, vals = cand[first], cand[~first], vals[first]
+            else:
+                take, cand = cand, cand[:0]
+            for k in take[np.argsort(vals, kind="stable")].tolist():
+                i, j = divmod(k, n)
+                s, d = left[i], left[sink0 + j]
+                if s == 0.0 or d == 0.0:
+                    continue
+                f = min(s, d)
+                arcs.append((i, j, f))
+                left[i] = s - f
+                left[sink0 + j] = d - f
+            live = np.array(left) > 0.0
+            cand = cand[live[cand // n] & live[sink0 + cand % n]]
+        return arcs
+
+    def _build_tree(self, arcs: list[tuple[int, int, float]], left: list[float]) -> None:
+        """Spanning tree from a forest of real arcs, with tree potentials.
+
+        Each component of the forest hangs under the reservoir at its one node
+        with mass ``left`` (at any node if none is left): sources under the
+        virtual sink, sinks under the root.  Attach arcs carry the mass left,
+        forest arcs their own flow, and root -> virtual sink the mass the
+        forest moves, so the flows satisfy the marginals.  With no arcs this
+        is the star that routes everything through the reservoir.  Preorder:
+        root, the sink-attached components, the virtual sink, then the
+        source-attached components, each group by attach node.
+        """
+        m, N, root, vsink = self.m, self.N, self.root, self.vsink
+        adj: list[list[tuple[int, float]]] = [[] for _ in range(N)]
+        for i, j, f in arcs:
+            adj[i].append((m + j, f))
+            adj[m + j].append((i, f))
+        # parent/flow/size are plain lists: the pivot loops touch them one
+        # scalar at a time.  flow[node] is the flow on the arc node - parent.
+        parent = [-1] * N
+        flow = [0.0] * N
+        parent[vsink] = root
+        flow[vsink] = math.fsum(f for _, _, f in arcs)
+
+        # A component has at most one node with mass left: merging two
+        # components spends the leftover of at least one of them.
+        seen = [False] * N
+        attach_sink: list[int] = []
+        attach_src: list[int] = []
+        for start in itertools.chain(range(m, vsink), range(root)):
+            if seen[start]:
+                continue
+            seen[start] = True
+            at, stack = start, [start]
+            while stack:
+                node = stack.pop()
+                if left[node] > 0.0:
+                    at = node
+                for nb, _ in adj[node]:
+                    if not seen[nb]:
+                        seen[nb] = True
+                        stack.append(nb)
+            (attach_src if at < m else attach_sink).append(at)
+            parent[at] = root if at >= m else vsink
+            flow[at] = left[at]
+
+        order = [root]
+        for at in sorted(attach_sink) + [vsink] + sorted(attach_src):
+            stack = [at]
+            while stack:
+                node = stack.pop()
+                order.append(node)
+                for nb, f in reversed(adj[node]):
+                    if nb != parent[node]:
+                        parent[nb] = node
+                        flow[nb] = f
+                        stack.append(nb)
+        size = [1] * N
+        for node in reversed(order[1:]):
+            size[parent[node]] += size[node]
+
+        self.parent, self.flow, self.size = parent, flow, size
+        self.order = np.array(order, dtype=np.int64)
+        self.pos = np.empty(N, dtype=np.int64)
+        self.pos[self.order] = np.arange(N)
+        self._restore_potentials()
 
     # -- tree mechanics ----------------------------------------------------
 
@@ -518,9 +603,8 @@ class _Simplex:
 
         # Phase 1: drive the basis close to optimal on a sparse arc set where
         # re-pricing is nearly free.
-        warm = self._neighbor_arcs()
-        if warm is not None:
-            self._drain_pool(warm, batch, bland_after)
+        if self.warm is not None:
+            self._drain_pool(self.warm, batch, bland_after)
 
         # Phase 2: full pricing until a complete scan certifies optimality.
         while True:

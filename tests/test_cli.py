@@ -2,6 +2,7 @@
 
 import json
 import os
+import sys
 
 import pytest
 
@@ -61,7 +62,13 @@ def test_dist_malformed_json(tmp_path, measure_files, capsys):
 )
 def test_dist_schema_violation(doc, tmp_path, measure_files, capsys):
     bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps(doc))
+    # writing a 5000-digit integer needs the int-to-str digit limit lifted
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        bad.write_text(json.dumps(doc))
+    finally:
+        sys.set_int_max_str_digits(limit)
     code, out, err = run_cli(["dist", str(bad), measure_files[1], "--p", "1"], capsys)
     assert code == 2
     assert out == "" and err.startswith("error:")
@@ -204,6 +211,11 @@ def test_sweep_zero_pairs(tmp_path, capsys):
         {"type": "kernel", "grid": {"n_radial": "x"}},
         {"type": "fraclap", "params": {"a0": 0.1, "a1": 0.5}},
         {"type": "levyito", "params": {"kind": "scaling", "a0": 0.1, "a1": 0.5}},
+        {"type": "levyito", "sigma": 0.5, "params": {"kind": "scaling", "a0": 1e300, "a1": 0.5}},
+        {"type": "levyito", "sigma": 1.0, "params": {"kind": "scaling", "a0": 1e200, "a1": 0.5}},
+        {"type": "levyito", "sigma": 0.5, "params": {"kind": "scaling", "a0": 1e-300, "a1": 0.0}},
+        {"type": "levyito", "sigma": 0.0, "base": {"dim": 1, "atoms": [{"z": [0.5], "w": 1.0}]},
+         "params": {"kind": "scaling"}},
         {"type": "kernel", "sigma": 10**400},
         {"type": "constant", "dim": 10**400},
         {"type": "kernel", "dim": 1, "grid": {"n_radial": 10**400}},
@@ -211,6 +223,7 @@ def test_sweep_zero_pairs(tmp_path, capsys):
     ],
     ids=[
         "unknown-kind", "grid-field", "params-list", "grid-count", "fraclap-range", "scaling-range",
+        "scaling-overflow", "scaling-radius", "scaling-underflow", "scaling-sigma-0",
         "sigma-huge", "dim-huge", "count-huge", "count-2^62",
     ],
 )

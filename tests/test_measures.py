@@ -266,6 +266,8 @@ MALFORMED_MEASURES = {
     "weight-huge": {"dim": 2, "atoms": [{"z": [0.5, 0.5], "w": 1.0}, {"z": [0.1, 0.0], "w": 10**400}]},
     "dim-huge": {"dim": 10**18, "atoms": []},
     "radius-huge": {"dim": 1, "atoms": [{"z": [1e154], "w": 1.0}]},
+    # beyond the 4300 digits int() parses by default, so json.load itself fails
+    "coordinate-5000-digits": {"dim": 1, "atoms": [{"z": [10**5000 - 1], "w": 1.0}]},
 }
 
 

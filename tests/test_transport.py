@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from levyot.measures import DiscreteMeasure, _pow, tv_distance
 from levyot.transport import (
@@ -107,6 +108,181 @@ def test_plan_extraction_matches_loop_reference(monkeypatch, rng, make_measure, 
         plan = rep.plan
         assert plan.to_dict() == _plan_loop(trees.pop(), mu.n_atoms, nu.n_atoms)
         assert plan.direct_rows.dtype == plan.direct_cols.dtype == np.int64
+
+
+def _initial_trees(monkeypatch, cases):
+    """The simplex of each (mu, nu, p) case as built, before any pivot."""
+    import levyot.transport as tr
+
+    trees = []
+    monkeypatch.setattr(tr._Simplex, "run", lambda self: trees.append(self))
+    for mu, nu, p in cases:
+        solve(mu, nu, CostSpec(p))
+    return trees
+
+
+def _star_reference(sx):
+    """Reference: the hand-built star that was the only initial tree.
+
+    Root (virtual source) feeds every sink; real sources hang off the virtual
+    sink; preorder root, real sinks, virtual sink, real sources.
+    """
+    m, n, N = sx.m, sx.n, sx.N
+    cost, supply, demand = sx.cost, sx.supply, sx.demand
+    parent = np.full(N, -1, dtype=np.int64)
+    flow = np.zeros(N)
+    sinks = np.arange(m, N)
+    parent[sinks] = sx.root
+    flow[m : N - 1] = demand[: n - 1]
+    flow[sx.vsink] = 0.0
+    parent[: m - 1] = sx.vsink
+    flow[: m - 1] = supply[: m - 1]
+    u, v = np.zeros(m), np.zeros(n)
+    v[:] = cost[m - 1, :]
+    u[: m - 1] = cost[: m - 1, n - 1] - v[n - 1]
+    u[sx.root] = 0.0
+    order = np.concatenate([[sx.root], sinks[:-1], [sx.vsink], np.arange(m - 1)]).astype(np.int64)
+    pos = np.empty(N, dtype=np.int64)
+    pos[order] = np.arange(N)
+    size = np.ones(N, dtype=np.int64)
+    size[sx.root] = N
+    size[sx.vsink] = m
+    return {"order": order, "pos": pos, "size": size.tolist(), "parent": parent.tolist(),
+            "flow": flow.tolist(), "u": u, "v": v}
+
+
+def _assert_tree_is(sx, ref):
+    for key in ("order", "pos", "u", "v"):
+        assert np.array_equal(getattr(sx, key), ref[key]), key
+        assert getattr(sx, key).dtype == ref[key].dtype, key
+    for key in ("size", "parent", "flow"):
+        assert getattr(sx, key) == ref[key], key
+
+
+@pytest.mark.parametrize("p", [1.0, 1.5, 2.0])
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_empty_forest_builds_the_star(monkeypatch, make_measure, dim, p):
+    rng = np.random.default_rng(dim)
+    cases = [(make_measure(rng, dim), make_measure(rng, dim), p) for _ in range(6)]
+    cases.append((DiscreteMeasure.empty(dim), make_measure(rng, dim, allow_empty=False), p))
+    for sx in _initial_trees(monkeypatch, cases):
+        sx._build_tree([], np.concatenate([sx.supply, sx.demand]).tolist())
+        _assert_tree_is(sx, _star_reference(sx))
+    # above the k-NN threshold the solver starts from the star itself
+    big = tuple(DiscreteMeasure(dim, rng.normal(size=(k, dim)), rng.uniform(0.2, 2.0, k)) for k in (300, 260))
+    (sx,) = _initial_trees(monkeypatch, [(*big, p)])
+    assert sx.warm is not None
+    _assert_tree_is(sx, _star_reference(sx))
+
+
+def _check_initial_tree(sx):
+    """Parent, preorder, positions and sizes agree; flows are nonnegative and
+    meet every node's supply or demand to 1e-12 relative."""
+    N, m = sx.N, sx.m
+    order, pos, size, parent, flow = sx.order.tolist(), sx.pos.tolist(), sx.size, sx.parent, sx.flow
+    assert sorted(order) == list(range(N)) and order[0] == sx.root and parent[sx.root] == -1
+    assert all(pos[node] == k for k, node in enumerate(order))
+    below = [1] * N
+    for node in order[:0:-1]:
+        par = parent[node]
+        assert (node < m) != (par < m), "arcs join a source and a sink"
+        assert pos[par] < pos[node] < pos[par] + size[par]
+        below[par] += below[node]
+    assert below == size
+    assert min(flow) >= 0.0
+    through = [0.0] * N
+    for node in order[1:]:
+        through[node] += flow[node]
+        through[parent[node]] += flow[node]
+    target = np.concatenate([sx.supply, sx.demand])
+    assert np.all(np.abs(np.array(through) - target) <= 1e-12 * target)
+
+
+def test_greedy_basis_on_unit_weights(monkeypatch, rng, make_unit_measure):
+    cases = [(make_unit_measure(rng, dim), make_unit_measure(rng, dim), p)
+             for p in (1.0, 1.5, 2.0) for dim in (1, 2, 3) for _ in range(7)]
+    exhausted_both = 0
+    for sx in _initial_trees(monkeypatch, cases):
+        _check_initial_tree(sx)
+        # an arc that exhausts both ends leaves a component with no mass left,
+        # hung under the reservoir by an attach arc of flow exactly 0
+        exhausted_both += sum(sx.flow[node] == 0.0 for node in range(sx.N) if node not in (sx.root, sx.vsink))
+    assert exhausted_both > 0
+
+
+def test_greedy_basis_on_equal_measures(monkeypatch, rng, make_measure):
+    cases = [(mu, mu, p) for p in (1.0, 1.5, 2.0)
+             for mu in (make_measure(rng, int(rng.integers(1, 4)), allow_empty=False) for _ in range(10))]
+    for sx in _initial_trees(monkeypatch, cases):
+        _check_initial_tree(sx)
+    monkeypatch.undo()
+    for mu, _, p in cases:
+        rep = solve(mu, mu, CostSpec(p))
+        assert rep.value == 0.0 and rep.distance == 0.0 and rep.gap == 0.0
+
+
+def test_greedy_basis_with_one_empty_side(monkeypatch, rng, make_measure):
+    full = make_measure(rng, 2, allow_empty=False)
+    empty = DiscreteMeasure.empty(2)
+    cases = [(full, empty, 2.0), (empty, full, 1.0), (empty, empty, 1.5)]
+    for sx in _initial_trees(monkeypatch, cases):
+        _check_initial_tree(sx)
+    monkeypatch.undo()
+    for mu, nu, p in cases:
+        assert solve(mu, nu, CostSpec(p)).iterations == 0
+
+
+def test_greedy_basis_on_tied_distances(monkeypatch):
+    # two interleaved lattices: every atom has several partners at one distance
+    grid = np.array([[a, b] for a in range(-3, 4) for b in range(-3, 4) if (a, b) != (0, 0)], dtype=float)
+    mu = DiscreteMeasure(2, grid * 0.25, np.ones(len(grid)))
+    nu = DiscreteMeasure(2, grid * 0.25 + 0.125, np.full(len(grid), 2.0))
+    cases = [(mu, nu, p) for p in (1.0, 1.5, 2.0)] + [(nu, mu, 2.0)]
+    for sx in _initial_trees(monkeypatch, cases):
+        _check_initial_tree(sx)
+    monkeypatch.undo()
+    for mu, nu, p in cases:
+        rep = solve(mu, nu, CostSpec(p))
+        assert rep.gap <= 1e-9 * (1.0 + rep.value)
+        assert verify_plan(rep.plan, mu, nu) == []
+        assert k_support_check(rep.plan, mu, nu, p) == []
+
+
+# Coordinates on a coarse lattice make tied distances likely; free floats
+# away from 0 cover the rest.
+_COORD = st.one_of(st.integers(-8, 8).map(lambda k: k / 4), st.floats(-2.0, 2.0).filter(lambda c: abs(c) >= 1e-3))
+_P = st.sampled_from([1.0, 1.5, 2.0])
+
+
+@st.composite
+def _instances(draw, max_atoms, unit):
+    dim = draw(st.integers(1, 3))
+    point = st.tuples(*[_COORD] * dim).filter(any)
+    sides = []
+    for _ in range(2):
+        sites = draw(st.lists(point, max_size=max_atoms, unique=True))
+        weights = [1.0] * len(sites) if unit else draw(
+            st.lists(st.floats(0.1, 3.0), min_size=len(sites), max_size=len(sites))
+        )
+        sides.append(DiscreteMeasure(dim, np.array(sites, dtype=float).reshape(-1, dim), weights))
+    return sides
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@given(_instances(6, unit=True), _P)
+def test_property_unit_weights_match_oracle(sides, p):
+    mu, nu = sides
+    assert abs(solve(mu, nu, CostSpec(p)).value - brute_force_unit(mu, nu, p)) <= 1e-10
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=80)
+@given(_instances(40, unit=False), _P)
+def test_property_weighted_instances_certify(sides, p):
+    mu, nu = sides
+    rep = solve(mu, nu, CostSpec(p))
+    assert rep.gap <= 1e-9 * (1.0 + rep.value)
+    assert verify_plan(rep.plan, mu, nu) == []
+    assert k_support_check(rep.plan, mu, nu, p) == []
 
 
 def test_solve_single_pair_direct():
