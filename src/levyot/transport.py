@@ -205,11 +205,14 @@ class _Simplex:
     projects both measures onto the origin.
 
     The spanning tree is kept as a preorder sequence (``order``/``pos``) with
-    subtree sizes, so each pivot moves contiguous array segments and applies
-    dual updates as vectorised slice operations.  Entering arcs come first
-    from a sparse nearest-neighbour warm-start pool, then from full-matrix
-    candidate pools that are re-priced wholesale between pivots; termination
-    is certified by a full scan against freshly recomputed tree potentials.
+    subtree sizes, so each pivot moves contiguous array segments and shifts
+    the node potentials of one preorder segment with a single add.  Entering
+    arcs come first from a sparse nearest-neighbour warm-start pool, then
+    from candidate pools that a full scan fills with the eligible and the
+    near-eligible arcs.  A pool is re-priced wholesale between pivots, so an
+    arc that turns eligible is entered without another scan; a full scan is
+    needed only when the pool runs dry, and the last one, against freshly
+    recomputed tree potentials, certifies optimality.
     """
 
     def __init__(
@@ -232,8 +235,12 @@ class _Simplex:
         self.tol = PIVOT_TOL * _cost_scale(cost)
         self.iterations = 0
 
-        self.u = np.zeros(self.m)
-        self.v = np.zeros(self.n)
+        # One potential per node: pot[i] = u_i for sources, pot[m + j] = -v_j
+        # for sinks, so arc (i, j) prices at c_ij - pot[i] + pot[m + j] and a
+        # dual shift is one add over a preorder segment.  u and w are views.
+        self.pot = np.zeros(self.N)
+        self.u = self.pot[: self.m]
+        self.w = self.pot[self.m :]
         # Above the k-NN threshold the warm-start pool finds the cheap arcs
         # instead; a greedy start there measured slower (deeper trees).
         self.warm = self._neighbor_arcs()
@@ -357,7 +364,8 @@ class _Simplex:
 
     def _pivot(self, i: int, j: int) -> None:
         s_node, t_node = i, self.m + j
-        delta = float(self.cost[i, j] - self.u[i] - self.v[j])
+        pot = self.pot
+        delta = self.cost.item(i, j) - pot.item(s_node) + pot.item(t_node)
         m, pos, size, parent, flow = self.m, self.pos, self.size, self.parent, self.flow
 
         # Climb from each endpoint to the lowest common ancestor.
@@ -409,21 +417,19 @@ class _Simplex:
             e_sub, e_root = t_node, s_node
         self._rehang(leave_chain[: leave_k + 1], e_root, theta, lca)
 
-        # Dual update: every potential in the detached subtree shifts by the
-        # entering arc's reduced cost (sign split between sources and sinks).
+        # Dual update: every node potential in the detached subtree shifts by
+        # the entering arc's reduced cost, signed by the side of its root.
         # When the detached side is the larger one, shift the complement the
         # other way instead; reduced costs only see the difference.
         a = pos.item(e_sub)
         sz = size[e_sub]
         du = delta if e_sub < m else -delta
+        order = self.order
         if 2 * sz <= self.N:
-            seg = self.order[a : a + sz]
+            pot[order[a : a + sz]] += du
         else:
-            seg = np.concatenate((self.order[:a], self.order[a + sz :]))
-            du = -du
-        is_src = seg < m
-        self.u[seg[is_src]] += du
-        self.v[seg[~is_src] - m] -= du
+            pot[order[:a]] -= du
+            pot[order[a + sz :]] -= du
         self.iterations += 1
 
     def _rehang(self, chain: list[int], e_root: int, theta: float, lca: int) -> None:
@@ -487,44 +493,58 @@ class _Simplex:
 
     # -- pricing -----------------------------------------------------------
 
-    def _refill(self) -> np.ndarray:
-        """One full scan; the most negative arcs as a candidate pool.
+    def _refill(self) -> tuple[np.ndarray, float]:
+        """One full scan; the eligible and near-eligible arcs as a pool.
 
-        The pool is sorted by (reduced cost, flat index), so ties resolve to
-        the lexicographically smallest (i, j).
+        Admits every arc that prices below theta = max(-tol, q), where q is
+        the reduced cost below which about ``refill_size`` arcs fall, read
+        off every 16th row before the scan (+inf when the pool can hold every
+        arc).  So the pool holds all eligible arcs, up to ``refill_size``, and
+        pads them with the arcs closest to eligibility.  The pool is empty
+        exactly when no arc prices below -tol; otherwise it keeps the
+        ``refill_size`` cheapest admitted arcs, sorted by (reduced cost, flat
+        index) so that ties resolve to the lexicographically smallest (i, j).
+        Returns the pool and theta.
         """
         take = self.refill_size
         n = self.n
+        sample = self.cost[::16] - self.u[::16, None]
+        sample += self.w
+        sample = sample.reshape(-1)
+        k = take * sample.size // self.cost.size  # sampled arcs below q
+        q = float(np.partition(sample, k)[k]) if k < sample.size else math.inf
+        theta = max(-self.tol, q)
+
         step = self._scan_buf.shape[0]
         idx_parts: list[np.ndarray] = []
         val_parts: list[np.ndarray] = []
         # Row blocks keep the scratch buffer cache-resident across the two
-        # subtractions and the comparison.
+        # arithmetic passes and the comparison.
         for r0 in range(0, self.m, step):
             r1 = min(r0 + step, self.m)
             red = self._scan_buf[: r1 - r0]
             np.subtract(self.cost[r0:r1], self.u[r0:r1, None], out=red)
-            red -= self.v
+            red += self.w
             flat = red.reshape(-1)
-            hit = np.flatnonzero(flat < -self.tol)
+            hit = np.flatnonzero(flat < theta)
             if hit.size:
                 idx_parts.append(hit + r0 * n)
                 val_parts.append(flat[hit])
-        if not idx_parts:
-            return np.zeros(0, dtype=np.int64)
+        vals = np.concatenate(val_parts) if val_parts else np.zeros(0)
+        if not (vals.size and vals.min() < -self.tol):
+            return np.zeros(0, dtype=np.int64), theta
         idx = np.concatenate(idx_parts).astype(np.int64, copy=False)
-        vals = np.concatenate(val_parts)
         if idx.size > take:
             part = np.argpartition(vals, take - 1)[:take]
             idx = idx[part]
             vals = vals[part]
         sel = np.lexsort((idx, vals))
-        return idx[sel]
+        return idx[sel], theta
 
     def _bland_arc(self) -> Optional[tuple[int, int]]:
         """First arc in lexicographic (i, j) order with negative reduced cost."""
         for i in range(self.m):
-            red = self.cost[i] - self.u[i] - self.v
+            red = self.cost[i] - self.u[i] + self.w
             js = np.nonzero(red < -self.tol)[0]
             if js.size:
                 return i, int(js[0])
@@ -532,44 +552,50 @@ class _Simplex:
 
     # -- driver ------------------------------------------------------------
 
-    def _drain_pool(self, pool: np.ndarray, batch: int, deadline: int) -> None:
-        """Pivot on pool arcs until none of them price negative.
+    def _drain_pool(self, pool: np.ndarray, theta: float, batch: int, deadline: int) -> None:
+        """Pivot on pool arcs until none of them price below -tol.
 
-        The pool is re-priced wholesale between batches: arcs flip in and out
-        of eligibility as the duals move, so nothing is discarded early.
+        ``theta`` is the reduced cost below which the pool admitted its arcs.
+        The whole pool is re-priced between batches, arcs that are not
+        eligible yet included: an arc that turns eligible after a pivot is
+        entered from here, without another full scan.  Once fewer than one
+        in eight pool arcs price below theta, the pool shrinks to those arcs
+        so the re-pricing stays cheap; arcs dropped then are caught by the
+        next full scan if they come back.
         """
-        n = self.n
+        n, m, tol, cost, pot = self.n, self.m, self.tol, self.cost, self.pot
         pool_rows = pool // n
-        pool_cols = pool - pool_rows * n
+        pool_sinks = pool - pool_rows * n + m
         # Gathered once: re-pricing then reads the pool's costs contiguously
         # instead of scattering into the full cost matrix every batch.
-        pool_cost = self.cost.reshape(-1)[pool]
+        pool_cost = cost.reshape(-1)[pool]
+        red = np.empty(pool.size)  # reused: a fresh array per batch page-faults
         while True:
             if self.iterations > deadline:
                 return
-            red = pool_cost - self.u[pool_rows]
-            red -= self.v[pool_cols]
-            alive = np.nonzero(red < -self.tol)[0]
+            np.subtract(pool_cost, pot.take(pool_rows), out=red)
+            red += pot.take(pool_sinks)
+            alive = np.flatnonzero(red < -tol)
             if alive.size == 0:
                 return
             if alive.size * 8 < pool.size:
-                # Almost everything priced out; shrink the pool so the
-                # wholesale re-pricing stays cheap.  Dropped arcs are caught
-                # by the next full refill if they come back.
-                pool = pool[alive]
-                pool_rows = pool_rows[alive]
-                pool_cols = pool_cols[alive]
-                pool_cost = pool_cost[alive]
-                red = red[alive]
-                alive = np.arange(pool.size)
+                below = red < theta
+                if np.count_nonzero(below) * 8 < pool.size:
+                    keep = np.flatnonzero(below)
+                    pool = pool[keep]
+                    pool_rows = pool_rows[keep]
+                    pool_sinks = pool_sinks[keep]
+                    pool_cost = pool_cost[keep]
+                    red = red[keep]
+                    alive = np.flatnonzero(red < -tol)
             if alive.size > batch:
                 take = alive[np.argpartition(red[alive], batch - 1)[:batch]]
             else:
                 take = alive
             sel = take[np.lexsort((pool[take], red[take]))]
             for flat in pool[sel].tolist():
-                i, j = flat // n, flat % n
-                if self.cost[i, j] - self.u[i] - self.v[j] < -self.tol:
+                i, j = divmod(flat, n)
+                if cost.item(i, j) - pot.item(i) + pot.item(m + j) < -tol:
                     self._pivot(i, j)
 
     def _neighbor_arcs(self) -> Optional[np.ndarray]:
@@ -602,9 +628,11 @@ class _Simplex:
         batch = 128
 
         # Phase 1: drive the basis close to optimal on a sparse arc set where
-        # re-pricing is nearly free.
+        # re-pricing is nearly free.  Its arcs are admitted for being near,
+        # not cheap, so its admission threshold is -tol: once most price out,
+        # only the eligible ones are kept.
         if self.warm is not None:
-            self._drain_pool(self.warm, batch, bland_after)
+            self._drain_pool(self.warm, -self.tol, batch, bland_after)
 
         # Phase 2: full pricing until a complete scan certifies optimality.
         while True:
@@ -619,10 +647,10 @@ class _Simplex:
             # Incremental dual updates accumulate rounding over many pivots;
             # refresh them before scanning and certifying optimality.
             self._restore_potentials()
-            pool = self._refill()
+            pool, theta = self._refill()
             if pool.size == 0:
                 break
-            self._drain_pool(pool, batch, bland_after)
+            self._drain_pool(pool, theta, batch, bland_after)
 
         self._restore_flows()
         self._restore_potentials()
@@ -648,19 +676,18 @@ class _Simplex:
                     flow[node] = 0.0
 
     def _restore_potentials(self) -> None:
-        self.u[self.root] = 0.0
+        """Node potentials from the tree: zero at the root, tight basic arcs."""
         m = self.m
         cost = self.cost
         parent = self.parent
-        u, v = self.u, self.v
+        pot = [0.0] * self.N
         for node in self.order.tolist()[1:]:
             par = parent[node]
             if node < m:
-                j = par - m
-                u[node] = cost[node, j] - v[j]
+                pot[node] = cost.item(node, par - m) + pot[par]
             else:
-                j = node - m
-                v[j] = cost[par, j] - u[par]
+                pot[node] = pot[par] - cost.item(par, node - m)
+        self.pot[:] = pot
 
 
 # ---------------------------------------------------------------------------
@@ -724,8 +751,8 @@ def solve(mu: DiscreteMeasure, nu: DiscreteMeasure, cost: CostSpec) -> SolveRepo
 
     # Shift tree potentials so both reservoir nodes sit exactly at zero; the
     # result is feasible and optimal for the reservoir LP.
-    phi = sx.u[:m] + sx.v[n]
-    psi = sx.v[:n] + sx.u[m]
+    phi = sx.u[:m] - sx.w[n]
+    psi = sx.u[m] - sx.w[:n]
     duals = DualPotentials(phi=phi, psi=psi, p=cost.p)
 
     terms = (C[direct_r, direct_c] * direct_v).tolist()

@@ -141,6 +141,9 @@ def _star_reference(sx):
     v[:] = cost[m - 1, :]
     u[: m - 1] = cost[: m - 1, n - 1] - v[n - 1]
     u[sx.root] = 0.0
+    # the simplex keeps one node potential, pot = (u, -v); its sink entries
+    # are root potential minus cost, so a zero cost gives +0.0, not -0.0
+    pot = np.concatenate([u, 0.0 - v])
     order = np.concatenate([[sx.root], sinks[:-1], [sx.vsink], np.arange(m - 1)]).astype(np.int64)
     pos = np.empty(N, dtype=np.int64)
     pos[order] = np.arange(N)
@@ -148,13 +151,13 @@ def _star_reference(sx):
     size[sx.root] = N
     size[sx.vsink] = m
     return {"order": order, "pos": pos, "size": size.tolist(), "parent": parent.tolist(),
-            "flow": flow.tolist(), "u": u, "v": v}
+            "flow": flow.tolist(), "u": u, "w": pot[m:], "pot": pot}
 
 
 def _assert_tree_is(sx, ref):
-    for key in ("order", "pos", "u", "v"):
-        assert np.array_equal(getattr(sx, key), ref[key]), key
+    for key in ("order", "pos", "u", "w", "pot"):
         assert getattr(sx, key).dtype == ref[key].dtype, key
+        assert getattr(sx, key).tobytes() == ref[key].tobytes(), key
     for key in ("size", "parent", "flow"):
         assert getattr(sx, key) == ref[key], key
 
@@ -173,6 +176,99 @@ def test_empty_forest_builds_the_star(monkeypatch, make_measure, dim, p):
     (sx,) = _initial_trees(monkeypatch, [(*big, p)])
     assert sx.warm is not None
     _assert_tree_is(sx, _star_reference(sx))
+
+
+def _clouds(rng, sizes, dim=3):
+    """Normal atom clouds with weights in [0.2, 2]; 300x260 is above the k-NN threshold."""
+    return tuple(DiscreteMeasure(dim, rng.normal(size=(k, dim)), rng.uniform(0.2, 2.0, k)) for k in sizes)
+
+
+def _check_refill(sx):
+    """``_refill`` against the brute-force reduced costs; returns the number
+    of eligible arcs and the pool size."""
+    pool, theta = sx._refill()
+    red = ((sx.cost - sx.u[:, None]) + sx.w).reshape(-1)
+    eligible = np.flatnonzero(red < -sx.tol)
+    assert (pool.size == 0) == (eligible.size == 0)
+    if pool.size:
+        assert pool.dtype == np.int64 and np.unique(pool).size == pool.size <= sx.refill_size
+        assert theta >= -sx.tol and np.all(red[pool] < theta)
+        assert np.array_equal(pool, pool[np.lexsort((pool, red[pool]))])
+        if eligible.size <= sx.refill_size:
+            assert np.isin(eligible, pool).all()
+        left_out = np.ones(red.size, dtype=bool)
+        left_out[pool] = False
+        if left_out.any():
+            assert red[left_out].min() >= red[pool].max()
+    return eligible.size, pool.size
+
+
+def test_refill_contract(monkeypatch, rng):
+    cases = [(*_clouds(rng, (300, 260)), 2.0), (*_clouds(rng, (7, 5), dim=2), 1.0)]
+    sx, small = _initial_trees(monkeypatch, cases)
+    monkeypatch.undo()
+    sizes = {}
+    # above the k-NN threshold: at the start, a few hundred pivots in, after
+    # the warm pool ran dry, and at the optimum
+    sizes["start"] = _check_refill(sx)
+    sx._drain_pool(sx.warm, -sx.tol, 128, 300)
+    sizes["mid"] = _check_refill(sx)
+    sx._drain_pool(sx.warm, -sx.tol, 128, math.inf)
+    sizes["warm done"] = _check_refill(sx)
+    sx.run()
+    sizes["optimal"] = _check_refill(sx)
+    # a small instance from the star: the pool can hold every arc
+    small._build_tree([], np.concatenate([small.supply, small.demand]).tolist())
+    sizes["small"] = _check_refill(small)
+    small.run()
+    sizes["small optimal"] = _check_refill(small)
+
+    # every regime is hit: trimmed to capacity, padded with near-eligible
+    # arcs, the whole small matrix, and empty at the optimum
+    assert sizes["start"][0] > sx.refill_size == sizes["start"][1]
+    assert 0 < sizes["warm done"][0] < sizes["warm done"][1]
+    assert 0 < sizes["small"][0] < sizes["small"][1] == small.cost.size
+    assert sizes["optimal"] == sizes["small optimal"] == (0, 0)
+
+
+@pytest.mark.parametrize("p", [1.0, 1.5, 2.0])
+def test_node_potentials_follow_the_tree(monkeypatch, rng, p):
+    (sx,) = _initial_trees(monkeypatch, [(*_clouds(rng, (300, 260)), p)])
+    sx._drain_pool(sx.warm, -sx.tol, 128, 300)
+    assert sx.iterations > 300
+    bound = 1e-12 * _cost_scale(sx.cost)
+    pot = sx.pot.copy()
+    # every basic arc prices at zero: c_ij - pot[i] + pot[m + j], pot = (u, -v)
+    node = np.flatnonzero(np.arange(sx.N) != sx.root)
+    par = np.array(sx.parent)[node]
+    src, snk = np.where(node < sx.m, node, par), np.where(node < sx.m, par, node)
+    assert np.abs(sx.cost[src, snk - sx.m] - pot[src] + pot[snk]).max() <= bound
+    # the incremental shifts agree with a fresh restore, and u, w stay views
+    sx._restore_potentials()
+    assert np.abs(pot - sx.pot).max() <= bound
+    assert sx.u.base is sx.pot and sx.w.base is sx.pot
+
+
+@pytest.mark.parametrize("p", [1.0, 1.5, 2.0])
+@pytest.mark.parametrize("sizes", [(300, 260), (400, 400)])
+def test_full_scans_fill_the_pool_and_certify(monkeypatch, sizes, p):
+    import levyot.transport as tr
+
+    scans = []
+    refill = tr._Simplex._refill
+
+    def counting_refill(self):
+        pool, theta = refill(self)
+        scans.append(pool.size)
+        return pool, theta
+
+    monkeypatch.setattr(tr._Simplex, "_refill", counting_refill)
+    mu, nu = _clouds(np.random.default_rng(sum(sizes)), sizes)
+    rep = solve(mu, nu, CostSpec(p))
+    # the near-eligible padding catches the end game; the last scan certifies
+    assert len(scans) <= 4 and scans[-1] == 0
+    assert rep.gap <= 1e-9 * (1.0 + rep.value)
+    assert verify_plan(rep.plan, mu, nu) == []
 
 
 def _check_initial_tree(sx):
@@ -533,3 +629,6 @@ def test_determinism():
     assert np.array_equal(a.plan.direct_rows, b.plan.direct_rows)
     assert np.array_equal(a.plan.direct_vals, b.plan.direct_vals)
     assert np.array_equal(a.duals.phi, b.duals.phi)
+    # the k-NN path, with its sampled pool threshold, is just as repeatable
+    big = _clouds(rng, (300, 260))
+    assert solve(*big, CostSpec(1.5)).to_dict() == solve(*big, CostSpec(1.5)).to_dict()
