@@ -131,6 +131,13 @@ def positive_part_dual_bound(mu: DiscreteMeasure, nu: DiscreteMeasure, p: float)
     return math.fsum(w * r**p for w, r in zip(net.tolist(), radii.tolist()))
 
 
+def _check_radius(r: float) -> float:
+    r = float(r)
+    if not 0.0 < r <= 1.0:
+        raise ValueError(f"restriction radius must lie in (0, 1], got {r!r}")
+    return r
+
+
 def restriction_bound(mu: DiscreteMeasure, r: float, p: float) -> float:
     """Cost of stripping everything inside B_r: sum of |z|^p w over |z| < r.
 
@@ -138,9 +145,7 @@ def restriction_bound(mu: DiscreteMeasure, r: float, p: float) -> float:
     plan sends exactly that mass to the reservoir and leaves the rest alone.
     """
     p = _check_p(p)
-    r = float(r)
-    if not 0.0 < r <= 1.0:
-        raise ValueError("restriction radius must lie in (0, 1]")
+    r = _check_radius(r)
     mask = mu.radii < r
     return math.fsum((mu.weights[mask] * _pow(mu.radii[mask], p)).tolist())
 

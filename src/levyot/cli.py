@@ -22,6 +22,7 @@ from . import bounds, families, suites, transport, viscosity
 from .measures import (
     DiscreteMeasure,
     SchemaError,
+    _check_p,
     _read_json,
     load_measure,
     restrict_outside,
@@ -294,11 +295,26 @@ def _at_least(low: int):
     return parse
 
 
-def _float_list(tok: str) -> list[float]:
-    try:
-        return [float(t) for t in tok.split(",")]
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected comma-separated numbers, got {tok!r}") from None
+def _ruled(rule):
+    """argparse type for a number that the library's ``rule`` accepts.
+
+    ``rule`` returns the number or raises ValueError, whose message becomes
+    the usage error, so each range is written once, where the library
+    enforces it.
+    """
+
+    def parse(tok: str) -> float:
+        try:
+            return rule(float(tok))
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+
+    return parse
+
+
+def _list_of(parse):
+    """argparse type for a comma-separated list of ``parse`` tokens."""
+    return lambda tok: [parse(t) for t in tok.split(",")]
 
 
 def _tol_override(tok: str) -> tuple[str, float]:
@@ -325,30 +341,30 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("dist", help="solve the transport problem between two measure files")
     p.add_argument("mu")
     p.add_argument("nu")
-    p.add_argument("--p", type=float, default=2.0)
+    p.add_argument("--p", type=_ruled(_check_p), default=2.0)
     add_out(p)
     p.set_defaults(func=cmd_dist)
 
     p = sub.add_parser("dual", help="report the optimal dual potentials")
     p.add_argument("mu")
     p.add_argument("nu")
-    p.add_argument("--p", type=float, default=2.0)
+    p.add_argument("--p", type=_ruled(_check_p), default=2.0)
     add_out(p)
     p.set_defaults(func=cmd_dual)
 
     p = sub.add_parser("bounds", help="closed-form bounds against the exact distance (CSV)")
     p.add_argument("mu")
     p.add_argument("nu")
-    p.add_argument("--p", type=float, default=2.0)
-    p.add_argument("--r", type=float, default=0.5, help="radius for the restriction bound")
+    p.add_argument("--p", type=_ruled(_check_p), default=2.0)
+    p.add_argument("--r", type=_ruled(bounds._check_radius), default=0.5, help="radius for the restriction bound")
     p.add_argument("--json", action="store_true", help="emit JSON instead of CSV")
     add_out(p)
     p.set_defaults(func=cmd_bounds)
 
     p = sub.add_parser("sweep", help="regularity sweep of a family config (CSV)")
     p.add_argument("--config", required=True)
-    p.add_argument("--p", type=float, default=1.0)
-    p.add_argument("--s", type=float, default=1.0)
+    p.add_argument("--p", type=_ruled(_check_p), default=1.0)
+    p.add_argument("--s", type=_ruled(families._check_s), default=1.0)
     p.add_argument("--pairs", type=_at_least(0), default=10)
     p.add_argument("--seed", type=_at_least(0), default=0)
     p.add_argument("--json", action="store_true", help="emit JSON instead of CSV")
@@ -357,7 +373,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("convolve", help="sup/inf-convolution of a grid function")
     p.add_argument("grid")
-    p.add_argument("--delta", type=float, required=True)
+    p.add_argument("--delta", type=_ruled(viscosity._check_delta), required=True)
     p.add_argument("--mode", choices=["sup", "inf"], default="sup")
     add_out(p)
     p.set_defaults(func=cmd_convolve)
@@ -365,16 +381,16 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("doubling", help="penalized two-point maximization of u(x) - v(y)")
     p.add_argument("u")
     p.add_argument("v")
-    p.add_argument("--epsilon", type=float, required=True)
-    p.add_argument("--kappa", type=float, default=0.5)
-    p.add_argument("--p", type=float, default=2.0)
+    p.add_argument("--epsilon", type=_ruled(viscosity._check_epsilon), required=True)
+    p.add_argument("--kappa", type=_ruled(viscosity._check_kappa), default=0.5)
+    p.add_argument("--p", type=_ruled(_check_p), default=2.0)
     add_out(p)
     p.set_defaults(func=cmd_doubling)
 
     p = sub.add_parser("experiment", help="linear-equation doubling experiment on a periodic line")
     p.add_argument("--nodes", type=_at_least(2), default=512)
-    p.add_argument("--epsilons", type=_float_list, default="1e-1,1e-2,1e-3,1e-4")
-    p.add_argument("--lam", type=float, default=1.0)
+    p.add_argument("--epsilons", type=_list_of(_ruled(viscosity._check_epsilon)), default="1e-1,1e-2,1e-3,1e-4")
+    p.add_argument("--lam", type=_ruled(lambda lam: viscosity._check_lam(lam, lam)), default=1.0)
     p.add_argument("--shift", type=float, default=0.1, help="translation amplitude of the family")
     p.add_argument("--center", type=float, default=0.5, help="base position of the single atom")
     p.add_argument("--csv", action="store_true", help="emit per-epsilon CSV instead of JSON")

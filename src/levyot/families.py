@@ -33,7 +33,6 @@ __all__ = [
     "pushforward",
     "regularity_sweep",
     "sweep_pairs",
-    "small_jump_profile",
     "build_family",
 ]
 
@@ -149,9 +148,11 @@ class KernelFamily:
     """Measures with densities K(x, z) dz under a power-law envelope.
 
     ``density(x, Z)`` evaluates K at one base point and a batch of jump
-    locations Z of shape (k, dim).  The envelope is lambda1 |z|^{-(dim+sigma)};
-    ``holder_gamma``, when declared, asserts |K(x,z) - K(y,z)| <=
-    |x-y|^gamma * envelope(z).
+    locations Z of shape (k, dim).  ``lambda1`` declares the envelope
+    K(x, z) <= lambda1 |z|^{-(dim+sigma)} and ``holder_gamma``, when given,
+    declares |K(x,z) - K(y,z)| <= |x-y|^gamma lambda1 |z|^{-(dim+sigma)}.
+    Both are declarations: nothing here checks them, and the discretization
+    does not use them.
     """
 
     density: Callable[[np.ndarray, np.ndarray], np.ndarray]
@@ -163,29 +164,6 @@ class KernelFamily:
     def __post_init__(self) -> None:
         if self.sigma <= 0.0 or self.lambda1 < 0.0:
             raise ValueError("need sigma > 0 and a nonnegative envelope constant")
-
-    def envelope(self, Z: np.ndarray) -> np.ndarray:
-        return self.lambda1 * _radial_power(Z, -(self.dim + self.sigma))
-
-    def validate(self, xs: Sequence[np.ndarray], Z: np.ndarray, tol: float = 1e-9) -> list[str]:
-        """Sampled envelope and Holder checks; empty list when all hold."""
-        out: list[str] = []
-        env = self.envelope(Z)
-        vals = {tuple(np.atleast_1d(x)): np.asarray(self.density(np.atleast_1d(x), Z)) for x in xs}
-        for key, kv in vals.items():
-            if np.any(kv < -tol):
-                out.append(f"negative density at x={key}")
-            if np.any(kv > env + tol):
-                out.append(f"envelope violated at x={key}")
-        if self.holder_gamma is not None:
-            keys = list(vals)
-            for i in range(len(keys)):
-                for j in range(i + 1, len(keys)):
-                    gap = np.abs(vals[keys[i]] - vals[keys[j]])
-                    sep = np.linalg.norm(np.array(keys[i]) - np.array(keys[j]))
-                    if np.any(gap > sep ** self.holder_gamma * env + tol):
-                        out.append(f"Holder bound violated between x={keys[i]} and x={keys[j]}")
-        return out
 
 
 @dataclass(frozen=True)
@@ -228,7 +206,8 @@ class LevyItoFamily:
 
     ``maps(x)`` returns the vectorised transport map z -> T_x(z); ``rho``
     evaluates the declared growth profile on base atoms, with |T_x(z)| <=
-    bound_C rho(z) and |T_x(z) - T_y(z)| <= bound_C rho(z) |x - y|.
+    bound_C rho(z) and |T_x(z) - T_y(z)| <= bound_C rho(z) |x - y|.  These
+    bounds are declarations, which nothing here checks.
     """
 
     base: DiscreteMeasure
@@ -236,29 +215,6 @@ class LevyItoFamily:
     rho: Callable[[np.ndarray], np.ndarray]
     bound_C: float
     dim_out: int
-
-    def validate_bounds(self, xs: Sequence, tol: float = 1e-9) -> list[str]:
-        out: list[str] = []
-        if self.base.n_atoms == 0:  # reshape(0, -1) below cannot infer the image width
-            return out
-        prof = self.bound_C * np.asarray(self.rho(self.base.positions), dtype=float)
-        images = {}
-        for x in xs:
-            x = np.atleast_1d(np.asarray(x, dtype=float))
-            img = np.asarray(self.maps(x)(self.base.positions), dtype=float).reshape(
-                self.base.n_atoms, -1
-            )
-            images[tuple(x)] = img
-            if np.any(np.linalg.norm(img, axis=1) > prof + tol):
-                out.append(f"growth bound violated at x={tuple(x)}")
-        keys = list(images)
-        for i in range(len(keys)):
-            for j in range(i + 1, len(keys)):
-                sep = np.linalg.norm(np.array(keys[i]) - np.array(keys[j]))
-                gap = np.linalg.norm(images[keys[i]] - images[keys[j]], axis=1)
-                if np.any(gap > prof * sep + tol):
-                    out.append(f"map Lipschitz bound violated between {keys[i]} and {keys[j]}")
-        return out
 
 
 def _discretize(density: Callable[[np.ndarray], np.ndarray], dim: int, grid: AnnularGrid) -> DiscreteMeasure:
@@ -328,6 +284,13 @@ class SweepReport:
     s: float
 
 
+def _check_s(s: float) -> float:
+    s = float(s)
+    if not 0.0 < s < math.inf:
+        raise ValueError(f"regularity exponent s must be positive and finite, got {s!r}")
+    return s
+
+
 def regularity_sweep(
     make_measure: Callable[[np.ndarray], DiscreteMeasure],
     pairs: Sequence[tuple[np.ndarray, np.ndarray]],
@@ -343,8 +306,7 @@ def regularity_sweep(
     its inner radius (the larger of the two endpoints per pair).
     """
     p = _check_p(p)
-    if s <= 0.0:
-        raise ValueError("regularity exponent s must be positive")
+    s = _check_s(s)
 
     prepared = []
     for x, y in pairs:
@@ -353,66 +315,46 @@ def regularity_sweep(
         sep = float(np.linalg.norm(x - y))
         if sep == 0.0:
             raise ValueError("sweep pairs must be distinct")
-        prepared.append((x, y, sep))
+        try:
+            scale = sep**s
+        except OverflowError:
+            scale = math.inf
+        if not 0.0 < scale < math.inf:
+            raise ValueError(f"|x - y|^s = {sep!r}^{s!r} leaves the float range; use a smaller s")
+        prepared.append((x, y, sep, scale))
 
     def one(pair) -> PairResult:
-        x, y, sep = pair
+        x, y, sep, scale = pair
         hat_x = decompose(make_measure(x)).hat
         hat_y = decompose(make_measure(y)).hat
         dist = transport.distance(hat_x, hat_y, p)
+        ratio = dist / scale
+        if not math.isfinite(ratio):
+            raise ValueError(f"distance / |x - y|^s = {dist!r} / {scale!r} overflows; use a smaller s")
         tc = 0.0
         if truncation_cost is not None:
             tc = max(float(truncation_cost(x)), float(truncation_cost(y)))
-        return PairResult(x=x, y=y, separation=sep, distance=dist, ratio=dist / sep**s, truncation_cost=tc)
+        return PairResult(x=x, y=y, separation=sep, distance=dist, ratio=ratio, truncation_cost=tc)
 
     rows = [one(pair) for pair in prepared]
     max_ratio = max((r.ratio for r in rows), default=0.0)
     return SweepReport(rows=rows, max_ratio=max_ratio, p=p, s=s)
 
 
-def sweep_pairs(
-    n_pairs: int,
-    dim: int,
-    seed: int,
-    delta_min: float = 1e-3,
-    delta_max: float = 0.5,
-    box: float = 1.0,
-) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Seeded (x, x + delta e) pairs with log-spaced separations in the box."""
+def sweep_pairs(n_pairs: int, dim: int, seed: int) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Seeded (x, x + delta e) pairs: x uniform in [-1, 1]^dim, e a random unit
+    vector, and separations delta log-spaced from 1e-3 to 0.5."""
     rng = np.random.default_rng(seed)
     if n_pairs <= 0:
         return []
-    deltas = np.geomspace(delta_min, delta_max, n_pairs)
+    deltas = np.geomspace(1e-3, 0.5, n_pairs)
     pairs = []
     for delta in deltas:
-        x = rng.uniform(-box, box, size=dim)
+        x = rng.uniform(-1.0, 1.0, size=dim)
         e = rng.normal(size=dim)
         e /= np.linalg.norm(e)
         pairs.append((x, x + delta * e))
     return pairs
-
-
-def small_jump_profile(
-    make_measure: Callable[[np.ndarray], DiscreteMeasure],
-    xs: Sequence[np.ndarray],
-    radii: Sequence[float],
-    p: float,
-) -> list[float]:
-    """Empirical modulus sup_x of the p-cost carried by jumps inside B_r.
-
-    Reported per radius; no functional form is asserted beyond monotonicity,
-    which the caller can check on the returned curve.
-    """
-    p = _check_p(p)
-    measures = [make_measure(np.atleast_1d(np.asarray(x, dtype=float))) for x in xs]
-    curve = []
-    for r in radii:
-        worst = 0.0
-        for mu in measures:
-            mask = mu.radii < r
-            worst = max(worst, math.fsum((mu.weights[mask] * mu.radii[mask] ** p).tolist()))
-        curve.append(worst)
-    return curve
 
 
 # ---------------------------------------------------------------------------

@@ -91,13 +91,13 @@ def random_unit_measure(rng: np.random.Generator, dim: int, max_atoms: int = 5) 
 
 
 def random_grid_function(
-    rng: np.random.Generator, dim: int, n_nodes: int, box: float = 1.0, modes: int = 5
+    rng: np.random.Generator, dim: int, n_nodes: int, box: float = 1.0
 ) -> viscosity.GridFunction:
-    """Random smooth trigonometric sample on a box grid, sup-norm about one."""
+    """Random smooth sample of five trigonometric modes on a box grid, sup-norm one."""
     axes = [np.linspace(-box, box, n_nodes) for _ in range(dim)]
     mesh = np.meshgrid(*axes, indexing="ij")
     vals = np.zeros_like(mesh[0])
-    for k in range(1, modes + 1):
+    for k in range(1, 6):
         coef = rng.normal() / k
         phase = rng.uniform(0, 2 * math.pi, size=dim)
         wave = np.ones_like(vals)

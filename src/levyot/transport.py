@@ -234,6 +234,8 @@ class _Simplex:
         self.vsink = self.N - 1  # virtual sink
         self.tol = PIVOT_TOL * _cost_scale(cost)
         self.iterations = 0
+        # Past this many pivots, pool pricing gives way to Bland's rule.
+        self.bland_after = 500 * self.N + 100_000
 
         # One potential per node: pot[i] = u_i for sources, pot[m + j] = -v_j
         # for sinks, so arc (i, j) prices at c_ij - pot[i] + pot[m + j] and a
@@ -552,18 +554,21 @@ class _Simplex:
 
     # -- driver ------------------------------------------------------------
 
-    def _drain_pool(self, pool: np.ndarray, theta: float, batch: int, deadline: int) -> None:
-        """Pivot on pool arcs until none of them price below -tol.
+    def _drain_pool(self, pool: np.ndarray, theta: float) -> None:
+        """Pivot on pool arcs until none of them price below -tol, or until
+        the pivot count passes ``bland_after``.
 
         ``theta`` is the reduced cost below which the pool admitted its arcs.
-        The whole pool is re-priced between batches, arcs that are not
-        eligible yet included: an arc that turns eligible after a pivot is
+        Each batch enters up to 128 eligible arcs, cheapest first.  The whole
+        pool is re-priced between batches, arcs that are not eligible yet
+        included: an arc that turns eligible after a pivot is
         entered from here, without another full scan.  Once fewer than one
         in eight pool arcs price below theta, the pool shrinks to those arcs
         so the re-pricing stays cheap; arcs dropped then are caught by the
         next full scan if they come back.
         """
         n, m, tol, cost, pot = self.n, self.m, self.tol, self.cost, self.pot
+        batch = 128
         pool_rows = pool // n
         pool_sinks = pool - pool_rows * n + m
         # Gathered once: re-pricing then reads the pool's costs contiguously
@@ -571,7 +576,7 @@ class _Simplex:
         pool_cost = cost.reshape(-1)[pool]
         red = np.empty(pool.size)  # reused: a fresh array per batch page-faults
         while True:
-            if self.iterations > deadline:
+            if self.iterations > self.bland_after:
                 return
             np.subtract(pool_cost, pot.take(pool_rows), out=red)
             red += pot.take(pool_sinks)
@@ -623,22 +628,20 @@ class _Simplex:
         return np.unique(np.concatenate([arcs_fwd, arcs_bwd, res_row, res_col]))
 
     def run(self) -> None:
-        bland_after = 500 * self.N + 100_000
         hard_cap = 10_000_000
-        batch = 128
 
         # Phase 1: drive the basis close to optimal on a sparse arc set where
         # re-pricing is nearly free.  Its arcs are admitted for being near,
         # not cheap, so its admission threshold is -tol: once most price out,
         # only the eligible ones are kept.
         if self.warm is not None:
-            self._drain_pool(self.warm, -self.tol, batch, bland_after)
+            self._drain_pool(self.warm, -self.tol)
 
         # Phase 2: full pricing until a complete scan certifies optimality.
         while True:
             if self.iterations > hard_cap:
                 raise RuntimeError("transportation simplex exceeded the pivot cap")
-            if self.iterations > bland_after:
+            if self.iterations > self.bland_after:
                 arc = self._bland_arc()
                 if arc is None:
                     break
@@ -650,7 +653,7 @@ class _Simplex:
             pool, theta = self._refill()
             if pool.size == 0:
                 break
-            self._drain_pool(pool, theta, batch, bland_after)
+            self._drain_pool(pool, theta)
 
         self._restore_flows()
         self._restore_potentials()
@@ -800,16 +803,15 @@ def k_support_check(
     nu: DiscreteMeasure,
     p: float,
     tol: float = 1e-9,
-    mass_tol: float = 1e-12,
 ) -> list[tuple[int, int, float]]:
     """Arcs of the plan that leave the cheap set {|x-y|^p <= |x|^p + |y|^p}.
 
     Optimal plans never charge such arcs (rerouting through the reservoir
     would be strictly cheaper), so the list is empty for solver output.
-    Returns (i, j, excess) triples for arcs with mass above ``mass_tol``.
+    Returns (i, j, excess) triples for arcs with mass above 1e-12.
     """
     cost = CostSpec(p)
-    keep = plan.direct_vals > mass_tol
+    keep = plan.direct_vals > 1e-12
     rows, cols = plan.direct_rows[keep], plan.direct_cols[keep]
     direct = _pow(np.linalg.norm(mu.positions[rows] - nu.positions[cols], axis=1), cost.p)
     through = cost.reservoir_cost(mu)[rows] + cost.reservoir_cost(nu)[cols]

@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Optional, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 from scipy.interpolate import RegularGridInterpolator
@@ -122,6 +122,27 @@ def grid_from_dict(doc: dict, source: str) -> GridFunction:
         raise SchemaError(f"{source}: invalid grid function document: {exc}") from exc
 
 
+def _check_epsilon(epsilon: float) -> float:
+    epsilon = float(epsilon)
+    if not (0.0 < epsilon < math.inf and 1.0 / epsilon < math.inf):
+        raise ValueError(f"epsilon must be positive and finite, with 1/epsilon finite, got {epsilon!r}")
+    return epsilon
+
+
+def _check_kappa(kappa: float) -> float:
+    kappa = float(kappa)
+    if not 0.0 < kappa < 1.0:
+        raise ValueError(f"kappa must lie in (0, 1), got {kappa!r}")
+    return kappa
+
+
+def _check_delta(delta: float) -> float:
+    delta = float(delta)
+    if not 0.0 < delta < math.inf:
+        raise ValueError(f"delta must be positive and finite, got {delta!r}")
+    return delta
+
+
 @dataclass(frozen=True)
 class PenalizationSpec:
     """Doubling penalty (1/epsilon) psi_kappa(x - y) with exponent p."""
@@ -131,10 +152,8 @@ class PenalizationSpec:
     p: float
 
     def __post_init__(self) -> None:
-        if not (0.0 < self.epsilon < math.inf and 1.0 / self.epsilon < math.inf):
-            raise ValueError(f"epsilon must be positive and finite, with 1/epsilon finite, got {self.epsilon!r}")
-        if not 0.0 < self.kappa < 1.0:
-            raise ValueError("kappa must lie in (0, 1)")
+        _check_epsilon(self.epsilon)
+        _check_kappa(self.kappa)
         object.__setattr__(self, "p", _check_p(self.p))
 
 
@@ -153,17 +172,17 @@ def psi_kappa_grad(x, spec: PenalizationSpec) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def pointwise_power_constant(p: float, radius: float = 2.0, safety: float = 1.05) -> float:
+def pointwise_power_constant(p: float) -> float:
     """Sampled uniform bound on the second-order penalty quotient.
 
     Dense 1-d sampling of |psi_kappa(a+h) - psi_kappa(a) - psi_kappa'(a) h| /
-    |h|^p over base points and offsets in [-radius, radius] and the kappa grid
-    {1e-6, 1e-3, 0.5}, times a small safety factor.  The quotient is bounded
+    |h|^p over base points and offsets in [-2, 2] and the kappa grid
+    {1e-6, 1e-3, 0.5}, times a safety factor of 1.05.  The quotient is bounded
     uniformly in kappa; the sampled value stands in for that constant.
     """
     p = _check_p(p)
-    a = np.linspace(-radius, radius, 801)
-    h = np.linspace(-radius, radius, 801)
+    a = np.linspace(-2.0, 2.0, 801)
+    h = np.linspace(-2.0, 2.0, 801)
     h = h[np.abs(h) > 1e-9]
     worst = 0.0
     for kappa in (1e-6, 1e-3, 0.5):
@@ -173,7 +192,7 @@ def pointwise_power_constant(p: float, radius: float = 2.0, safety: float = 1.05
         resid = np.abs(shifted - base[:, None] - grad[:, None] * h[None, :])
         quot = resid / np.abs(h)[None, :] ** p
         worst = max(worst, float(quot.max()))
-    return worst * safety
+    return worst * 1.05
 
 
 def sup_convolution(
@@ -189,8 +208,7 @@ def sup_convolution(
     node is returned alongside.  Ties resolve to the lowest index on the last
     axis, then, among those, on the axis before it, and so on to the first.
     """
-    if delta <= 0.0:
-        raise ValueError("delta must be positive")
+    delta = _check_delta(delta)
     w = u.values
     args = []
     for k, a in enumerate(u.axes()):
@@ -388,7 +406,6 @@ def coupling_inequality_check(
     mu: DiscreteMeasure,
     nu: DiscreteMeasure,
     full_measure: bool = False,
-    xy_star: Optional[tuple[np.ndarray, np.ndarray]] = None,
     tol: float = 1e-8,
 ) -> CouplingCheck:
     """Operator difference at a doubling maximum against the transport bound.
@@ -405,15 +422,6 @@ def coupling_inequality_check(
                 raise ValueError(f"{name} must live in the unit ball (or use full_measure)")
 
     res = doubling_maximize(u, v, spec)
-    if xy_star is not None:
-        x_st, y_st = xy_star
-        claimed = (
-            float(u(x_st)) - float(v(y_st)) - psi_kappa(np.asarray(x_st) - np.asarray(y_st), spec) / spec.epsilon
-        )
-        if claimed < res.value - 1e-12:
-            raise ValueError("provided (x*, y*) is not a global grid maximum")
-        res = DoublingResult(np.atleast_1d(np.asarray(x_st, float)), np.atleast_1d(np.asarray(y_st, float)), claimed, (-1, -1))
-
     alpha = 1.0 / spec.epsilon
     grad = alpha * psi_kappa_grad(res.x_star - res.y_star, spec)
 
@@ -438,6 +446,14 @@ def coupling_inequality_check(
     )
 
 
+def _check_lam(lam: float, lam1: float) -> float:
+    """``lam`` when 0 < lam <= lam1 < inf, the declared bounds on c(x)."""
+    lam = float(lam)
+    if not 0.0 < lam <= lam1 < math.inf:
+        raise ValueError(f"need 0 < lam <= lam1 < inf, got lam={lam!r}, lam1={lam1!r}")
+    return lam
+
+
 @dataclass(frozen=True)
 class EquationSpec:
     """One linear jump-diffusion equation c(x) u - L u = -f on a periodic line.
@@ -456,8 +472,7 @@ class EquationSpec:
     lipschitz_C: float = 1.0
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.lam <= self.lam1:
-            raise ValueError("need 0 < lam <= lam1")
+        _check_lam(self.lam, self.lam1)
 
     def validate(self, xs: Sequence[float], tol: float = 1e-12) -> list[str]:
         out = []
@@ -520,19 +535,17 @@ def basic_idea_experiment(
     eq: EquationSpec,
     n_nodes: int = 512,
     epsilons: Sequence[float] = (1e-1, 1e-2, 1e-3, 1e-4),
-    length: float = 2.0 * math.pi,
-    margin: float = 0.05,
-    bump_center: float = math.pi,
-    bump_width: float = 0.8,
-    kappa: float = 0.5,
 ) -> ExperimentReport:
     """Solve the linear equation exactly and run the two-point maximization.
 
-    The exact periodic solve gives u; v adds a positive cushion that thins out
-    near the bump centre, so the doubling maximum localises there.  Per
-    epsilon the report carries the zeroth-order gap lam (u(x*) - v(y*)), the
-    transport term (1/eps) d(mu_x*, mu_y*)^2 and the penalty (1/eps)|x*-y*|^2.
+    The line is [0, 2 pi) with periodic ends.  The exact periodic solve gives
+    u; v adds the cushion 0.05 (1 - exp(-((x - pi)/0.8)^2) / 2), which thins
+    out near pi, so the doubling maximum localises there.  Per epsilon, with
+    kappa = 0.5 and p = 2, the report carries the zeroth-order gap
+    lam (u(x*) - v(y*)), the transport term (1/eps) d(mu_x*, mu_y*)^2 and the
+    penalty (1/eps)|x*-y*|^2.
     """
+    length, kappa = 2.0 * math.pi, 0.5
     nodes = np.linspace(0.0, length, n_nodes, endpoint=False)
     bad = eq.validate(nodes[:: max(1, n_nodes // 64)])
     if bad:
@@ -541,8 +554,8 @@ def basic_idea_experiment(
     rhs = -np.array([eq.f(float(x)) for x in nodes])
     u_vals = np.linalg.solve(A, rhs)
 
-    bump = np.exp(-(((nodes - bump_center) / bump_width) ** 2))
-    v_vals = u_vals + margin * (1.0 - 0.5 * bump)
+    bump = np.exp(-(((nodes - math.pi) / 0.8) ** 2))
+    v_vals = u_vals + 0.05 * (1.0 - 0.5 * bump)
 
     u = GridFunction(np.array([0.0]), np.array([length - length / n_nodes]), u_vals)
     v = GridFunction(np.array([0.0]), np.array([length - length / n_nodes]), v_vals)

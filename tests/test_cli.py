@@ -202,6 +202,15 @@ def test_sweep_zero_pairs(tmp_path, capsys):
     assert len(out.strip().splitlines()) == 2  # comment + header only
 
 
+def test_sweep_separation_power_underflow_is_solver_failure(tmp_path, capsys):
+    # s is a valid option, but 0.001^1e6 underflows to 0 on the first pair
+    cfg = tmp_path / "family.json"
+    cfg.write_text(json.dumps({"type": "constant", "dim": 1, "grid": {"r_min": 0.05, "n_radial": 10}}))
+    code, out, err = run_cli(["sweep", "--config", str(cfg), "--pairs", "2", "--s", "1e6"], capsys)
+    assert code == 3
+    assert out == "" and err.startswith("solver failure: |x - y|^s") and err.count("\n") == 1
+
+
 @pytest.mark.parametrize(
     "config",
     [
@@ -246,13 +255,41 @@ def test_sweep_config_error(config, tmp_path, capsys):
         ["experiment", "--nodes", "0"],
         ["experiment", "--nodes", "1"],
         ["experiment", "--epsilons", "1e-1,abc"],
+        ["dist", "{a}", "{b}", "--p", "3"],
+        ["dist", "{a}", "{b}", "--p", "nan"],
+        ["dual", "{a}", "{b}", "--p", "0.5"],
+        ["bounds", "{a}", "{b}", "--p", "2.5"],
+        ["bounds", "{a}", "{b}", "--r", "5"],
+        ["bounds", "{a}", "{b}", "--r", "0"],
+        ["sweep", "--config", "{cfg}", "--p", "inf"],
+        ["sweep", "--config", "{cfg}", "--s", "0"],
+        ["sweep", "--config", "{cfg}", "--s", "nan"],
+        ["sweep", "--config", "{cfg}", "--s", "inf"],
+        ["convolve", "{grid}", "--delta", "0"],
+        ["convolve", "{grid}", "--delta", "inf"],
+        ["doubling", "{grid}", "{grid}", "--epsilon", "0"],
+        ["doubling", "{grid}", "{grid}", "--epsilon", "1e-320"],
+        ["doubling", "{grid}", "{grid}", "--epsilon", "0.1", "--kappa", "1"],
+        ["doubling", "{grid}", "{grid}", "--epsilon", "0.1", "--p", "0"],
+        ["experiment", "--epsilons", "0"],
+        ["experiment", "--epsilons", "1e-1,inf"],
+        ["experiment", "--lam", "0"],
+        ["experiment", "--lam", "inf"],
     ],
-    ids=["verify-seed", "sweep-seed", "verify-n", "verify-n-float", "sweep-pairs", "nodes-0", "nodes-1", "epsilons"],
+    ids=[
+        "verify-seed", "sweep-seed", "verify-n", "verify-n-float", "sweep-pairs", "nodes-0", "nodes-1", "epsilons",
+        "dist-p-3", "dist-p-nan", "dual-p", "bounds-p", "bounds-r-5", "bounds-r-0", "sweep-p", "sweep-s-0",
+        "sweep-s-nan", "sweep-s-inf", "delta-0", "delta-inf", "epsilon-0", "epsilon-tiny", "kappa-1", "doubling-p",
+        "epsilons-0", "epsilons-inf", "lam-0", "lam-inf",
+    ],
 )
-def test_option_out_of_range_is_usage_error(argv, tmp_path, capsys):
+def test_option_out_of_range_is_usage_error(argv, tmp_path, measure_files, capsys):
     cfg = tmp_path / "family.json"
     cfg.write_text(json.dumps({"type": "constant", "dim": 1, "grid": {"r_min": 0.05, "n_radial": 10}}))
-    code, out, err = run_cli([tok.format(cfg=cfg) for tok in argv], capsys)
+    grid = tmp_path / "grid.json"
+    grid.write_text(json.dumps({"lo": [0.0], "hi": [1.0], "values": [0.0, 1.0, 0.0]}))
+    a, b = measure_files
+    code, out, err = run_cli([tok.format(cfg=cfg, grid=grid, a=a, b=b) for tok in argv], capsys)
     assert code == 2
     assert out == "" and f"error: argument {argv[-2]}" in err
 

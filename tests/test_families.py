@@ -15,7 +15,6 @@ from levyot.families import (
     discretize_kernel,
     pushforward,
     regularity_sweep,
-    small_jump_profile,
     split_fraclap,
     sweep_pairs,
 )
@@ -93,19 +92,6 @@ def test_discretize_d2_and_d3_mass():
         mu = discretize_kernel(fam, np.zeros(dim), grid)
         exact = omega * (0.05 ** (-sigma) - 1.0) / sigma
         assert mu.total_mass() == pytest.approx(exact, rel=1e-3)
-
-
-def test_kernel_family_validation():
-    fam = KernelFamily(
-        density=lambda x, Z: (1.0 + 0.5 * math.sin(float(x[0])))
-        * np.linalg.norm(np.atleast_2d(Z), axis=1) ** -1.5,
-        sigma=0.5,
-        lambda1=1.5,
-        dim=1,
-        holder_gamma=1.0,
-    )
-    Z = np.linspace(0.05, 0.95, 20)[:, None]
-    assert fam.validate([np.array([0.0]), np.array([0.7]), np.array([2.0])], Z) == []
 
 
 def test_split_fraclap_supports_and_masses():
@@ -196,7 +182,6 @@ def test_pushforward_respects_coupling_bound(rng):
         bound_C=1.0,
         dim_out=2,
     )
-    assert fam.validate_bounds([np.array([0.0]), np.array([1.0]), np.array([2.5])]) == []
     for p in (1.0, 1.5, 2.0):
         x, y = np.array([0.3]), np.array([1.2])
         lhs = distance(pushforward(fam, x), pushforward(fam, y), p) ** p
@@ -224,6 +209,30 @@ def test_regularity_sweep_translation_family():
         report = regularity_sweep(family, pairs, p=p, s=1.0)
         for row in report.rows:
             assert row.ratio == pytest.approx(slope, rel=1e-9)
+
+
+@pytest.mark.parametrize("s", [0.0, -1.0, math.nan, math.inf], ids=["zero", "negative", "nan", "inf"])
+def test_regularity_sweep_rejects_bad_exponent(s):
+    fixed = DiscreteMeasure(1, [[0.5]], [1.0])
+    with pytest.raises(ValueError, match="exponent s must be positive and finite"):
+        regularity_sweep(lambda x: fixed, [(np.array([0.0]), np.array([0.1]))], 1.0, s)
+
+
+def test_regularity_sweep_refuses_ratios_outside_the_float_range():
+    def unused(x):
+        raise AssertionError("refused before any measure is built")
+
+    # |x - y|^s underflows to 0 (0.001^1e6) or overflows (10^400)
+    for sep, s in ((1e-3, 1e6), (10.0, 400.0)):
+        with pytest.raises(ValueError, match="leaves the float range"):
+            regularity_sweep(unused, [(np.array([0.0]), np.array([sep]))], 1.0, s)
+
+    # 0.001^105 is a subnormal 1e-315: the divisor is positive, the ratio is not finite
+    def family(x):
+        return DiscreteMeasure(1, [[0.5 + 0.37 * float(x[0])]], [1.0])
+
+    with pytest.raises(ValueError, match="overflows"):
+        regularity_sweep(family, [(np.array([0.0]), np.array([1e-3]))], 1.0, 105.0)
 
 
 def test_regularity_sweep_rejects_coincident_pairs():
@@ -266,16 +275,6 @@ def test_fraclap_pushforward_sweep_bounded_at_small_separations():
     for p in (1.75, 2.0):
         report = regularity_sweep(lambda x: pushforward(fam, x), pairs, p=p, s=1.0)
         assert report.max_ratio <= lipschitz * reference.p_moment(p) ** (1.0 / p) + 1e-10
-
-
-def test_small_jump_profile_monotone():
-    fam = powerlaw_kernel(0.5)
-    grid = AnnularGrid(r_min=1e-2, n_radial=80)
-    make = lambda x: discretize_kernel(fam, x, grid)
-    xs = [np.array([0.0]), np.array([0.5])]
-    radii = [0.1, 0.3, 0.5, 0.8, 1.0]
-    curve = small_jump_profile(make, xs, radii, p=1.5)
-    assert all(b >= a for a, b in zip(curve, curve[1:]))
 
 
 def test_build_family_configs():

@@ -211,10 +211,14 @@ def test_refill_contract(monkeypatch, rng):
     # above the k-NN threshold: at the start, a few hundred pivots in, after
     # the warm pool ran dry, and at the optimum
     sizes["start"] = _check_refill(sx)
-    sx._drain_pool(sx.warm, -sx.tol, 128, 300)
+    full = sx.bland_after
+    sx.bland_after = 300
+    sx._drain_pool(sx.warm, -sx.tol)
     sizes["mid"] = _check_refill(sx)
-    sx._drain_pool(sx.warm, -sx.tol, 128, math.inf)
+    sx.bland_after = math.inf
+    sx._drain_pool(sx.warm, -sx.tol)
     sizes["warm done"] = _check_refill(sx)
+    sx.bland_after = full
     sx.run()
     sizes["optimal"] = _check_refill(sx)
     # a small instance from the star: the pool can hold every arc
@@ -234,7 +238,8 @@ def test_refill_contract(monkeypatch, rng):
 @pytest.mark.parametrize("p", [1.0, 1.5, 2.0])
 def test_node_potentials_follow_the_tree(monkeypatch, rng, p):
     (sx,) = _initial_trees(monkeypatch, [(*_clouds(rng, (300, 260)), p)])
-    sx._drain_pool(sx.warm, -sx.tol, 128, 300)
+    sx.bland_after = 300
+    sx._drain_pool(sx.warm, -sx.tol)
     assert sx.iterations > 300
     bound = 1e-12 * _cost_scale(sx.cost)
     pot = sx.pot.copy()

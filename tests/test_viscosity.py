@@ -96,6 +96,14 @@ def test_grid_function_interpolation_and_extension():
         GridFunction(np.array([0.0]), np.array([0.0]), np.array([1.0, 2.0]))
 
 
+@pytest.mark.parametrize("delta", [0.0, -1.0, math.inf, math.nan], ids=["zero", "negative", "inf", "nan"])
+def test_convolutions_reject_bad_delta(delta):
+    g = GridFunction(np.array([0.0]), np.array([1.0]), np.array([0.0, 1.0, 4.0]))
+    for op in (sup_convolution, inf_convolution):
+        with pytest.raises(ValueError, match="delta must be positive and finite"):
+            op(g, delta)
+
+
 def test_sup_convolution_constant_is_fixed_point():
     g = GridFunction(np.array([0.0]), np.array([1.0]), np.full(8, 3.25))
     for delta in (1e-2, 1e-1):
@@ -422,18 +430,6 @@ def test_coupling_full_measure_variant(rng, make_grid_function, make_measure):
     assert chk.passed
 
 
-def test_coupling_rejects_non_maximum():
-    gx = np.linspace(-1.0, 1.0, 65)
-    u = GridFunction(np.array([-1.0]), np.array([1.0]), np.sin(3 * gx))
-    v = GridFunction(np.array([-1.0]), np.array([1.0]), np.cos(2 * gx))
-    spec = PenalizationSpec(epsilon=0.1, kappa=0.5, p=2.0)
-    mu = DiscreteMeasure(1, [[0.5]], [1.0])
-    with pytest.raises(ValueError):
-        coupling_inequality_check(
-            u, v, spec, mu, mu, xy_star=(np.array([-1.0]), np.array([1.0]))
-        )
-
-
 def _translation_equation(lam: float = 1.0) -> EquationSpec:
     return EquationSpec(
         lam=lam,
@@ -449,6 +445,11 @@ def test_equation_spec_validation():
     with pytest.raises(ValueError):
         EquationSpec(lam=0.0, lam1=1.0, c=lambda x: 1.0, f=lambda x: 0.0,
                      measures=lambda x: DiscreteMeasure.empty(1))
+    # an infinite lam1 would let c(x) = inf through, and the gap read -inf
+    for lam, lam1 in ((2.0, 1.0), (1.0, math.inf), (math.inf, math.inf), (math.nan, 1.0)):
+        with pytest.raises(ValueError, match="lam"):
+            EquationSpec(lam=lam, lam1=lam1, c=lambda x: 1.0, f=lambda x: 0.0,
+                         measures=lambda x: DiscreteMeasure.empty(1))
     eq = _translation_equation()
     assert eq.validate([0.0, 1.0, 2.0]) == []
 
