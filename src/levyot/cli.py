@@ -20,6 +20,7 @@ import numpy as np
 
 from . import bounds, families, suites, transport, viscosity
 from .measures import (
+    _MAX_RADIUS,
     DiscreteMeasure,
     SchemaError,
     _check_p,
@@ -325,7 +326,19 @@ def _tol_override(tok: str) -> tuple[str, float]:
         raise argparse.ArgumentTypeError(
             f"unknown tolerance {key!r}; known: {', '.join(suites.DEFAULT_TOLS)}"
         )
-    return key, float(val)
+    return key, _ruled(suites._check_tol)(val)
+
+
+def _check_translation(center: float, shift: float) -> None:
+    """``experiment``'s atom center + shift * sin(x) is a valid site for every
+    x: both numbers are finite, |center| > |shift| keeps it off the origin,
+    and |center| + |shift| <= 2^510 keeps it in range."""
+    if not (math.isfinite(center) and math.isfinite(shift)):
+        raise ValueError(f"must be finite, got center {center!r} and shift {shift!r}")
+    if not abs(center) > abs(shift):
+        raise ValueError(f"|center| must exceed |shift| so the atom never reaches 0, got {center!r} and {shift!r}")
+    if abs(center) + abs(shift) > _MAX_RADIUS:
+        raise ValueError(f"|center| + |shift| must be at most 2^510, got {center!r} and {shift!r}")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -420,6 +433,11 @@ def main(argv=None) -> int:
         given = [f"--{k}" for k in ("tol", "n", "seed", "reproducer") if getattr(args, k) is not None]
         if given:
             parser.error(f"argument --replay: not allowed with {', '.join(given)}")
+    if args.command == "experiment":
+        try:
+            _check_translation(args.center, args.shift)
+        except ValueError as exc:
+            parser.error(f"argument --center/--shift: {exc}")
     try:
         return args.func(args)
     except (SchemaError, OSError, UnicodeDecodeError) as exc:  # unreadable input

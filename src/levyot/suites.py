@@ -315,14 +315,28 @@ SUITES: dict[str, Callable[[int, int, dict], InstanceResult]] = {
 }
 
 
+def _check_tol(tol: float) -> float:
+    """A tolerance is a finite number >= 0."""
+    tol = float(tol)
+    if not (math.isfinite(tol) and tol >= 0.0):
+        raise ValueError(f"a tolerance must be a finite number >= 0, got {tol!r}")
+    return tol
+
+
 def _tolerances(overrides: Optional[dict]) -> dict:
-    """DEFAULT_TOLS updated by ``overrides``; unknown names or non-numbers raise SchemaError."""
+    """DEFAULT_TOLS updated by ``overrides``; unknown names, non-numbers or
+    values ``_check_tol`` refuses raise SchemaError."""
     overrides = overrides or {}
     if not isinstance(overrides, dict) or not all(
         k in DEFAULT_TOLS and isinstance(v, (int, float)) and not isinstance(v, bool)
         for k, v in overrides.items()
     ):
         raise SchemaError(f"tolerances {overrides!r} need names in {', '.join(DEFAULT_TOLS)} and numbers")
+    try:
+        for v in overrides.values():
+            _check_tol(v)
+    except ValueError as exc:
+        raise SchemaError(str(exc)) from None
     return {**DEFAULT_TOLS, **overrides}
 
 

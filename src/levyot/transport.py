@@ -11,6 +11,9 @@ virtual reservoir atom of mass |nu| to the mu side and one of mass |mu| to
 the nu side, with costs c(x, 0) = |x|^p, c(0, y) = |y|^p and c(0, 0) = 0, and
 runs a primal transportation simplex on the complete bipartite graph.  Tree
 potentials give exact dual potentials normalised to vanish at the reservoir.
+The (m+1) x (n+1) cost matrix of the reduction is never held: costs are
+computed from the atom positions a row block at a time (``_ReservoirCost``),
+and the solver keeps only the costs of its candidate arcs and tree arcs.
 """
 
 from __future__ import annotations
@@ -53,16 +56,57 @@ class CostSpec:
     def __post_init__(self) -> None:
         object.__setattr__(self, "p", _check_p(self.p))
 
+    def pairs(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """|x_i - y_j|^p between two arrays of positions, one row per x."""
+        if self.p == 2.0:
+            return cdist(x, y, "sqeuclidean")
+        return _pow(cdist(x, y, "euclidean"), self.p)
+
     def pair_matrix(self, mu: DiscreteMeasure, nu: DiscreteMeasure) -> np.ndarray:
         """Dense |x_i - y_j|^p over the atom grids."""
-        if self.p == 2.0:
-            return cdist(mu.positions, nu.positions, "sqeuclidean")
-        d = cdist(mu.positions, nu.positions, "euclidean")
-        return _pow(d, self.p)
+        return self.pairs(mu.positions, nu.positions)
 
     def reservoir_cost(self, mu: DiscreteMeasure) -> np.ndarray:
         """Per-atom cost |z|^p of moving to (or from) the reservoir."""
         return _pow(mu.radii, self.p)
+
+
+class _ReservoirCost:
+    """The (m+1) x (n+1) cost matrix of the reservoir reduction, by row blocks.
+
+    Row i < m holds |x_i - y_j|^p and, in its last column, |x_i|^p; row m is
+    the reservoir row |y_j|^p, with 0 at the corner.  Every cost the solver
+    and the dual audit read comes from ``rows``, a block at a time, so the
+    dense matrix is never held.  Each entry is computed on its own, so a
+    block has the bits of the same rows of the dense matrix.
+    """
+
+    BLOCK = 65536  # elements per row block of a full pass
+
+    def __init__(self, spec: CostSpec, mu: DiscreteMeasure, nu: DiscreteMeasure):
+        self.spec = spec
+        self.x, self.y = mu.positions, nu.positions
+        self.res_x, self.res_y = spec.reservoir_cost(mu), spec.reservoir_cost(nu)
+        self.res_row = np.append(self.res_y, 0.0)
+        self.m, self.n = mu.n_atoms + 1, nu.n_atoms + 1
+        self.step = min(self.m, max(1, self.BLOCK // self.n))
+
+    def rows(self, r0: int, r1: int, step: int = 1) -> np.ndarray:
+        """Rows range(r0, r1, step) of the matrix, as a fresh array."""
+        stop = min(r1, self.m - 1)
+        k = len(range(r0, stop, step))
+        out = np.empty((len(range(r0, r1, step)), self.n))
+        if k:
+            out[:k, :-1] = self.spec.pairs(self.x[r0:stop:step], self.y)
+            out[:k, -1] = self.res_x[r0:stop:step]
+        if k < len(out):  # the reservoir row is the last one picked
+            out[k] = self.res_row
+        return out
+
+    def blocks(self):
+        """(first row, block) over the whole matrix, top to bottom."""
+        for r0 in range(0, self.m, self.step):
+            yield r0, self.rows(r0, min(r0 + self.step, self.m))
 
 
 @dataclass(frozen=True)
@@ -127,9 +171,12 @@ class DualPotentials:
             out.append(f"phi[{i}] = {self.phi[i]!r} exceeds |x|^p = {res_mu[i]!r}")
         for j in np.nonzero(self.psi > res_nu + tol)[0]:
             out.append(f"psi[{j}] = {self.psi[j]!r} exceeds |y|^p = {res_nu[j]!r}")
-        slack = cost.pair_matrix(mu, nu) - self.phi[:, None] - self.psi[None, :]
-        for i, j in np.argwhere(slack < -tol):
-            out.append(f"phi[{i}] + psi[{j}] exceeds |x-y|^p by {float(-slack[i, j])!r}")
+        m, n = mu.n_atoms, nu.n_atoms
+        for r0, block in _ReservoirCost(cost, mu, nu).blocks():
+            pair = block[: m - r0, :n]
+            slack = pair - self.phi[r0 : r0 + len(pair), None] - self.psi[None, :]
+            for i, j in np.argwhere(slack < -tol):
+                out.append(f"phi[{r0 + i}] + psi[{j}] exceeds |x-y|^p by {float(-slack[i, j])!r}")
         return out
 
     def to_dict(self) -> dict:
@@ -184,8 +231,7 @@ class PlanViolation:
 def _cost_scale(costs: np.ndarray) -> float:
     """max(1, largest cost); rejects costs that overflowed to inf.
 
-    The reservoir reduction always holds the reservoir entry, so ``costs`` is
-    never empty.
+    ``costs`` is a nonempty row block of the cost matrix.
     """
     scale = float(costs.max())
     if not math.isfinite(scale):
@@ -196,13 +242,20 @@ def _cost_scale(costs: np.ndarray) -> float:
 class _Simplex:
     """Primal transportation simplex specialised to the reservoir reduction.
 
-    Sources are rows of ``cost`` (the last row is the virtual reservoir
-    source), sinks are columns (last column virtual).  The initial spanning
-    tree hangs a forest of greedy atom-to-atom arcs under the reservoir, so
-    that what the forest does not move goes through the origin.  Below the
-    k-NN threshold the forest is a greedy pass over the arcs that beat the
-    reservoir; above it the forest is empty, and the tree is the star that
-    projects both measures onto the origin.
+    Sources are the rows of the cost matrix (the last row is the virtual
+    reservoir source), sinks its columns (last column virtual).  The matrix
+    is never held: ``costs`` computes it a row block at a time from the atom
+    positions, for one initial pass (the cost scale and the warm pool's
+    costs), for each full scan, the greedy start and Bland's rule.  A pool
+    carries the cost of each of its arcs, and the tree the cost of each of
+    its arcs next to its flow, so pivots and tree potentials never look a
+    cost up.
+
+    The initial spanning tree hangs a forest of greedy atom-to-atom arcs
+    under the reservoir, so that what the forest does not move goes through
+    the origin.  Below the k-NN threshold the forest is a greedy pass over
+    the arcs that beat the reservoir; above it the forest is empty, and the
+    tree is the star that projects both measures onto the origin.
 
     The spanning tree is kept as a preorder sequence (``order``/``pos``) with
     subtree sizes, so each pivot moves contiguous array segments and shifts
@@ -215,24 +268,14 @@ class _Simplex:
     recomputed tree potentials, certifies optimality.
     """
 
-    def __init__(
-        self,
-        cost: np.ndarray,
-        supply: np.ndarray,
-        demand: np.ndarray,
-        points_mu: np.ndarray,
-        points_nu: np.ndarray,
-    ):
-        self.cost = cost
+    def __init__(self, costs: _ReservoirCost, supply: np.ndarray, demand: np.ndarray):
+        self.costs = costs
         self.supply = supply
         self.demand = demand
-        self.points_mu = points_mu
-        self.points_nu = points_nu
-        self.m, self.n = cost.shape
+        self.m, self.n = costs.m, costs.n
         self.N = self.m + self.n  # node ids: sources 0..m-1, sinks m..m+n-1
         self.root = self.m - 1  # virtual source
         self.vsink = self.N - 1  # virtual sink
-        self.tol = PIVOT_TOL * _cost_scale(cost)
         self.iterations = 0
         # Past this many pivots, pool pricing gives way to Bland's rule.
         self.bland_after = 500 * self.N + 100_000
@@ -246,35 +289,65 @@ class _Simplex:
         # Above the k-NN threshold the warm-start pool finds the cheap arcs
         # instead; a greedy start there measured slower (deeper trees).
         self.warm = self._neighbor_arcs()
+        cheap = self._initial_pass()
         left = np.concatenate([supply, demand]).tolist()
-        self._build_tree(self._greedy_forest(left) if self.warm is None else [], left)
+        self._build_tree(self._greedy_forest(*cheap, left) if self.warm is None else [], left)
 
         # Candidate pool capacity for major/minor pricing.
-        self.refill_size = int(min(self.cost.size, max(4096, 16 * self.N)))
-        self._scan_buf = np.empty((min(self.m, max(1, 65536 // self.n)), self.n))
+        self.refill_size = int(min(self.m * self.n, max(4096, 16 * self.N)))
+        self._scan_buf = np.empty((costs.step, self.n))
         self._arange = np.arange(self.N, dtype=np.int64)
+
+    def _initial_pass(self) -> Optional[tuple[np.ndarray, np.ndarray]]:
+        """One pass over the cost matrix.
+
+        Sets ``tol`` from the cost scale and, above the k-NN threshold,
+        ``warm_cost`` to the warm pool's costs.  Below it (at most 65536
+        real arcs), returns for the greedy start the costs and the reduced
+        costs against the star tree's duals, c_ij - |x_i|^p - |y_j|^p (0 on
+        the reservoir arcs), both by flat index.
+        """
+        n = self.n
+        warm = self.warm
+        self.warm_cost = None if warm is None else np.empty(warm.size)
+        scale = 1.0
+        blocks, reds = [], []
+        hi = 0
+        for r0, block in self.costs.blocks():
+            scale = max(scale, _cost_scale(block))
+            if warm is None:
+                blocks.append(block)
+                reds.append(block - block[:, -1:] - self.costs.res_row)
+            else:
+                # The warm pool is sorted, so each block's arcs are one slice.
+                lo, hi = hi, int(np.searchsorted(warm, (r0 + len(block)) * n))
+                self.warm_cost[lo:hi] = block.reshape(-1)[warm[lo:hi] - r0 * n]
+        self.tol = PIVOT_TOL * scale
+        return None if warm is not None else (np.concatenate(blocks).reshape(-1), np.concatenate(reds).reshape(-1))
 
     # -- initial tree ------------------------------------------------------
 
-    def _greedy_forest(self, left: list[float]) -> list[tuple[int, int, float]]:
-        """Greedy arcs (i, j, flow) over the cheap real arcs.
+    def _greedy_forest(
+        self, cost: np.ndarray, red: np.ndarray, left: list[float]
+    ) -> list[tuple[int, int, float, float]]:
+        """Greedy arcs (i, j, flow, cost) over the cheap real arcs.
 
-        An arc is cheap when it prices negative against the star tree's duals,
-        c_ij - |x_i|^p - |y_j|^p < -tol.  Arcs are taken in (reduced cost,
-        flat index) order and each moves min(supply left, demand left), so it
-        exhausts at least one endpoint.  ``left`` (supplies then demands, by
-        node id) is drawn down in place.
+        ``cost`` and ``red`` are the costs and reduced costs from
+        ``_initial_pass``.  An arc is cheap when it prices negative against
+        the star tree's duals, c_ij - |x_i|^p - |y_j|^p < -tol, which no
+        reservoir arc does.  Arcs are taken in (reduced cost, flat index)
+        order and each moves min(supply left, demand left), so it exhausts
+        at least one endpoint.  ``left`` (supplies then demands, by node id)
+        is drawn down in place.
         """
-        m, n, sink0 = self.m - 1, self.n - 1, self.m  # real sources, real sinks, first sink id
-        cost = self.cost
-        red = (cost[:m, :n] - cost[:m, n, None] - cost[m, :n]).reshape(-1)
+        n, sink0 = self.n, self.m  # row length, first sink id
         cand = np.flatnonzero(red < -self.tol)
-        arcs: list[tuple[int, int, float]] = []
+        arcs: list[tuple[int, int, float, float]] = []
         # The cheapest arcs go first, a batch at a time; after each batch the
         # arcs at an exhausted node are dropped unseen, as they stay useless.
         # Ties at a batch's threshold all fall in the batch, so the order is
         # exactly (reduced cost, flat index).
-        batch = 2 * (m + n)
+        batch = 2 * (self.N - 2)  # twice the number of real atoms
         while cand.size:
             vals = red[cand]
             if cand.size > batch:
@@ -288,14 +361,14 @@ class _Simplex:
                 if s == 0.0 or d == 0.0:
                     continue
                 f = min(s, d)
-                arcs.append((i, j, f))
+                arcs.append((i, j, f, cost.item(k)))
                 left[i] = s - f
                 left[sink0 + j] = d - f
             live = np.array(left) > 0.0
             cand = cand[live[cand // n] & live[sink0 + cand % n]]
         return arcs
 
-    def _build_tree(self, arcs: list[tuple[int, int, float]], left: list[float]) -> None:
+    def _build_tree(self, arcs: list[tuple[int, int, float, float]], left: list[float]) -> None:
         """Spanning tree from a forest of real arcs, with tree potentials.
 
         Each component of the forest hangs under the reservoir at its one node
@@ -308,19 +381,22 @@ class _Simplex:
         source-attached components, each group by attach node.
         """
         m, N, root, vsink = self.m, self.N, self.root, self.vsink
-        adj: list[list[tuple[int, float]]] = [[] for _ in range(N)]
-        for i, j, f in arcs:
-            adj[i].append((m + j, f))
-            adj[m + j].append((i, f))
-        # parent/flow/size are plain lists: the pivot loops touch them one
-        # scalar at a time.  flow[node] is the flow on the arc node - parent.
+        adj: list[list[tuple[int, float, float]]] = [[] for _ in range(N)]
+        for i, j, f, c in arcs:
+            adj[i].append((m + j, f, c))
+            adj[m + j].append((i, f, c))
+        # parent/flow/arc_cost/size are plain lists: the pivot loops touch
+        # them one scalar at a time.  flow[node] and arc_cost[node] belong to
+        # the arc node - parent.
         parent = [-1] * N
         flow = [0.0] * N
+        arc_cost = [0.0] * N
         parent[vsink] = root
-        flow[vsink] = math.fsum(f for _, _, f in arcs)
+        flow[vsink] = math.fsum(f for _, _, f, _ in arcs)
 
         # A component has at most one node with mass left: merging two
         # components spends the leftover of at least one of them.
+        res_x, res_y = self.costs.res_x, self.costs.res_y
         seen = [False] * N
         attach_sink: list[int] = []
         attach_src: list[int] = []
@@ -333,12 +409,16 @@ class _Simplex:
                 node = stack.pop()
                 if left[node] > 0.0:
                     at = node
-                for nb, _ in adj[node]:
+                for nb, _, _ in adj[node]:
                     if not seen[nb]:
                         seen[nb] = True
                         stack.append(nb)
-            (attach_src if at < m else attach_sink).append(at)
-            parent[at] = root if at >= m else vsink
+            if at < m:
+                attach_src.append(at)
+                parent[at], arc_cost[at] = vsink, float(res_x[at])
+            else:
+                attach_sink.append(at)
+                parent[at], arc_cost[at] = root, float(res_y[at - m])
             flow[at] = left[at]
 
         order = [root]
@@ -347,16 +427,17 @@ class _Simplex:
             while stack:
                 node = stack.pop()
                 order.append(node)
-                for nb, f in reversed(adj[node]):
+                for nb, f, c in reversed(adj[node]):
                     if nb != parent[node]:
                         parent[nb] = node
                         flow[nb] = f
+                        arc_cost[nb] = c
                         stack.append(nb)
         size = [1] * N
         for node in reversed(order[1:]):
             size[parent[node]] += size[node]
 
-        self.parent, self.flow, self.size = parent, flow, size
+        self.parent, self.flow, self.arc_cost, self.size = parent, flow, arc_cost, size
         self.order = np.array(order, dtype=np.int64)
         self.pos = np.empty(N, dtype=np.int64)
         self.pos[self.order] = np.arange(N)
@@ -364,10 +445,11 @@ class _Simplex:
 
     # -- tree mechanics ----------------------------------------------------
 
-    def _pivot(self, i: int, j: int) -> None:
+    def _pivot(self, i: int, j: int, cost: float) -> None:
+        """Enter arc (i, j), of cost ``cost``, into the tree."""
         s_node, t_node = i, self.m + j
         pot = self.pot
-        delta = self.cost.item(i, j) - pot.item(s_node) + pot.item(t_node)
+        delta = cost - pot.item(s_node) + pot.item(t_node)
         m, pos, size, parent, flow = self.m, self.pos, self.size, self.parent, self.flow
 
         # Climb from each endpoint to the lowest common ancestor.
@@ -417,7 +499,7 @@ class _Simplex:
             e_sub, e_root = s_node, t_node
         else:
             e_sub, e_root = t_node, s_node
-        self._rehang(leave_chain[: leave_k + 1], e_root, theta, lca)
+        self._rehang(leave_chain[: leave_k + 1], e_root, theta, cost, lca)
 
         # Dual update: every node potential in the detached subtree shifts by
         # the entering arc's reduced cost, signed by the side of its root.
@@ -434,15 +516,17 @@ class _Simplex:
             pot[order[a + sz :]] -= du
         self.iterations += 1
 
-    def _rehang(self, chain: list[int], e_root: int, theta: float, lca: int) -> None:
+    def _rehang(self, chain: list[int], e_root: int, theta: float, cost: float, lca: int) -> None:
         """Re-root the detached subtree at chain[0] and attach it under e_root.
 
         ``chain`` runs from the new subtree root up to the node whose parent
-        arc is leaving; ``lca`` is the top of the pivot cycle.  Re-rooting
-        reverses the chain; the new preorder is assembled from contiguous
-        slices of the old one in a single splice.
+        arc is leaving; the entering arc carries flow ``theta`` at ``cost``;
+        ``lca`` is the top of the pivot cycle.  Re-rooting reverses the chain;
+        the new preorder is assembled from contiguous slices of the old one in
+        a single splice.
         """
-        order, pos, size, parent, flow = self.order, self.pos, self.size, self.parent, self.flow
+        order, pos, size, parent = self.order, self.pos, self.size, self.parent
+        flow, arc_cost = self.flow, self.arc_cost
         k = len(chain) - 1
         starts = [pos.item(c) for c in chain]
         old_sz = [size[c] for c in chain]
@@ -460,16 +544,19 @@ class _Simplex:
             seg = np.concatenate(pieces)
 
         # Chain bookkeeping: the arc between chain[t-1] and chain[t] now
-        # hangs at chain[t]; its flow was stored at chain[t-1].
-        carried = [flow[c] for c in chain]
+        # hangs at chain[t]; its flow and cost were stored at chain[t-1].
+        # Top down, each node is read before it is overwritten.
         old_parent = parent[chain[k]]
+        for t in range(k, 0, -1):
+            node, below = chain[t], chain[t - 1]
+            parent[node] = below
+            flow[node] = flow[below]
+            arc_cost[node] = arc_cost[below]
+            size[node] = total - old_sz[t - 1]
         parent[chain[0]] = e_root
         flow[chain[0]] = theta
+        arc_cost[chain[0]] = cost
         size[chain[0]] = total
-        for t in range(1, k + 1):
-            parent[chain[t]] = chain[t - 1]
-            flow[chain[t]] = carried[t - 1]
-            size[chain[t]] = total - old_sz[t - 1]
 
         # The subtree moves from below old_parent to below e_root; both paths
         # meet at the cycle top, above which the sizes do not change.
@@ -495,7 +582,7 @@ class _Simplex:
 
     # -- pricing -----------------------------------------------------------
 
-    def _refill(self) -> tuple[np.ndarray, float]:
+    def _refill(self) -> tuple[np.ndarray, np.ndarray, float]:
         """One full scan; the eligible and near-eligible arcs as a pool.
 
         Admits every arc that prices below theta = max(-tol, q), where q is
@@ -506,57 +593,67 @@ class _Simplex:
         exactly when no arc prices below -tol; otherwise it keeps the
         ``refill_size`` cheapest admitted arcs, sorted by (reduced cost, flat
         index) so that ties resolve to the lexicographically smallest (i, j).
-        Returns the pool and theta.
+        Returns the pool's flat indices, their costs, and theta.
         """
         take = self.refill_size
-        n = self.n
-        sample = self.cost[::16] - self.u[::16, None]
-        sample += self.w
-        sample = sample.reshape(-1)
-        k = take * sample.size // self.cost.size  # sampled arcs below q
-        q = float(np.partition(sample, k)[k]) if k < sample.size else math.inf
+        m, n = self.m, self.n
+        q = math.inf
+        if take < m * n:
+            # q is the k-th smallest sampled reduced cost.  The sample is
+            # walked in blocks, keeping only the k + 1 smallest so far.
+            k = take * len(range(0, m, 16)) * n // (m * n)  # sampled arcs below q
+            low = np.zeros(0)
+            span = 16 * self.costs.step
+            for r0 in range(0, m, span):
+                red = self.costs.rows(r0, min(r0 + span, m), 16) - self.u[r0 : r0 + span : 16, None]
+                red += self.w
+                low = np.concatenate([low, red.reshape(-1)])
+                if low.size > k + 1:
+                    low = np.partition(low, k)[: k + 1]
+            q = float(low.max())
         theta = max(-self.tol, q)
 
-        step = self._scan_buf.shape[0]
         idx_parts: list[np.ndarray] = []
         val_parts: list[np.ndarray] = []
-        # Row blocks keep the scratch buffer cache-resident across the two
-        # arithmetic passes and the comparison.
-        for r0 in range(0, self.m, step):
-            r1 = min(r0 + step, self.m)
-            red = self._scan_buf[: r1 - r0]
-            np.subtract(self.cost[r0:r1], self.u[r0:r1, None], out=red)
+        cost_parts: list[np.ndarray] = []
+        for r0, block in self.costs.blocks():
+            red = np.subtract(block, self.u[r0 : r0 + len(block), None], out=self._scan_buf[: len(block)])
             red += self.w
             flat = red.reshape(-1)
             hit = np.flatnonzero(flat < theta)
             if hit.size:
                 idx_parts.append(hit + r0 * n)
                 val_parts.append(flat[hit])
+                cost_parts.append(block.reshape(-1)[hit])
         vals = np.concatenate(val_parts) if val_parts else np.zeros(0)
         if not (vals.size and vals.min() < -self.tol):
-            return np.zeros(0, dtype=np.int64), theta
+            return np.zeros(0, dtype=np.int64), np.zeros(0), theta
         idx = np.concatenate(idx_parts).astype(np.int64, copy=False)
+        cost = np.concatenate(cost_parts)
         if idx.size > take:
             part = np.argpartition(vals, take - 1)[:take]
-            idx = idx[part]
-            vals = vals[part]
+            idx, vals, cost = idx[part], vals[part], cost[part]
         sel = np.lexsort((idx, vals))
-        return idx[sel], theta
+        return idx[sel], cost[sel], theta
 
-    def _bland_arc(self) -> Optional[tuple[int, int]]:
-        """First arc in lexicographic (i, j) order with negative reduced cost."""
-        for i in range(self.m):
-            red = self.cost[i] - self.u[i] + self.w
-            js = np.nonzero(red < -self.tol)[0]
-            if js.size:
-                return i, int(js[0])
+    def _bland_arc(self) -> Optional[tuple[int, int, float]]:
+        """First arc (i, j, cost) in lexicographic (i, j) order with negative
+        reduced cost."""
+        n = self.n
+        for r0, block in self.costs.blocks():
+            red = block - self.u[r0 : r0 + len(block), None] + self.w
+            hit = np.flatnonzero(red < -self.tol)
+            if hit.size:
+                i, j = divmod(int(hit[0]), n)
+                return r0 + i, j, float(block[i, j])
         return None
 
     # -- driver ------------------------------------------------------------
 
-    def _drain_pool(self, pool: np.ndarray, theta: float) -> None:
-        """Pivot on pool arcs until none of them price below -tol, or until
-        the pivot count passes ``bland_after``.
+    def _drain_pool(self, pool: np.ndarray, pool_cost: np.ndarray, theta: float) -> None:
+        """Pivot on pool arcs (flat indices ``pool`` of costs ``pool_cost``)
+        until none of them price below -tol, or until the pivot count passes
+        ``bland_after``.
 
         ``theta`` is the reduced cost below which the pool admitted its arcs.
         Each batch enters up to 128 eligible arcs, cheapest first.  The whole
@@ -567,13 +664,10 @@ class _Simplex:
         so the re-pricing stays cheap; arcs dropped then are caught by the
         next full scan if they come back.
         """
-        n, m, tol, cost, pot = self.n, self.m, self.tol, self.cost, self.pot
+        n, m, tol, pot = self.n, self.m, self.tol, self.pot
         batch = 128
         pool_rows = pool // n
         pool_sinks = pool - pool_rows * n + m
-        # Gathered once: re-pricing then reads the pool's costs contiguously
-        # instead of scattering into the full cost matrix every batch.
-        pool_cost = cost.reshape(-1)[pool]
         red = np.empty(pool.size)  # reused: a fresh array per batch page-faults
         while True:
             if self.iterations > self.bland_after:
@@ -598,13 +692,13 @@ class _Simplex:
             else:
                 take = alive
             sel = take[np.lexsort((pool[take], red[take]))]
-            for flat in pool[sel].tolist():
+            for flat, c in zip(pool[sel].tolist(), pool_cost[sel].tolist()):
                 i, j = divmod(flat, n)
-                if cost.item(i, j) - pot.item(i) + pot.item(m + j) < -tol:
-                    self._pivot(i, j)
+                if c - pot.item(i) + pot.item(m + j) < -tol:
+                    self._pivot(i, j, c)
 
     def _neighbor_arcs(self) -> Optional[np.ndarray]:
-        """Flat indices of a sparse warm-start arc set: mutual nearest
+        """Flat indices of a sparse warm-start arc set, sorted: mutual nearest
         neighbours between the two real atom clouds plus all reservoir arcs."""
         m_real, n_real = self.m - 1, self.n - 1
         if m_real * n_real <= 65536:
@@ -612,14 +706,14 @@ class _Simplex:
         from scipy.spatial import cKDTree
 
         k = min(32, n_real)
-        tree_nu = cKDTree(self.points_nu)
-        _, nbr = tree_nu.query(self.points_mu, k=k)
+        tree_nu = cKDTree(self.costs.y)
+        _, nbr = tree_nu.query(self.costs.x, k=k)
         nbr = np.asarray(nbr, dtype=np.int64).reshape(m_real, -1)
         rows = np.repeat(np.arange(m_real, dtype=np.int64), nbr.shape[1])
         arcs_fwd = rows * self.n + nbr.reshape(-1)
         k2 = min(32, m_real)
-        tree_mu = cKDTree(self.points_mu)
-        _, nbr2 = tree_mu.query(self.points_nu, k=k2)
+        tree_mu = cKDTree(self.costs.x)
+        _, nbr2 = tree_mu.query(self.costs.y, k=k2)
         nbr2 = np.asarray(nbr2, dtype=np.int64).reshape(n_real, -1)
         cols = np.repeat(np.arange(n_real, dtype=np.int64), nbr2.shape[1])
         arcs_bwd = nbr2.reshape(-1) * self.n + cols
@@ -635,28 +729,33 @@ class _Simplex:
         # not cheap, so its admission threshold is -tol: once most price out,
         # only the eligible ones are kept.
         if self.warm is not None:
-            self._drain_pool(self.warm, -self.tol)
+            self._drain_pool(self.warm, self.warm_cost, -self.tol)
 
         # Phase 2: full pricing until a complete scan certifies optimality.
+        exact = 0  # pivot count when the potentials were last recomputed
         while True:
             if self.iterations > hard_cap:
                 raise RuntimeError("transportation simplex exceeded the pivot cap")
             if self.iterations > self.bland_after:
                 arc = self._bland_arc()
                 if arc is None:
+                    self._restore_potentials()
                     break
                 self._pivot(*arc)
                 continue
             # Incremental dual updates accumulate rounding over many pivots;
-            # refresh them before scanning and certifying optimality.
-            self._restore_potentials()
-            pool, theta = self._refill()
-            if pool.size == 0:
+            # refresh them before scanning and certifying optimality, unless
+            # no pivot moved them since.  The optimal tree leaves with these.
+            if self.iterations != exact:
+                self._restore_potentials()
+                exact = self.iterations
+            pool = self._refill()
+            if pool[0].size == 0:
                 break
-            self._drain_pool(pool, theta)
+            self._drain_pool(*pool)
+            del pool  # the next scan builds the next pool without it
 
         self._restore_flows()
-        self._restore_potentials()
 
     def _restore_flows(self) -> None:
         """Recompute basic flows exactly from the supplies along the final tree."""
@@ -681,15 +780,13 @@ class _Simplex:
     def _restore_potentials(self) -> None:
         """Node potentials from the tree: zero at the root, tight basic arcs."""
         m = self.m
-        cost = self.cost
-        parent = self.parent
+        parent, arc_cost = self.parent, self.arc_cost
         pot = [0.0] * self.N
         for node in self.order.tolist()[1:]:
-            par = parent[node]
             if node < m:
-                pot[node] = cost.item(node, par - m) + pot[par]
+                pot[node] = arc_cost[node] + pot[parent[node]]
             else:
-                pot[node] = pot[par] - cost.item(par, node - m)
+                pot[node] = pot[parent[node]] - arc_cost[node]
         self.pot[:] = pot
 
 
@@ -707,20 +804,14 @@ def solve(mu: DiscreteMeasure, nu: DiscreteMeasure, cost: CostSpec) -> SolveRepo
     if mu.dim != nu.dim:
         raise ValueError("measures must share the ambient dimension")
     m, n = mu.n_atoms, nu.n_atoms
-    res_mu = cost.reservoir_cost(mu)
-    res_nu = cost.reservoir_cost(nu)
-    C = np.zeros((m + 1, n + 1))
-    C[:m, :n] = cost.pair_matrix(mu, nu)
-    C[:m, n] = res_mu
-    C[m, :n] = res_nu
-    C[m, n] = 0.0
+    costs = _ReservoirCost(cost, mu, nu)
 
     mass_mu = mu.total_mass()
     mass_nu = nu.total_mass()
     supply = np.concatenate([mu.weights, [mass_nu]])
     demand = np.concatenate([nu.weights, [mass_mu]])
 
-    sx = _Simplex(C, supply, demand, points_mu=mu.positions, points_nu=nu.positions)
+    sx = _Simplex(costs, supply, demand)
     sx.run()
 
     # Each non-root tree node carries the flow on the arc to its parent; a
@@ -758,9 +849,9 @@ def solve(mu: DiscreteMeasure, nu: DiscreteMeasure, cost: CostSpec) -> SolveRepo
     psi = sx.u[m] - sx.w[:n]
     duals = DualPotentials(phi=phi, psi=psi, p=cost.p)
 
-    terms = (C[direct_r, direct_c] * direct_v).tolist()
-    terms.extend((to_res * res_mu).tolist())
-    terms.extend((from_res * res_nu).tolist())
+    terms = (np.array(sx.arc_cost)[direct] * direct_v).tolist()
+    terms.extend((to_res * costs.res_x).tolist())
+    terms.extend((from_res * costs.res_y).tolist())
     value = math.fsum(terms)
     dual = math.fsum((mu.weights * phi).tolist()) + math.fsum((nu.weights * psi).tolist())
     return SolveReport(value=value, plan=plan, duals=duals, iterations=sx.iterations, gap=abs(value - dual))

@@ -275,12 +275,15 @@ def test_sweep_config_error(config, tmp_path, capsys):
         ["experiment", "--epsilons", "1e-1,inf"],
         ["experiment", "--lam", "0"],
         ["experiment", "--lam", "inf"],
+        ["verify", "--suite", "duality", "--n", "1", "--tol", "duality_rel=nan"],
+        ["verify", "--suite", "duality", "--n", "1", "--tol", "duality_rel=inf"],
+        ["verify", "--suite", "duality", "--n", "1", "--tol", "duality_rel=-1e-9"],
     ],
     ids=[
         "verify-seed", "sweep-seed", "verify-n", "verify-n-float", "sweep-pairs", "nodes-0", "nodes-1", "epsilons",
         "dist-p-3", "dist-p-nan", "dual-p", "bounds-p", "bounds-r-5", "bounds-r-0", "sweep-p", "sweep-s-0",
         "sweep-s-nan", "sweep-s-inf", "delta-0", "delta-inf", "epsilon-0", "epsilon-tiny", "kappa-1", "doubling-p",
-        "epsilons-0", "epsilons-inf", "lam-0", "lam-inf",
+        "epsilons-0", "epsilons-inf", "lam-0", "lam-inf", "tol-nan", "tol-inf", "tol-negative",
     ],
 )
 def test_option_out_of_range_is_usage_error(argv, tmp_path, measure_files, capsys):
@@ -292,6 +295,30 @@ def test_option_out_of_range_is_usage_error(argv, tmp_path, measure_files, capsy
     code, out, err = run_cli([tok.format(cfg=cfg, grid=grid, a=a, b=b) for tok in argv], capsys)
     assert code == 2
     assert out == "" and f"error: argument {argv[-2]}" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--center", "0", "--shift", "0"],
+        ["--center", "0.1", "--shift", "-0.1"],
+        ["--shift", "nan"],
+        ["--center=-inf"],
+        ["--center", "1e300"],
+        ["--center", str(2.0**510), "--shift", "1e140"],
+    ],
+    ids=["origin", "touches-origin", "shift-nan", "center-inf", "center-huge", "sum-above-2^510"],
+)
+def test_experiment_translation_out_of_range_is_usage_error(argv, capsys):
+    code, out, err = run_cli(["experiment", "--nodes", "8", "--epsilons", "0.1", *argv], capsys)
+    assert code == 2
+    assert out == "" and "error: argument --center/--shift: " in err
+
+
+def test_experiment_translation_edges_are_accepted(capsys):
+    for argv in (["--center", "-0.5", "--shift", "-0.1"], ["--center", str(2.0**510), "--shift", "0"]):
+        code, out, err = run_cli(["experiment", "--nodes", "8", "--epsilons", "0.1", *argv], capsys)
+        assert code == 0 and err == "" and json.loads(out)["rows"]
 
 
 def test_convolve_round_trip(tmp_path, capsys):
@@ -411,8 +438,13 @@ def test_verify_failure_writes_reproducer(capsys, tmp_path):
         {"suite": "nonexistent", "seed": 1, "index": 0},
         {"suite": "duality", "seed": 1, "index": 0, "tols": {"symmetyr": 1e-30}},
         {"suite": "duality", "seed": 1, "index": 0, "tols": {"duality_rel": "x"}},
+        {"suite": "duality", "seed": 1, "index": 0, "tols": {"duality_rel": -1.0}},
+        {"suite": "duality", "seed": 1, "index": 0, "tols": {"duality_rel": float("inf")}},
     ],
-    ids=["list", "seed-string", "negative-index", "unknown-suite", "unknown-tol", "tol-string"],
+    ids=[
+        "list", "seed-string", "negative-index", "unknown-suite", "unknown-tol", "tol-string", "tol-negative",
+        "tol-inf",
+    ],
 )
 def test_replay_malformed_bundle(bundle, tmp_path, capsys):
     path = tmp_path / "bundle.json"

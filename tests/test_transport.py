@@ -110,14 +110,28 @@ def test_plan_extraction_matches_loop_reference(monkeypatch, rng, make_measure, 
         assert plan.direct_rows.dtype == plan.direct_cols.dtype == np.int64
 
 
+def _dense_cost(mu, nu, p):
+    """Reference: the dense (m+1) x (n+1) cost matrix of the reservoir
+    reduction, with 0 at the corner."""
+    cost = CostSpec(p)
+    m, n = mu.n_atoms, nu.n_atoms
+    dense = np.zeros((m + 1, n + 1))
+    dense[:m, :n] = cost.pair_matrix(mu, nu)
+    dense[:m, n] = cost.reservoir_cost(mu)
+    dense[m, :n] = cost.reservoir_cost(nu)
+    return dense
+
+
 def _initial_trees(monkeypatch, cases):
-    """The simplex of each (mu, nu, p) case as built, before any pivot."""
+    """The simplex of each (mu, nu, p) case as built, before any pivot, with
+    its dense cost matrix as ``dense``."""
     import levyot.transport as tr
 
     trees = []
     monkeypatch.setattr(tr._Simplex, "run", lambda self: trees.append(self))
     for mu, nu, p in cases:
         solve(mu, nu, CostSpec(p))
+        trees[-1].dense = _dense_cost(mu, nu, p)
     return trees
 
 
@@ -128,7 +142,7 @@ def _star_reference(sx):
     sink; preorder root, real sinks, virtual sink, real sources.
     """
     m, n, N = sx.m, sx.n, sx.N
-    cost, supply, demand = sx.cost, sx.supply, sx.demand
+    cost, supply, demand = sx.dense, sx.supply, sx.demand
     parent = np.full(N, -1, dtype=np.int64)
     flow = np.zeros(N)
     sinks = np.arange(m, N)
@@ -186,8 +200,10 @@ def _clouds(rng, sizes, dim=3):
 def _check_refill(sx):
     """``_refill`` against the brute-force reduced costs; returns the number
     of eligible arcs and the pool size."""
-    pool, theta = sx._refill()
-    red = ((sx.cost - sx.u[:, None]) + sx.w).reshape(-1)
+    pool, cost, theta = sx._refill()
+    red = ((sx.dense - sx.u[:, None]) + sx.w).reshape(-1)
+    # the pool carries the bits of its arcs' costs
+    assert cost.tobytes() == sx.dense.reshape(-1)[pool].tobytes()
     eligible = np.flatnonzero(red < -sx.tol)
     assert (pool.size == 0) == (eligible.size == 0)
     if pool.size:
@@ -207,16 +223,17 @@ def test_refill_contract(monkeypatch, rng):
     cases = [(*_clouds(rng, (300, 260)), 2.0), (*_clouds(rng, (7, 5), dim=2), 1.0)]
     sx, small = _initial_trees(monkeypatch, cases)
     monkeypatch.undo()
+    assert sx.warm_cost.tobytes() == sx.dense.reshape(-1)[sx.warm].tobytes()
     sizes = {}
     # above the k-NN threshold: at the start, a few hundred pivots in, after
     # the warm pool ran dry, and at the optimum
     sizes["start"] = _check_refill(sx)
     full = sx.bland_after
     sx.bland_after = 300
-    sx._drain_pool(sx.warm, -sx.tol)
+    sx._drain_pool(sx.warm, sx.warm_cost, -sx.tol)
     sizes["mid"] = _check_refill(sx)
     sx.bland_after = math.inf
-    sx._drain_pool(sx.warm, -sx.tol)
+    sx._drain_pool(sx.warm, sx.warm_cost, -sx.tol)
     sizes["warm done"] = _check_refill(sx)
     sx.bland_after = full
     sx.run()
@@ -231,7 +248,7 @@ def test_refill_contract(monkeypatch, rng):
     # arcs, the whole small matrix, and empty at the optimum
     assert sizes["start"][0] > sx.refill_size == sizes["start"][1]
     assert 0 < sizes["warm done"][0] < sizes["warm done"][1]
-    assert 0 < sizes["small"][0] < sizes["small"][1] == small.cost.size
+    assert 0 < sizes["small"][0] < sizes["small"][1] == small.dense.size
     assert sizes["optimal"] == sizes["small optimal"] == (0, 0)
 
 
@@ -239,19 +256,36 @@ def test_refill_contract(monkeypatch, rng):
 def test_node_potentials_follow_the_tree(monkeypatch, rng, p):
     (sx,) = _initial_trees(monkeypatch, [(*_clouds(rng, (300, 260)), p)])
     sx.bland_after = 300
-    sx._drain_pool(sx.warm, -sx.tol)
+    sx._drain_pool(sx.warm, sx.warm_cost, -sx.tol)
     assert sx.iterations > 300
-    bound = 1e-12 * _cost_scale(sx.cost)
+    bound = 1e-12 * _cost_scale(sx.dense)
     pot = sx.pot.copy()
     # every basic arc prices at zero: c_ij - pot[i] + pot[m + j], pot = (u, -v)
     node = np.flatnonzero(np.arange(sx.N) != sx.root)
     par = np.array(sx.parent)[node]
     src, snk = np.where(node < sx.m, node, par), np.where(node < sx.m, par, node)
-    assert np.abs(sx.cost[src, snk - sx.m] - pot[src] + pot[snk]).max() <= bound
+    assert np.abs(sx.dense[src, snk - sx.m] - pot[src] + pot[snk]).max() <= bound
+    # the tree carries each basic arc's cost bit for bit
+    assert np.array(sx.arc_cost)[node].tobytes() == sx.dense[src, snk - sx.m].tobytes()
     # the incremental shifts agree with a fresh restore, and u, w stay views
     sx._restore_potentials()
     assert np.abs(pot - sx.pot).max() <= bound
     assert sx.u.base is sx.pot and sx.w.base is sx.pot
+
+
+@pytest.mark.parametrize("p", [1.0, 1.5, 2.0])
+def test_bland_fallback_certifies_the_optimum(monkeypatch, rng, p):
+    (sx,) = _initial_trees(monkeypatch, [(*_clouds(rng, (200, 150), dim=2), p)])
+    monkeypatch.undo()
+    sx.costs.step = 37  # Bland's rule and the scans read costs over six blocks
+    sx.bland_after = 5
+    sx.run()
+    assert sx.iterations > 5 and sx._bland_arc() is None
+    assert ((sx.dense - sx.u[:, None]) + sx.w).min() >= -sx.tol
+    node = np.flatnonzero(np.arange(sx.N) != sx.root)
+    par = np.array(sx.parent)[node]
+    src, snk = np.where(node < sx.m, node, par), np.where(node < sx.m, par, node)
+    assert np.array(sx.arc_cost)[node].tobytes() == sx.dense[src, snk - sx.m].tobytes()
 
 
 @pytest.mark.parametrize("p", [1.0, 1.5, 2.0])
@@ -263,9 +297,9 @@ def test_full_scans_fill_the_pool_and_certify(monkeypatch, sizes, p):
     refill = tr._Simplex._refill
 
     def counting_refill(self):
-        pool, theta = refill(self)
+        pool, cost, theta = refill(self)
         scans.append(pool.size)
-        return pool, theta
+        return pool, cost, theta
 
     monkeypatch.setattr(tr._Simplex, "_refill", counting_refill)
     mu, nu = _clouds(np.random.default_rng(sum(sizes)), sizes)
@@ -274,6 +308,66 @@ def test_full_scans_fill_the_pool_and_certify(monkeypatch, sizes, p):
     assert len(scans) <= 4 and scans[-1] == 0
     assert rep.gap <= 1e-9 * (1.0 + rep.value)
     assert verify_plan(rep.plan, mu, nu) == []
+
+
+@pytest.mark.parametrize("p", [1.0, 1.5, 2.0])
+@pytest.mark.parametrize("dim", [1, 2, 3, 8])
+def test_block_costs_match_the_dense_matrix_bit_for_bit(dim, p):
+    from levyot.transport import _ReservoirCost
+
+    rng = np.random.default_rng(dim)
+
+    def same(got, want):
+        return got.shape == want.shape and got.tobytes() == want.tobytes()
+
+    # m = 32 puts the reservoir row in the stride-16 sample, m = 45 leaves
+    # it out; 300 x 260 takes two blocks of the default size
+    for m, n in ((32, 45), (45, 32), (1, 7), (0, 5), (6, 0), (300, 260)):
+        # coordinates across six orders of magnitude, a scale per atom
+        mu, nu = (
+            DiscreteMeasure(dim, rng.normal(size=(k, dim)) * 10.0 ** rng.uniform(-3, 3, (k, 1)), rng.uniform(0.2, 2, k))
+            for k in (m, n)
+        )
+        spec = CostSpec(p)
+        dense = _dense_cost(mu, nu, p)
+        costs = _ReservoirCost(spec, mu, nu)
+        # the reservoir column and row, and +0.0 at the corner
+        assert same(dense[:m, n], spec.reservoir_cost(mu)) and same(dense[m, :n], spec.reservoir_cost(nu))
+        assert same(costs.rows(m, m + 1), np.append(spec.reservoir_cost(nu), 0.0)[None, :])
+        for i in range(m + 1):
+            assert same(costs.rows(i, i + 1), dense[i : i + 1])
+        assert same(costs.rows(0, m + 1, 16), dense[::16])
+        # the sample as a scan walks it, a few stride-16 rows at a time
+        walked = [costs.rows(r0, min(r0 + 32, m + 1), 16) for r0 in range(0, m + 1, 32)]
+        assert same(np.concatenate(walked), dense[::16])
+        for step in (costs.step, 1, 7):
+            costs.step = step
+            starts, blocks = zip(*costs.blocks())
+            assert list(starts) == list(range(0, m + 1, step))
+            assert same(np.concatenate(blocks), dense)
+
+
+def test_knn_solve_peaks_below_half_a_dense_cost_matrix():
+    import tracemalloc
+
+    # 2000 atoms a side, above the k-NN threshold.  mu lies in the positive
+    # octant and nu in the negative one, but for 40 atoms next to mu's: at
+    # p = 2 only arcs with x.y > 0 beat the reservoir, so the solve pivots
+    # a few hundred times, and tracing stays quick.
+    k = 2000
+    rng = np.random.default_rng(k)
+    x = np.abs(rng.normal(size=(k, 3)))
+    y = -np.abs(rng.normal(size=(k, 3)))
+    y[:40] = x[:40] + 0.01 * rng.normal(size=(40, 3))
+    mu, nu = DiscreteMeasure(3, x, rng.uniform(0.2, 2.0, k)), DiscreteMeasure(3, y, rng.uniform(0.2, 2.0, k))
+    tracemalloc.start()
+    try:
+        rep = solve(mu, nu, CostSpec(2.0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.iterations > 0 and rep.gap <= 1e-9 * (1.0 + rep.value)
+    assert peak < 0.5 * (k + 1) * (k + 1) * 8
 
 
 def _check_initial_tree(sx):
@@ -538,6 +632,37 @@ def test_dual_value_examples():
     bad = DualPotentials(phi=np.array([0.5]), psi=np.zeros(1), p=1.0)
     with pytest.raises(ValueError, match="phi"):
         dual_value(bad, mu, nu)
+
+
+def _violations_dense(duals, mu, nu, tol=1e-9):
+    """Reference: the audit over the dense pair and slack matrices."""
+    cost = CostSpec(duals.p)
+    res_mu, res_nu = cost.reservoir_cost(mu), cost.reservoir_cost(nu)
+    out = [f"phi[{i}] = {duals.phi[i]!r} exceeds |x|^p = {res_mu[i]!r}"
+           for i in np.nonzero(duals.phi > res_mu + tol)[0]]
+    out += [f"psi[{j}] = {duals.psi[j]!r} exceeds |y|^p = {res_nu[j]!r}"
+            for j in np.nonzero(duals.psi > res_nu + tol)[0]]
+    slack = cost.pair_matrix(mu, nu) - duals.phi[:, None] - duals.psi[None, :]
+    out += [f"phi[{i}] + psi[{j}] exceeds |x-y|^p by {float(-slack[i, j])!r}"
+            for i, j in np.argwhere(slack < -tol)]
+    return out
+
+
+@pytest.mark.parametrize("p", [1.0, 1.5, 2.0])
+def test_violations_match_the_dense_audit(rng, p):
+    # 300 x 260 spans two row blocks; raised duals break many pair constraints
+    mu, nu = _clouds(rng, (300, 260))
+    duals = solve(mu, nu, CostSpec(p)).duals
+    assert duals.violations(mu, nu) == [] == _violations_dense(duals, mu, nu)
+    for lift in (1e-3, 0.5):
+        bad = DualPotentials(phi=duals.phi + lift * rng.uniform(size=300), psi=duals.psi + lift, p=p)
+        got = bad.violations(mu, nu)
+        assert got == _violations_dense(bad, mu, nu)
+        assert sum("+ psi" in v for v in got) > 65536 // 261
+    empty = DiscreteMeasure.empty(3)
+    for a, b in ((mu, empty), (empty, nu)):
+        one_sided = DualPotentials(phi=np.full(a.n_atoms, 9.0), psi=np.full(b.n_atoms, 9.0), p=p)
+        assert one_sided.violations(a, b) == _violations_dense(one_sided, a, b) != []
 
 
 def test_weak_duality_fuzz(rng, make_measure):
