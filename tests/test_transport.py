@@ -277,7 +277,7 @@ def test_node_potentials_follow_the_tree(monkeypatch, rng, p):
 def test_bland_fallback_certifies_the_optimum(monkeypatch, rng, p):
     (sx,) = _initial_trees(monkeypatch, [(*_clouds(rng, (200, 150), dim=2), p)])
     monkeypatch.undo()
-    sx.costs.step = 37  # Bland's rule and the scans read costs over six blocks
+    sx.costs.step = 37  # the scans read costs over six blocks
     sx.bland_after = 5
     sx.run()
     assert sx.iterations > 5 and sx._bland_arc() is None
