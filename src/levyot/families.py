@@ -376,20 +376,13 @@ class FamilyRuntime:
         return self._trunc(np.atleast_1d(np.asarray(x, dtype=float)), p)
 
 
-def _kernel_truncation(density, dim: int, p: float, grid: AnnularGrid) -> float:
-    """p-cost of the density's mass inside the grid's inner radius, by quadrature."""
+def _power_truncation(dim: int, sigma: float, p: float, grid: AnnularGrid) -> float:
+    """p-cost of |z|^{-dim-sigma} dz inside r_min: the total angular weight times
+    the radial integral of r^{p-1-sigma} over (0, r_min), finite only for p > sigma."""
     dirs, ang_w = grid.directions(dim)
-    total = 0.0
-    for e in dirs:
-        val, _ = quad(
-            lambda r: float(density(np.array([r * e]))[0]) * r ** (dim - 1 + p),
-            0.0,
-            grid.r_min,
-            epsabs=1e-12,
-            epsrel=1e-10,
-        )
-        total += val * ang_w
-    return total
+    expo = p - 1.0 - sigma
+    val, _ = quad(lambda r: np.power(r, expo), 0.0, grid.r_min, epsabs=1e-12, epsrel=1e-10)
+    return len(dirs) * ang_w * val
 
 
 def _power_law(dim: int, sigma: float) -> Callable[[np.ndarray], np.ndarray]:
@@ -455,16 +448,24 @@ def _build_family(config: dict) -> FamilyRuntime:
         raise ValueError(f"unknown grid field(s) {', '.join(map(repr, unknown))}")
     grid = AnnularGrid(**{key: _GRID_FIELDS[key](grid_cfg, key) for key in grid_cfg})
     params = _section(config, "params")
+    uses_grid = kind in ("kernel", "fraclap", "constant") or (kind == "levyito" and config.get("base") is None)
+    if uses_grid and dim > 3:
+        raise ValueError(f"annular grids support dimensions 1 to 3 only, got dim {dim}")
 
     if kind == "kernel":
         sigma = _number(config, "sigma", 0.5)
         base = _number(params, "base", 1.0)
         amplitude = _number(params, "amplitude", 0.5)
+        if not base - abs(amplitude) > 0.0:
+            raise ValueError("kernel needs base - |amplitude| > 0, so the density stays positive")
         lambda1 = _number(params, "lambda1", base + abs(amplitude))
         expo = -(dim + sigma)
 
+        def coef(x):
+            return base + amplitude * math.sin(float(x[0]))
+
         def density(x, Z):
-            return (base + amplitude * math.sin(float(x[0]))) * _radial_power(Z, expo)
+            return coef(x) * _radial_power(Z, expo)
 
         family = KernelFamily(
             density=density, sigma=sigma, lambda1=lambda1, dim=dim,
@@ -473,7 +474,7 @@ def _build_family(config: dict) -> FamilyRuntime:
         return FamilyRuntime(
             dim,
             make=lambda x: discretize_kernel(family, x, grid),
-            trunc=lambda x, p: _kernel_truncation(lambda Z: density(x, Z), dim, p, grid),
+            trunc=lambda x, p: coef(x) * _power_truncation(dim, sigma, p, grid),
         )
 
     if kind == "fraclap":
@@ -498,7 +499,7 @@ def _build_family(config: dict) -> FamilyRuntime:
         return FamilyRuntime(
             dim,
             make=make,
-            trunc=lambda x, p: _kernel_truncation(family.density_at(x), dim, p, grid),
+            trunc=lambda x, p: family.coefficient(x) * _power_truncation(dim, sigma, p, grid),
         )
 
     if kind == "levyito":
@@ -551,12 +552,12 @@ def _build_family(config: dict) -> FamilyRuntime:
         return FamilyRuntime(dim, make=lambda x: pushforward(family, x), trunc=lambda x, p: 0.0)
 
     if kind == "constant":
-        ref = _power_law(dim, _number(config, "sigma", 0.5))
-        fixed = _discretize(ref, dim, grid)
+        sigma = _number(config, "sigma", 0.5)
+        fixed = _discretize(_power_law(dim, sigma), dim, grid)
         return FamilyRuntime(
             dim,
             make=lambda x: fixed,
-            trunc=lambda x, p: _kernel_truncation(ref, dim, p, grid),
+            trunc=lambda x, p: _power_truncation(dim, sigma, p, grid),
         )
 
     raise ValueError(f"unknown family type {kind!r}")

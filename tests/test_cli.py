@@ -245,6 +245,34 @@ def test_sweep_config_error(config, tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
+    "config, message",
+    [
+        ({"type": "kernel", "dim": 4}, "dimensions 1 to 3 only, got dim 4"),
+        ({"type": "fraclap", "dim": 4}, "dimensions 1 to 3 only, got dim 4"),
+        ({"type": "constant", "dim": 5}, "dimensions 1 to 3 only, got dim 5"),
+        ({"type": "levyito", "dim": 4}, "dimensions 1 to 3 only, got dim 4"),
+        ({"type": "kernel", "params": {"base": 0.1, "amplitude": 0.5}}, "base - |amplitude| > 0"),
+        ({"type": "kernel", "params": {"base": 0.5, "amplitude": -0.5}}, "base - |amplitude| > 0"),
+    ],
+    ids=["kernel-dim4", "fraclap-dim4", "constant-dim5", "levyito-dim4", "kernel-negative", "kernel-zero"],
+)
+def test_sweep_grid_rules_are_config_errors(config, message, tmp_path, capsys):
+    cfg = tmp_path / "family.json"
+    cfg.write_text(json.dumps(config))
+    code, out, err = run_cli(["sweep", "--config", str(cfg), "--pairs", "2"], capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("error: config error: ") and message in err
+
+
+def test_sweep_levyito_with_base_has_no_grid_dimension_limit(tmp_path, capsys):
+    base = {"dim": 4, "atoms": [{"z": [0.5, 0.0, 0.0, 0.0], "w": 1.0}]}
+    cfg = tmp_path / "family.json"
+    cfg.write_text(json.dumps({"type": "levyito", "dim": 4, "base": base}))
+    code, out, _ = run_cli(["sweep", "--config", str(cfg), "--pairs", "2"], capsys)
+    assert code == 0 and len(out.splitlines()) == 2 + 2
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         ["verify", "--suite", "duality", "--n", "1", "--seed", "-1"],

@@ -323,3 +323,50 @@ def test_build_family_configs():
         build_family({"type": "nope"})
     with pytest.raises(ValueError):
         build_family({})
+
+
+def _grid_config(kind: str, dim: int, sigma: float, params: dict) -> dict:
+    return {"type": kind, "dim": dim, "sigma": sigma, "params": params,
+            "grid": {"r_min": 1e-3, "r_max": 1.0, "n_radial": 20, "n_angular": 8}}
+
+
+# (config, coefficient of |z|^{-d-sigma} at x, p > sigma)
+_KERNEL = {"base": 1.0, "amplitude": 0.5}
+_FRACLAP = {"a0": 0.5, "a1": 0.25}
+TRUNCATION_CASES = {
+    **{
+        f"kernel-d{dim}": (_grid_config("kernel", dim, 0.5, _KERNEL), lambda x: 1.0 + 0.5 * math.sin(x[0]), 1.5)
+        for dim in (1, 2, 3)
+    },
+    **{
+        f"fraclap-{part}": (
+            _grid_config("fraclap", 2, 1.5, {**_FRACLAP, "part": part}),
+            lambda x: (0.5 + 0.25 * math.sin(x[0])) ** 1.5,
+            2.0,
+        )
+        for part in ("full", "split_hat")
+    },
+    "constant": (_grid_config("constant", 2, 0.5, {}), lambda x: 1.0, 1.0),
+}
+SOLID_ANGLE = {1: 2.0, 2: 2.0 * math.pi, 3: 4.0 * math.pi}
+
+
+@pytest.mark.parametrize("case", sorted(TRUNCATION_CASES))
+def test_truncation_cost_matches_closed_form(case):
+    config, coef, p = TRUNCATION_CASES[case]
+    runtime = build_family(config)
+    sigma, r_min = config["sigma"], config["grid"]["r_min"]
+    radial = r_min ** (p - sigma) / (p - sigma)
+    for x in ([0.3, -0.2, 0.1], [-1.2, 0.7, 0.0]):
+        x = x[: config["dim"]]
+        expected = coef(x) * SOLID_ANGLE[config["dim"]] * radial
+        assert runtime.truncation_cost(x, p) == pytest.approx(expected, rel=1e-9)
+
+
+@pytest.mark.parametrize("case", sorted(TRUNCATION_CASES))
+def test_truncation_cost_is_linear_in_the_coefficient(case):
+    config, coef, p = TRUNCATION_CASES[case]
+    runtime = build_family(config)
+    points = [[t, 0.5 * t, -t][: config["dim"]] for t in (-2.0, -0.4, 0.0, 0.9, 1.6)]
+    per_unit = [runtime.truncation_cost(x, p) / coef(x) for x in points]
+    assert per_unit == pytest.approx([per_unit[0]] * len(points), rel=1e-14)
