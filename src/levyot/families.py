@@ -381,6 +381,7 @@ def _power_truncation(dim: int, sigma: float, p: float, grid: AnnularGrid) -> fl
     the radial integral of r^{p-1-sigma} over (0, r_min), finite only for p > sigma."""
     dirs, ang_w = grid.directions(dim)
     expo = p - 1.0 - sigma
+    # np.power, not **: a float ** that overflows raises where NumPy gives inf
     val, _ = quad(lambda r: np.power(r, expo), 0.0, grid.r_min, epsabs=1e-12, epsrel=1e-10)
     return len(dirs) * ang_w * val
 

@@ -26,8 +26,8 @@ def _load_spans():
 
 
 def test_perfbench_trace_targets_resolve():
-    # ``perfbench/run.py --trace 1`` patches each target in place; a rename
-    # here would break the traced run, not the plain one.
+    # ``perfbench/run.py --trace 1`` patches each target in place, so a
+    # renamed target breaks the traced run but not the plain one.
     unresolved = []
     for name, owner, attr, _ in _load_spans().TARGETS:
         mod_name, _, cls_name = owner.partition(":")
