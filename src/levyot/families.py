@@ -303,7 +303,8 @@ def regularity_sweep(
     Each pair contributes distance(hat mu_x, hat mu_y) / |x - y|^s; the report
     carries the per-pair rows and the overall maximum.  ``truncation_cost``
     optionally reports the p-cost of mass the discretization discarded below
-    its inner radius (the larger of the two endpoints per pair).
+    its inner radius (the larger of the two endpoints per pair); a pair
+    whose truncation cost or ratio is not finite raises ValueError.
     """
     p = _check_p(p)
     s = _check_s(s)
@@ -325,15 +326,17 @@ def regularity_sweep(
 
     def one(pair) -> PairResult:
         x, y, sep, scale = pair
+        tc = 0.0
+        if truncation_cost is not None:
+            tc = max(float(truncation_cost(x)), float(truncation_cost(y)))
+            if not math.isfinite(tc):
+                raise ValueError(f"truncation cost at x = {x.tolist()} or y = {y.tolist()} is {tc!r}, not finite")
         hat_x = decompose(make_measure(x)).hat
         hat_y = decompose(make_measure(y)).hat
         dist = transport.distance(hat_x, hat_y, p)
         ratio = dist / scale
         if not math.isfinite(ratio):
             raise ValueError(f"distance / |x - y|^s = {dist!r} / {scale!r} overflows; use a smaller s")
-        tc = 0.0
-        if truncation_cost is not None:
-            tc = max(float(truncation_cost(x)), float(truncation_cost(y)))
         return PairResult(x=x, y=y, separation=sep, distance=dist, ratio=ratio, truncation_cost=tc)
 
     rows = [one(pair) for pair in prepared]
@@ -381,8 +384,10 @@ def _power_truncation(dim: int, sigma: float, p: float, grid: AnnularGrid) -> fl
     the radial integral of r^{p-1-sigma} over (0, r_min), finite only for p > sigma."""
     dirs, ang_w = grid.directions(dim)
     expo = p - 1.0 - sigma
-    # np.power, not **: a float ** that overflows raises where NumPy gives inf
-    val, _ = quad(lambda r: np.power(r, expo), 0.0, grid.r_min, epsabs=1e-12, epsrel=1e-10)
+    # np.power, not **: a float ** that overflows raises where NumPy gives an
+    # inf, which regularity_sweep refuses
+    with np.errstate(over="ignore"):
+        val, _ = quad(lambda r: np.power(r, expo), 0.0, grid.r_min, epsabs=1e-12, epsrel=1e-10)
     return len(dirs) * ang_w * val
 
 

@@ -254,8 +254,11 @@ class _Simplex:
     The initial spanning tree hangs a forest of greedy atom-to-atom arcs
     under the reservoir, so that what the forest does not move goes through
     the origin.  Below the k-NN threshold the forest is a greedy pass over
-    the arcs that beat the reservoir; above it the forest is empty, and the
-    tree is the star that projects both measures onto the origin.
+    the arcs that beat the reservoir.  Above it the pass sees only the warm
+    arcs that join coincident atoms, so common mass at a shared site stays
+    in place and each component is one arc; without coincident atoms the
+    forest is empty, and the tree is the star that projects both measures
+    onto the origin.
 
     The spanning tree is kept as a preorder sequence (``order``/``pos``) with
     subtree sizes, so each pivot moves contiguous array segments and shifts
@@ -286,67 +289,75 @@ class _Simplex:
         self.pot = np.zeros(self.N)
         self.u = self.pot[: self.m]
         self.w = self.pot[self.m :]
-        # Above the k-NN threshold the warm-start pool finds the cheap arcs
-        # instead; a greedy start there measured slower (deeper trees).
         self.warm = self._neighbor_arcs()
-        cheap = self._initial_pass()
         left = np.concatenate([supply, demand]).tolist()
-        self._build_tree(self._greedy_forest(*cheap, left) if self.warm is None else [], left)
+        self._build_tree(self._greedy_forest(*self._initial_pass(), left), left)
 
         # Candidate pool capacity for major/minor pricing.
         self.refill_size = int(min(self.m * self.n, max(4096, 16 * self.N)))
         self._scan_buf = np.empty((costs.step, self.n))
         self._arange = np.arange(self.N, dtype=np.int64)
 
-    def _initial_pass(self) -> Optional[tuple[np.ndarray, np.ndarray]]:
-        """One pass over the cost matrix.
+    def _initial_pass(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """One pass over the cost matrix; the greedy start's candidate arcs.
 
         Sets ``tol`` from the cost scale and, above the k-NN threshold,
-        ``warm_cost`` to the warm pool's costs.  Below it (at most 65536
-        real arcs), returns for the greedy start the costs and the reduced
-        costs against the star tree's duals, c_ij - |x_i|^p - |y_j|^p (0 on
-        the reservoir arcs), both by flat index.
+        ``warm_cost`` to the warm pool's costs.  Returns the candidates'
+        costs, their reduced costs against the star tree's duals,
+        c_ij - |x_i|^p - |y_j|^p (0 on the reservoir arcs), and their flat
+        indices, in increasing flat order.  Below the threshold (at most
+        65536 real arcs) the candidates are all arcs.  Above it they are the
+        warm arcs of cost at most ``tol``, which join coincident atoms: a
+        greedy pass over them is a matching, so its tree stays shallow.
         """
         n = self.n
         warm = self.warm
         self.warm_cost = None if warm is None else np.empty(warm.size)
         scale = 1.0
-        blocks, reds = [], []
+        blocks = []
         hi = 0
         for r0, block in self.costs.blocks():
             scale = max(scale, _cost_scale(block))
             if warm is None:
                 blocks.append(block)
-                reds.append(block - block[:, -1:] - self.costs.res_row)
             else:
                 # The warm pool is sorted, so each block's arcs are one slice.
                 lo, hi = hi, int(np.searchsorted(warm, (r0 + len(block)) * n))
                 self.warm_cost[lo:hi] = block.reshape(-1)[warm[lo:hi] - r0 * n]
         self.tol = PIVOT_TOL * scale
-        return None if warm is not None else (np.concatenate(blocks).reshape(-1), np.concatenate(reds).reshape(-1))
+        if warm is None:
+            cost = np.concatenate(blocks).reshape(-1)
+            flat = np.arange(cost.size)
+        else:
+            near = self.warm_cost <= self.tol
+            flat, cost = warm[near], self.warm_cost[near]
+        rows, cols = np.divmod(flat, n)
+        # c_ij minus the row's reservoir column (0 on the reservoir row) and the reservoir row
+        return cost, cost - np.append(self.costs.res_x, 0.0)[rows] - self.costs.res_row[cols], flat
 
     # -- initial tree ------------------------------------------------------
 
     def _greedy_forest(
-        self, cost: np.ndarray, red: np.ndarray, left: list[float]
+        self, cost: np.ndarray, red: np.ndarray, flat: np.ndarray, left: list[float]
     ) -> list[tuple[int, int, float, float]]:
-        """Greedy arcs (i, j, flow, cost) over the cheap real arcs.
+        """Greedy arcs (i, j, flow, cost) over the cheap candidate arcs.
 
-        ``cost`` and ``red`` are the costs and reduced costs from
-        ``_initial_pass``.  An arc is cheap when it prices negative against
-        the star tree's duals, c_ij - |x_i|^p - |y_j|^p < -tol, which no
-        reservoir arc does.  Arcs are taken in (reduced cost, flat index)
-        order and each moves min(supply left, demand left), so it exhausts
-        at least one endpoint.  ``left`` (supplies then demands, by node id)
-        is drawn down in place.
+        ``cost``, ``red`` and ``flat`` are the candidates' costs, reduced
+        costs and flat indices from ``_initial_pass``.  A candidate is cheap
+        when it prices negative against the star tree's duals,
+        c_ij - |x_i|^p - |y_j|^p < -tol, which no reservoir arc does.  Arcs
+        are taken in (reduced cost, flat index) order and each moves
+        min(supply left, demand left), so it exhausts at least one endpoint.
+        With no cheap candidate the forest is empty.  ``left`` (supplies then
+        demands, by node id) is drawn down in place.
         """
         n, sink0 = self.n, self.m  # row length, first sink id
         cand = np.flatnonzero(red < -self.tol)
         arcs: list[tuple[int, int, float, float]] = []
         # The cheapest arcs go first, a batch at a time; after each batch the
         # arcs at an exhausted node are dropped unseen, as they stay useless.
-        # Ties at a batch's threshold all fall in the batch, so the order is
-        # exactly (reduced cost, flat index).
+        # Ties at a batch's threshold all fall in the batch, and candidates
+        # come in flat order, so the order is exactly (reduced cost, flat index).
         batch = 2 * (self.N - 2)  # twice the number of real atoms
         while cand.size:
             vals = red[cand]
@@ -355,17 +366,18 @@ class _Simplex:
                 take, cand, vals = cand[first], cand[~first], vals[first]
             else:
                 take, cand = cand, cand[:0]
-            for k in take[np.argsort(vals, kind="stable")].tolist():
-                i, j = divmod(k, n)
+            for c in take[np.argsort(vals, kind="stable")].tolist():
+                i, j = divmod(flat.item(c), n)
                 s, d = left[i], left[sink0 + j]
                 if s == 0.0 or d == 0.0:
                     continue
                 f = min(s, d)
-                arcs.append((i, j, f, cost.item(k)))
+                arcs.append((i, j, f, cost.item(c)))
                 left[i] = s - f
                 left[sink0 + j] = d - f
             live = np.array(left) > 0.0
-            cand = cand[live[cand // n] & live[sink0 + cand % n]]
+            k = flat[cand]
+            cand = cand[live[k // n] & live[sink0 + k % n]]
         return arcs
 
     def _build_tree(self, arcs: list[tuple[int, int, float, float]], left: list[float]) -> None:

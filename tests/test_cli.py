@@ -211,6 +211,21 @@ def test_sweep_separation_power_underflow_is_solver_failure(tmp_path, capsys):
     assert out == "" and err.startswith("solver failure: |x - y|^s") and err.count("\n") == 1
 
 
+def test_sweep_infinite_truncation_cost_is_solver_failure(tmp_path, capsys):
+    # kernel sigma = 100 at p = 2: r^{p-1-sigma} overflows on (0, r_min), so the
+    # truncation cost is inf, which JSON cannot carry
+    cfg = tmp_path / "family.json"
+    cfg.write_text(json.dumps({"type": "kernel", "dim": 1, "sigma": 100, "params": {"base": 1.0, "amplitude": 0.5},
+                               "grid": {"r_min": 0.001, "n_radial": 10}}))
+    rows = tmp_path / "rows.json"
+    code, out, err = run_cli(
+        ["sweep", "--config", str(cfg), "--pairs", "2", "--p", "2", "--json", "--out", str(rows)], capsys
+    )
+    assert code == 3
+    assert out == "" and err.startswith("solver failure: truncation cost") and err.count("\n") == 1
+    assert "is inf, not finite" in err and not rows.exists()
+
+
 @pytest.mark.parametrize(
     "config",
     [

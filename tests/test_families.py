@@ -234,6 +234,11 @@ def test_regularity_sweep_refuses_ratios_outside_the_float_range():
     with pytest.raises(ValueError, match="overflows"):
         regularity_sweep(family, [(np.array([0.0]), np.array([1e-3]))], 1.0, 105.0)
 
+    # a truncation cost that is not finite is refused before the pair is solved
+    for tc in (math.inf, -math.inf, math.nan):
+        with pytest.raises(ValueError, match="not finite"):
+            regularity_sweep(unused, [(np.array([0.0]), np.array([0.1]))], 2.0, 1.0, lambda x, tc=tc: tc)
+
 
 def test_regularity_sweep_rejects_coincident_pairs():
     fixed = DiscreteMeasure(1, [[0.5]], [1.0])
@@ -370,3 +375,17 @@ def test_truncation_cost_is_linear_in_the_coefficient(case):
     points = [[t, 0.5 * t, -t][: config["dim"]] for t in (-2.0, -0.4, 0.0, 0.9, 1.6)]
     per_unit = [runtime.truncation_cost(x, p) / coef(x) for x in points]
     assert per_unit == pytest.approx([per_unit[0]] * len(points), rel=1e-14)
+
+
+@pytest.mark.parametrize("case", ["kernel-d1", "kernel-d2", "kernel-d3", "fraclap-full", "constant"])
+def test_grid_families_put_every_point_on_one_grid(case):
+    # The transport solver starts from the in-place plan on coincident atoms,
+    # so the atoms at x and at y must sit on the same sites.  Positions are
+    # the density-weighted cell centroids, whose rounding follows the
+    # coefficient at x: up to 6 ulps apart over these pairs.
+    config = TRUNCATION_CASES[case][0]
+    runtime = build_family(config)
+    for x, y in sweep_pairs(8, config["dim"], seed=3):
+        at_x, at_y = runtime.make_measure(x), runtime.make_measure(y)
+        assert at_x.n_atoms == at_y.n_atoms > 0
+        np.testing.assert_array_max_ulp(at_x.positions, at_y.positions, maxulp=8)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from levyot.families import build_family
 from levyot.measures import DiscreteMeasure, _pow, tv_distance
 from levyot.transport import (
     TransportPlan,
@@ -185,11 +186,76 @@ def test_empty_forest_builds_the_star(monkeypatch, make_measure, dim, p):
     for sx in _initial_trees(monkeypatch, cases):
         sx._build_tree([], np.concatenate([sx.supply, sx.demand]).tolist())
         _assert_tree_is(sx, _star_reference(sx))
-    # above the k-NN threshold the solver starts from the star itself
+    # above the k-NN threshold, clouds without coincident atoms start from the star itself
     big = tuple(DiscreteMeasure(dim, rng.normal(size=(k, dim)), rng.uniform(0.2, 2.0, k)) for k in (300, 260))
     (sx,) = _initial_trees(monkeypatch, [(*big, p)])
     assert sx.warm is not None
     _assert_tree_is(sx, _star_reference(sx))
+
+
+def _kernel_pair():
+    """A kernel family at two points, 40 shells x 8 directions in d = 2: 320
+    atoms a side, above the k-NN threshold, and every atom of one measure has
+    a coincident partner in the other."""
+    runtime = build_family({"type": "kernel", "dim": 2, "sigma": 0.5, "params": {"base": 1.0, "amplitude": 0.5},
+                            "grid": {"r_min": 1e-3, "r_max": 1.0, "n_radial": 40, "n_angular": 8}})
+    return runtime.make_measure([0.3, -0.2]), runtime.make_measure([0.31, -0.17])
+
+
+def _partners(mu, nu):
+    """nu index of each mu atom's coincident partner."""
+    near = np.linalg.norm(mu.positions[:, None, :] - nu.positions[None, :, :], axis=2)
+    j = np.argmin(near, axis=1)
+    assert near[np.arange(mu.n_atoms), j].max() <= 1e-14 and np.unique(j).size == nu.n_atoms == mu.n_atoms
+    return j
+
+
+def test_coincident_atoms_start_matched_in_place(monkeypatch):
+    mu, nu = _kernel_pair()
+    partner = _partners(mu, nu)
+    for sx in _initial_trees(monkeypatch, [(mu, nu, p) for p in (1.0, 1.5, 2.0)]):
+        assert sx.warm is not None
+        _check_initial_tree(sx)
+        real = [(node, sx.parent[node]) for node in range(sx.N)
+                if node not in (sx.root, sx.vsink) and sx.parent[node] not in (sx.root, sx.vsink)]
+        arcs = {(min(a, b), max(a, b) - sx.m): sx.flow[a] for a, b in real}
+        # one real arc per component: no node has two
+        ends = [i for i, _ in arcs] + [sx.m + j for _, j in arcs]
+        assert len(set(ends)) == len(ends)
+        assert sorted(arcs) == list(enumerate(partner.tolist()))
+        for (i, j), f in arcs.items():
+            assert f == min(mu.weights[i], nu.weights[j])
+
+
+def _in_place_value(mu, nu, p):
+    """Cost of the plan that keeps min(w, w') at each coincident pair and
+    trades the rest with the reservoir."""
+    partner = _partners(mu, nu)
+    w, v = mu.weights, nu.weights[partner]
+    kept = np.minimum(w, v)
+    cost = CostSpec(p)
+    pair = _pow(np.linalg.norm(mu.positions - nu.positions[partner], axis=1), p)
+    return math.fsum(np.concatenate([kept * pair, (w - kept) * cost.reservoir_cost(mu),
+                                     (v - kept) * cost.reservoir_cost(nu)[partner]]).tolist())
+
+
+@pytest.mark.parametrize("p", [1.0, 1.5, 2.0])
+def test_coincident_start_solves_to_the_star_optimum(monkeypatch, p):
+    import levyot.transport as tr
+
+    mu, nu = _kernel_pair()
+    rep = solve(mu, nu, CostSpec(p))
+    assert rep.gap <= 1e-9 * (1.0 + rep.value)
+    assert verify_plan(rep.plan, mu, nu) == []
+    assert k_support_check(rep.plan, mu, nu, p) == []
+    if p == 1.0:
+        # the in-place plan is optimal at p = 1: no pivot is needed
+        assert rep.iterations == 0
+        assert rep.value == pytest.approx(_in_place_value(mu, nu, p), rel=1e-12, abs=0.0)
+    monkeypatch.setattr(tr._Simplex, "_greedy_forest", lambda self, *args: [])
+    star = solve(mu, nu, CostSpec(p))
+    assert star.iterations > rep.iterations
+    assert rep.value == pytest.approx(star.value, rel=1e-12, abs=0.0)
 
 
 def _clouds(rng, sizes, dim=3):
@@ -762,3 +828,6 @@ def test_determinism():
     # the k-NN path, with its sampled pool threshold, is just as repeatable
     big = _clouds(rng, (300, 260))
     assert solve(*big, CostSpec(1.5)).to_dict() == solve(*big, CostSpec(1.5)).to_dict()
+    # and so is its start from coincident atoms matched in place
+    pair = _kernel_pair()
+    assert solve(*pair, CostSpec(1.5)).to_dict() == solve(*pair, CostSpec(1.5)).to_dict()
