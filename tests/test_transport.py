@@ -1,5 +1,6 @@
 """Tests for the reservoir transport solver, duals, and oracles."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -376,6 +377,105 @@ def test_full_scans_fill_the_pool_and_certify(monkeypatch, sizes, p):
     assert verify_plan(rep.plan, mu, nu) == []
 
 
+def test_warm_pool_is_the_mutual_neighbour_arcs(monkeypatch, rng):
+    mu, nu = _clouds(rng, (300, 260))
+    (sx,) = _initial_trees(monkeypatch, [(mu, nu, 2.0)])
+    m, n = mu.n_atoms, nu.n_atoms
+    near = np.argsort(sx.dense[:m, :n], axis=1)[:, :32]
+    back = np.argsort(sx.dense[:m, :n], axis=0)[:32, :]
+    want = np.unique(np.concatenate([
+        (np.arange(m)[:, None] * (n + 1) + near).ravel(),
+        (back * (n + 1) + np.arange(n)[None, :]).ravel(),
+        m * (n + 1) + np.arange(n + 1),  # the reservoir row
+        np.arange(m) * (n + 1) + n,  # the reservoir column
+    ]))
+    assert sx.warm.dtype == np.int64 and np.array_equal(sx.warm, want)
+
+
+def _drain_reference(sx, pool, cost, theta):
+    """Reference: ``_drain_pool``'s candidate-list pricing written out plainly.
+
+    Each arc is priced from its flat index; candidates are priced afresh at
+    the start of each minor round, and each round sorts them all.  Returns
+    the number of minor rounds after each major pass.
+    """
+    m, n, tol, pot = sx.m, sx.n, sx.tol, sx.pot
+    minors = []
+
+    def price(k):
+        return cost[k] - pot[pool[k] // n] + pot[m + pool[k] % n]
+
+    while sx.iterations <= sx.bland_after:
+        red = price(np.arange(pool.size))
+        cand = np.flatnonzero(red < -tol)
+        if cand.size == 0:
+            break
+        keep = red < theta
+        if 8 * cand.size < pool.size and 8 * np.count_nonzero(keep) < pool.size:
+            pool, cost = pool[keep], cost[keep]
+            cand = np.flatnonzero(red[keep] < -tol)
+        eligible = cand.size
+        minors.append(0)
+        while sx.iterations <= sx.bland_after:
+            vals = price(cand)
+            cand, vals = cand[vals < -tol], vals[vals < -tol]
+            if 8 * cand.size < eligible:
+                break
+            minors[-1] += 1
+            for k in cand[np.lexsort((pool[cand], vals))][:128]:
+                i, j = divmod(int(pool[k]), n)
+                if cost[k] - pot[i] + pot[m + j] < -tol:
+                    sx._pivot(i, j, float(cost[k]))
+            if eligible <= 128:  # one round took the whole list
+                break
+    return minors
+
+
+@pytest.mark.parametrize("p", [1.0, 1.5, 2.0])
+@pytest.mark.parametrize("sizes", [(300, 260), (600, 600)])
+def test_candidate_list_pricing(monkeypatch, sizes, p):
+    import copy
+
+    import levyot.transport as tr
+
+    entered = {"solver": [], "reference": []}
+    log = entered["solver"]
+    minors = []
+    pivot, drain = tr._Simplex._pivot, tr._Simplex._drain_pool
+
+    def checked_pivot(self, i, j, cost):
+        # every entered arc is eligible against the potentials at entry
+        assert cost - self.pot[i] + self.pot[self.m + j] < -self.tol
+        log.append((i, j))
+        pivot(self, i, j, cost)
+
+    def compared_drain(self, pool, pool_cost, theta):
+        nonlocal log
+        ref = copy.deepcopy(self)
+        log = entered["reference"]
+        minors.extend(_drain_reference(ref, pool, pool_cost, theta))
+        log = entered["solver"]
+        drain(self, pool, pool_cost, theta)
+        assert entered["solver"] == entered["reference"]
+        assert self.iterations == ref.iterations and self.pot.tobytes() == ref.pot.tobytes()
+
+    monkeypatch.setattr(tr._Simplex, "_pivot", checked_pivot)
+    monkeypatch.setattr(tr._Simplex, "_drain_pool", compared_drain)
+    mu, nu = _clouds(np.random.default_rng(sum(sizes)), sizes)
+    rep = solve(mu, nu, CostSpec(p))
+    assert len(entered["solver"]) == rep.iterations > 0
+    # a minor round follows every major pass that finds an eligible arc, and
+    # some major passes are followed by several: the candidate list saves them
+    assert min(minors) >= 1 and sum(minors) > len(minors)
+    assert rep.gap <= 1e-9 * (1.0 + rep.value)
+    plan = rep.plan
+    dense = _dense_cost(mu, nu, p)
+    terms = np.concatenate([dense[plan.direct_rows, plan.direct_cols] * plan.direct_vals,
+                            dense[:-1, -1] * plan.to_reservoir, dense[-1, :-1] * plan.from_reservoir])
+    assert rep.value == pytest.approx(math.fsum(terms.tolist()), rel=1e-12, abs=0.0)
+    assert verify_plan(plan, mu, nu) == []
+
+
 @pytest.mark.parametrize("p", [1.0, 1.5, 2.0])
 @pytest.mark.parametrize("dim", [1, 2, 3, 8])
 def test_block_costs_match_the_dense_matrix_bit_for_bit(dim, p):
@@ -598,6 +698,24 @@ def test_verify_plan_flags_bad_plans():
     violations = verify_plan(zeroed, mu, nu)
     assert {v.side for v in violations} == {"mu", "nu"}
     assert len([v for v in violations if v.side == "mu"]) == 2
+
+
+@pytest.mark.parametrize("p", [1.0, 2.0])
+def test_verify_plan_is_relative_to_heavy_atoms(p):
+    # the heavy fraclap family: atoms down to 1e-7 carry masses up to 1.2e11
+    runtime = build_family({"type": "fraclap", "dim": 2, "sigma": 1.8,
+                            "params": {"a0": 0.5, "a1": 0.25, "part": "full"},
+                            "grid": {"r_min": 1e-7, "r_max": 1.0, "n_radial": 120, "n_angular": 8}})
+    mu, nu = runtime.make_measure([0.1, 0.0]), runtime.make_measure([0.3, 0.2])
+    assert mu.weights.max() > 1e11
+    plan = solve(mu, nu, CostSpec(p)).plan
+    assert verify_plan(plan, mu, nu) == []
+    # a relative error of 1e-9 on the heaviest atom is still flagged
+    k = int(np.argmax(nu.weights))
+    bent = dataclasses.replace(plan, from_reservoir=plan.from_reservoir + np.eye(nu.n_atoms)[k] * 1e-9 * nu.weights[k])
+    (bad,) = verify_plan(bent, mu, nu)
+    assert (bad.side, bad.index) == ("nu", k)
+    assert bad.error == pytest.approx(1e-9 * nu.weights[k], rel=1e-6)
 
 
 def test_k_support_reports_hand_built_violation():
