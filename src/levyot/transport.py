@@ -62,6 +62,12 @@ class CostSpec:
             return cdist(x, y, "sqeuclidean")
         return _pow(cdist(x, y, "euclidean"), self.p)
 
+    def pairwise(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """|x_k - y_k|^p row by row, by the same formula as ``pairs``."""
+        diff = x - y
+        sq = (diff * diff).sum(axis=1)
+        return sq if self.p == 2.0 else _pow(np.sqrt(sq), self.p)
+
     def pair_matrix(self, mu: DiscreteMeasure, nu: DiscreteMeasure) -> np.ndarray:
         """Dense |x_i - y_j|^p over the atom grids."""
         return self.pairs(mu.positions, nu.positions)
@@ -943,7 +949,7 @@ def k_support_check(
     cost = CostSpec(p)
     keep = plan.direct_vals > 1e-12
     rows, cols = plan.direct_rows[keep], plan.direct_cols[keep]
-    direct = _pow(np.linalg.norm(mu.positions[rows] - nu.positions[cols], axis=1), cost.p)
+    direct = cost.pairwise(mu.positions[rows], nu.positions[cols])
     through = cost.reservoir_cost(mu)[rows] + cost.reservoir_cost(nu)[cols]
     bad = direct > through + tol
     return [

@@ -10,13 +10,14 @@ from levyot.bounds import (
     mutilde_checks,
     positive_part_dual_bound,
     pushforward_bound,
+    radial_lower_bound,
     restricted_integral_bound,
     restriction_bound,
     tv_power_bound,
 )
 from levyot.families import FracLaplFamily
 from levyot.measures import DiscreteMeasure, restrict_outside
-from levyot.transport import DualPotentials, distance, dual_value
+from levyot.transport import CostSpec, DualPotentials, distance, dual_value, solve
 
 SLACK = 1e-8
 
@@ -158,6 +159,44 @@ def test_bound_dominance_random(rng, make_measure):
             restriction_bound(mu, r, p)
             >= distance(mu, restrict_outside(mu, r), p) ** p - SLACK
         )
+
+
+def test_radial_lower_bound_examples():
+    mu = DiscreteMeasure(1, [[0.5]], [1.0])
+    nu = DiscreteMeasure(1, [[0.7]], [2.0])
+    assert radial_lower_bound(mu, mu, 2.0) == 0.0
+    # monotone merge from the far end: 1 unit 0.5 -> 0.7, then 1 unit 0 -> 0.7
+    assert radial_lower_bound(mu, nu, 2.0) == pytest.approx(0.2**2 + 0.7**2, rel=1e-15)
+    assert radial_lower_bound(mu, nu, 2.0) == pytest.approx(solve(mu, nu, CostSpec(2.0)).value, rel=1e-15)
+    # against the zero measure every atom trades with the reservoir
+    empty = DiscreteMeasure.empty(2)
+    cloud = DiscreteMeasure(2, [[0.3, 0.4], [-1.0, 2.0]], [2.0, 0.5])
+    for p in (1.0, 1.5, 2.0):
+        assert radial_lower_bound(cloud, empty, p) == pytest.approx(cloud.p_moment(p), rel=1e-15)
+        assert radial_lower_bound(empty, cloud, p) == pytest.approx(cloud.p_moment(p), rel=1e-15)
+    assert radial_lower_bound(empty, empty, 1.0) == 0.0
+    # antipodal atoms of equal radius: the bound sees no cost, the distance does
+    east, west = DiscreteMeasure(2, [[0.5, 0.0]], [1.0]), DiscreteMeasure(2, [[-0.5, 0.0]], [1.0])
+    assert radial_lower_bound(east, west, 2.0) == 0.0 < distance(east, west, 2.0)
+    with pytest.raises(ValueError, match="dimension"):
+        radial_lower_bound(mu, empty, 2.0)
+    with pytest.raises(ValueError, match="exponent p"):
+        radial_lower_bound(mu, nu, 2.5)
+
+
+def test_radial_lower_bound_below_solve(rng, make_measure):
+    for _ in range(120):
+        dim = int(rng.integers(1, 4))
+        p = float(rng.choice([1.0, 1.5, 2.0]))
+        mu = make_measure(rng, dim, max_atoms=30)
+        nu = make_measure(rng, dim, max_atoms=30)
+        value = solve(mu, nu, CostSpec(p)).value
+        assert radial_lower_bound(mu, nu, p) <= value * (1.0 + 1e-14)
+        # on one ray (d = 1, positive atoms) the bound is the exact value
+        a = DiscreteMeasure(1, mu.radii[:, None], mu.weights)
+        b = DiscreteMeasure(1, nu.radii[:, None], nu.weights)
+        exact = solve(a, b, CostSpec(p)).value
+        assert radial_lower_bound(a, b, p) == pytest.approx(exact, rel=1e-12, abs=1e-300)
 
 
 def test_mutilde_checks_closed_form():

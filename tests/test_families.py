@@ -5,8 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from levyot.bounds import pushforward_bound
+from levyot.bounds import pushforward_bound, radial_lower_bound
 from levyot.families import (
+    RAY_CERT_TOL,
     AnnularGrid,
     FracLaplFamily,
     KernelFamily,
@@ -17,9 +18,10 @@ from levyot.families import (
     regularity_sweep,
     split_fraclap,
     sweep_pairs,
+    _ray_coupling,
 )
-from levyot.measures import DiscreteMeasure
-from levyot.transport import distance
+from levyot.measures import DiscreteMeasure, decompose
+from levyot.transport import CostSpec, distance, solve
 
 
 def powerlaw_kernel(sigma: float, dim: int = 1, coef: float = 1.0) -> KernelFamily:
@@ -195,6 +197,7 @@ def test_regularity_sweep_constant_family():
     report = regularity_sweep(lambda x: fixed, pairs, p=1.5, s=1.0)
     assert report.max_ratio == 0.0
     assert all(r.distance == 0.0 for r in report.rows)
+    assert report.certified == 5
 
 
 def test_regularity_sweep_translation_family():
@@ -389,3 +392,112 @@ def test_grid_families_put_every_point_on_one_grid(case):
         at_x, at_y = runtime.make_measure(x), runtime.make_measure(y)
         assert at_x.n_atoms == at_y.n_atoms > 0
         np.testing.assert_array_max_ulp(at_x.positions, at_y.positions, maxulp=8)
+
+
+def _random_line_measure(rng) -> DiscreteMeasure:
+    n = int(rng.integers(1, 60))
+    radii = 10.0 ** rng.uniform(-3.0, 1.0, n)
+    return DiscreteMeasure(1, (radii * rng.choice([-1.0, 1.0], n))[:, None], 10.0 ** rng.uniform(-2.0, 3.0, n))
+
+
+def test_ray_coupling_is_exact_in_one_dimension():
+    # In d = 1 no optimal arc crosses the origin, since (|x| + |y|)^p >=
+    # |x|^p + |y|^p, so the two half-lines' monotone couplings are optimal.
+    rng = np.random.default_rng(16)
+    for _ in range(300):
+        p = float(rng.choice([1.0, 1.5, 2.0]))
+        mu, nu = _random_line_measure(rng), _random_line_measure(rng)
+        upper, gross = _ray_coupling(mu, nu, p)
+        assert upper == pytest.approx(solve(mu, nu, CostSpec(p)).value, rel=1e-12, abs=0.0)
+        assert upper <= gross
+
+
+# The kernel and heavy-mass fractional configs of the perfbench family sweep.
+SWEEP_KERNEL = {
+    "type": "kernel", "dim": 2, "sigma": 0.5, "gamma": 1.0, "params": {"base": 1.0, "amplitude": 0.5},
+    "grid": {"r_min": 1e-3, "r_max": 1.0, "n_radial": 60, "n_angular": 8},
+}
+SWEEP_HEAVY = {
+    "type": "fraclap", "dim": 2, "sigma": 1.8, "params": {"a0": 0.5, "a1": 0.25, "part": "full"},
+    "grid": {"r_min": 1e-7, "r_max": 1.0, "n_radial": 120, "n_angular": 8},
+}
+
+
+def _hats(runtime, x, y):
+    return decompose(runtime.make_measure(x)).hat, decompose(runtime.make_measure(y)).hat
+
+
+@pytest.mark.parametrize("p", [1.0, 2.0])
+def test_kernel_sweep_rows_are_certified_and_match_the_simplex(p):
+    runtime = build_family(SWEEP_KERNEL)
+    pairs = sweep_pairs(6, 2, seed=7)
+    report = regularity_sweep(runtime.make_measure, pairs, p=p, s=1.0)
+    assert report.certified == len(report.rows) == 6
+    for row, (x, y) in zip(report.rows, pairs):
+        hat_x, hat_y = _hats(runtime, x, y)
+        assert row.distance == pytest.approx(distance(hat_x, hat_y, p), rel=1e-12, abs=0.0)
+
+
+def test_heavy_sweep_rows_stay_below_the_in_place_plan():
+    # Masses reach about 1.7e11 on atoms near 1e-7.  The endpoints share one
+    # cell layout, so keeping min(w_a, w_b) in each cell and trading the rest
+    # with the reservoir is a feasible plan; the optimum cannot exceed it.
+    runtime = build_family(SWEEP_HEAVY)
+    pairs = sweep_pairs(3, 2, seed=2018)
+    report = regularity_sweep(runtime.make_measure, pairs, p=2.0, s=1.0)
+    assert report.certified == 3
+    for row, (x, y) in zip(report.rows, pairs):
+        a, b = _hats(runtime, x, y)
+        assert a.n_atoms == b.n_atoms == 960
+        move = np.sum((a.positions - b.positions) ** 2, axis=1)
+        in_place = math.fsum(
+            (
+                np.minimum(a.weights, b.weights) * move
+                + np.maximum(a.weights - b.weights, 0.0) * a.radii**2
+                + np.maximum(b.weights - a.weights, 0.0) * b.radii**2
+            ).tolist()
+        )
+        value = row.distance**2
+        assert value <= in_place * (1.0 + 1e-12)
+        # and it meets the radial lower bound, so it is the optimum
+        assert value == pytest.approx(radial_lower_bound(a, b, 2.0), rel=1e-11, abs=0.0)
+
+
+def test_levyito_translation_sweep_falls_back_to_the_simplex():
+    runtime = build_family(
+        {"type": "levyito", "dim": 2, "sigma": 0.5, "params": {"kind": "translation", "shift": 0.1},
+         "grid": {"r_min": 1e-2, "r_max": 1.0, "n_radial": 20, "n_angular": 6}}
+    )
+    pairs = sweep_pairs(3, 2, seed=5)
+    for p in (1.0, 2.0):
+        report = regularity_sweep(runtime.make_measure, pairs, p=p, s=1.0)
+        assert report.certified == 0
+        for row, (x, y) in zip(report.rows, pairs):
+            assert row.distance == distance(*_hats(runtime, x, y), p)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_grid_constant_family_sweeps_to_exact_zero(dim):
+    runtime = build_family(_grid_config("constant", dim, 0.5, {}))
+    report = regularity_sweep(runtime.make_measure, sweep_pairs(4, dim, seed=9), p=2.0, s=1.0)
+    assert report.certified == 4
+    assert [row.distance for row in report.rows] == [0.0] * 4
+    assert report.max_ratio == 0.0
+
+
+def test_sweep_certificate_accepts_within_its_allowance():
+    # d = 3 kernel grid: every ray is shared, so U meets R within RAY_CERT_TOL * G
+    runtime = build_family(_grid_config("kernel", 3, 0.5, _KERNEL))
+    for x, y in sweep_pairs(4, 3, seed=12):
+        hat_x, hat_y = _hats(runtime, x, y)
+        for p in (1.0, 1.5, 2.0):
+            upper, gross = _ray_coupling(hat_x, hat_y, p)
+            lower = radial_lower_bound(hat_x, hat_y, p)
+            assert abs(upper - lower) <= RAY_CERT_TOL * gross
+            assert upper == pytest.approx(solve(hat_x, hat_y, CostSpec(p)).value, rel=1e-12, abs=0.0)
+    # atoms of one measure on rays the other does not use: U pays the reservoir
+    east = DiscreteMeasure(2, [[0.5, 0.0], [0.2, 0.0]], [1.0, 3.0])
+    north = DiscreteMeasure(2, [[0.0, 0.5], [0.0, 0.2]], [1.0, 3.0])
+    upper, gross = _ray_coupling(east, north, 2.0)
+    assert upper == pytest.approx(2.0 * (0.25 + 3.0 * 0.04), rel=1e-15)
+    assert radial_lower_bound(east, north, 2.0) == 0.0
