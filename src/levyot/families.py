@@ -341,12 +341,9 @@ def _ray_coupling(mu: DiscreteMeasure, nu: DiscreteMeasure, p: float) -> tuple[f
     """
     cost = transport.CostSpec(p)
     ray_x, ray_y = _ray_ids(mu, nu)
-    order_x, order_y = np.argsort(ray_x, kind="stable"), np.argsort(ray_y, kind="stable")
-    sorted_x, sorted_y = ray_x[order_x], ray_y[order_y]
     rows, cols, mass = [], [], []
     for ray in np.intersect1d(ray_x, ray_y):
-        i = order_x[np.searchsorted(sorted_x, ray) : np.searchsorted(sorted_x, ray, side="right")]
-        j = order_y[np.searchsorted(sorted_y, ray) : np.searchsorted(sorted_y, ray, side="right")]
+        i, j = np.flatnonzero(ray_x == ray), np.flatnonzero(ray_y == ray)
         ia, ib, m = bounds._half_line_merge(mu.radii[i], mu.weights[i], nu.radii[j], nu.weights[j])
         rows.append(np.append(i, -1)[ia])
         cols.append(np.append(j, -1)[ib])
