@@ -163,7 +163,7 @@ def cmd_sweep(args) -> int:
         s=args.s,
         truncation_cost=lambda x: runtime.truncation_cost(x, args.p),
     )
-    print(f"max_ratio={_fmt(report.max_ratio)}", file=sys.stderr)
+    print(f"max_ratio={_fmt(report.max_ratio)} certified={report.certified}/{len(report.rows)}", file=sys.stderr)
     doc = {
         "seed": args.seed,
         "p": args.p,

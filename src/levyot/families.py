@@ -125,25 +125,22 @@ def _discretize_density(
     else:
         angular_pull = 1.0
 
-    positions = []
-    weights = []
-    lefts = []
-    flat_r = sub_mid.reshape(-1)
-    for e in dirs:
-        pts = flat_r[:, None] * e[None, :]
-        vals = np.asarray(density(pts), dtype=float).reshape(n_cells, sub)
-        if np.any(~np.isfinite(vals)):
-            raise ValueError("density returned a non-finite value")
-        if np.any(vals < 0):
-            raise ValueError("density must be nonnegative")
-        cell_mass = (vals * sub_vol).sum(axis=1) * ang_w
-        moment = (vals * sub_vol * sub_mid).sum(axis=1) * ang_w
-        keep = cell_mass > 0.0
-        r_centroid = moment[keep] / cell_mass[keep]
-        positions.append(r_centroid[:, None] * (angular_pull * e)[None, :])
-        weights.append(cell_mass[keep])
-        lefts.append(edges[:-1][keep])
-    return np.concatenate(positions), np.concatenate(weights), np.concatenate(lefts)
+    # one density call on every point, laid out (direction, cell, subsample);
+    # each cell still sums its own subsamples, so the result is direction-major
+    pts = sub_mid.reshape(1, -1, 1) * dirs[:, None, :]
+    vals = np.asarray(density(pts.reshape(-1, dim)), dtype=float).reshape(len(dirs), n_cells, sub)
+    if np.any(~np.isfinite(vals)):
+        raise ValueError("density returned a non-finite value")
+    if np.any(vals < 0):
+        raise ValueError("density must be nonnegative")
+    cell_mass = (vals * sub_vol).sum(axis=-1) * ang_w
+    moment = (vals * sub_vol * sub_mid).sum(axis=-1) * ang_w
+    keep = cell_mass > 0.0
+    r_centroid = moment[keep] / cell_mass[keep]
+    direction = np.nonzero(keep)[0]
+    positions = r_centroid[:, None] * (angular_pull * dirs)[direction]
+    lefts = np.broadcast_to(edges[:-1], keep.shape)[keep]
+    return positions, cell_mass[keep], lefts
 
 
 @dataclass(frozen=True)
@@ -244,10 +241,12 @@ def split_fraclap(
     pos, w, lefts = _discretize_density(
         family.density_at(x), family.dim, grid, extra_breaks=(rx, 1.0)
     )
-    dim = family.dim
+    whole = DiscreteMeasure(family.dim, pos, w)
 
     def pick(mask) -> DiscreteMeasure:
-        return DiscreteMeasure(dim, pos[mask], w[mask])
+        if whole.n_atoms < w.size:  # two cells share a centroid: merge them only within a part
+            return DiscreteMeasure(family.dim, pos[mask], w[mask])
+        return whole._restrict(mask)
 
     hat = pick(lefts < min(rx, 1.0))
     tilde = pick((lefts >= rx) & (lefts < 1.0))
@@ -323,10 +322,17 @@ def _ray_ids(mu: DiscreteMeasure, nu: DiscreteMeasure) -> tuple[np.ndarray, np.n
     component sits within rounding of a grid midpoint; a ray split that way
     only makes the sweep certificate miss.
     """
-    units = np.concatenate([mu.positions / mu.radii[:, None], nu.positions / nu.radii[:, None]])
-    key = np.ascontiguousarray(np.rint(units * _RAY_GRID).astype(np.int64))
-    rows = key.view(np.dtype((np.void, key.itemsize * key.shape[1]))).reshape(-1)
-    ids = np.unique(rows, return_inverse=True)[1].reshape(-1)
+    # one row per coordinate, one column per atom
+    units = np.concatenate([mu.positions.T / mu.radii, nu.positions.T / nu.radii], axis=1)
+    key = np.rint(units * _RAY_GRID).astype(np.int64)
+    # label each atom by the rank of its key among the distinct keys; a
+    # lexsort of the int64 rows is much cheaper than np.unique over records
+    order = np.lexsort(key)
+    ranked = key[:, order]
+    new_ray = np.ones(key.shape[1], dtype=bool)
+    new_ray[1:] = np.any(ranked[:, 1:] != ranked[:, :-1], axis=0)
+    ids = np.empty(key.shape[1], dtype=np.intp)
+    ids[order] = np.cumsum(new_ray)
     return ids[: mu.n_atoms], ids[mu.n_atoms :]
 
 
@@ -453,18 +459,27 @@ def sweep_pairs(n_pairs: int, dim: int, seed: int) -> list[tuple[np.ndarray, np.
 # ---------------------------------------------------------------------------
 
 class FamilyRuntime:
-    """A family bound to a grid: produces measures and truncation costs per x."""
+    """A family bound to a grid: produces measures and truncation costs per x.
 
-    def __init__(self, dim: int, make, trunc):
+    The truncation cost at x is coef(x) times an x-free radial factor
+    ``radial(p)``; each runtime computes that factor at most once per p.
+    """
+
+    def __init__(self, dim: int, make, coef, radial):
         self.dim = dim
         self._make = make
-        self._trunc = trunc
+        self._coef = coef
+        self._radial = radial
+        self._radial_at: dict[float, float] = {}
 
     def make_measure(self, x) -> DiscreteMeasure:
         return self._make(np.atleast_1d(np.asarray(x, dtype=float)))
 
     def truncation_cost(self, x, p: float) -> float:
-        return self._trunc(np.atleast_1d(np.asarray(x, dtype=float)), p)
+        coef = self._coef(np.atleast_1d(np.asarray(x, dtype=float)))
+        if p not in self._radial_at:
+            self._radial_at[p] = self._radial(p)
+        return coef * self._radial_at[p]
 
 
 def _power_truncation(dim: int, sigma: float, p: float, grid: AnnularGrid) -> float:
@@ -568,7 +583,8 @@ def _build_family(config: dict) -> FamilyRuntime:
         return FamilyRuntime(
             dim,
             make=lambda x: discretize_kernel(family, x, grid),
-            trunc=lambda x, p: coef(x) * _power_truncation(dim, sigma, p, grid),
+            coef=coef,
+            radial=lambda p: _power_truncation(dim, sigma, p, grid),
         )
 
     if kind == "fraclap":
@@ -593,7 +609,8 @@ def _build_family(config: dict) -> FamilyRuntime:
         return FamilyRuntime(
             dim,
             make=make,
-            trunc=lambda x, p: family.coefficient(x) * _power_truncation(dim, sigma, p, grid),
+            coef=family.coefficient,
+            radial=lambda p: _power_truncation(dim, sigma, p, grid),
         )
 
     if kind == "levyito":
@@ -643,7 +660,7 @@ def _build_family(config: dict) -> FamilyRuntime:
         else:
             raise ValueError(f"unknown levyito map kind {mkind!r}")
         family = LevyItoFamily(base=base, maps=maps, rho=rho, bound_C=C, dim_out=dim)
-        return FamilyRuntime(dim, make=lambda x: pushforward(family, x), trunc=lambda x, p: 0.0)
+        return FamilyRuntime(dim, make=lambda x: pushforward(family, x), coef=lambda x: 0.0, radial=lambda p: 0.0)
 
     if kind == "constant":
         sigma = _number(config, "sigma", 0.5)
@@ -651,7 +668,8 @@ def _build_family(config: dict) -> FamilyRuntime:
         return FamilyRuntime(
             dim,
             make=lambda x: fixed,
-            trunc=lambda x, p: _power_truncation(dim, sigma, p, grid),
+            coef=lambda x: 1.0,
+            radial=lambda p: _power_truncation(dim, sigma, p, grid),
         )
 
     raise ValueError(f"unknown family type {kind!r}")

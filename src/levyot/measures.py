@@ -177,6 +177,21 @@ class DiscreteMeasure:
         """Largest |z|; 0.0 for the zero measure, where an array max is undefined."""
         return float(self._radii.max()) if self.n_atoms else 0.0
 
+    def _restrict(self, mask: np.ndarray) -> "DiscreteMeasure":
+        """The sub-measure on the atoms where ``mask`` is true.
+
+        Its atoms are a subset of this measure's validated, merged sites, so
+        it skips the constructor's checks and merge; it equals the measure
+        the constructor builds from the same rows, bit for bit.
+        """
+        sub = object.__new__(DiscreteMeasure)
+        object.__setattr__(sub, "dim", self.dim)
+        for name in ("positions", "weights", "_radii"):
+            part = getattr(self, name)[mask]
+            part.setflags(write=False)
+            object.__setattr__(sub, name, part)
+        return sub
+
     def __eq__(self, other) -> bool:
         if not isinstance(other, DiscreteMeasure):
             return NotImplemented
@@ -204,9 +219,7 @@ def n_p(mu: DiscreteMeasure, p: float) -> float:
 def decompose(mu: DiscreteMeasure) -> MeasureDecomposition:
     """Split atoms at the unit sphere: |z| < 1 goes to ``hat``, |z| >= 1 to ``check``."""
     inside = mu.radii < 1.0
-    hat = DiscreteMeasure(mu.dim, mu.positions[inside], mu.weights[inside])
-    check = DiscreteMeasure(mu.dim, mu.positions[~inside], mu.weights[~inside])
-    return MeasureDecomposition(hat=hat, check=check)
+    return MeasureDecomposition(hat=mu._restrict(inside), check=mu._restrict(~inside))
 
 
 def restrict_outside(mu: DiscreteMeasure, r: float) -> DiscreteMeasure:
@@ -214,8 +227,7 @@ def restrict_outside(mu: DiscreteMeasure, r: float) -> DiscreteMeasure:
     r = float(r)
     if r <= 0.0:
         raise ValueError("restriction radius must be positive")
-    keep = mu.radii >= r
-    return DiscreteMeasure(mu.dim, mu.positions[keep], mu.weights[keep])
+    return mu._restrict(mu.radii >= r)
 
 
 def _signed_sites(mu: DiscreteMeasure, nu: DiscreteMeasure) -> tuple[np.ndarray, np.ndarray]:

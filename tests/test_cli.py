@@ -8,6 +8,7 @@ import pytest
 
 from levyot.cli import main
 
+from test_families import SWEEP_HEAVY, SWEEP_KERNEL
 from test_measures import MALFORMED_MEASURES
 
 
@@ -192,6 +193,46 @@ def test_sweep_deterministic(tmp_path, capsys):
     assert header[0].startswith("# seed=7")
     assert header[1] == "x,y,separation,distance,ratio,truncation_cost"
     assert len(header) == 2 + 4
+
+
+GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
+
+
+@pytest.mark.parametrize(
+    "name, config, seed, pairs, p",
+    [("kernel_p1", SWEEP_KERNEL, 7, 6, "1"), ("kernel_p2", SWEEP_KERNEL, 7, 6, "2"),
+     ("heavy_p2", SWEEP_HEAVY, 2018, 3, "2")],
+)
+def test_sweep_json_matches_golden_bytes(name, config, seed, pairs, p, tmp_path, capsys):
+    # The golden files are `levyot sweep --json` output from commit 2e62e52,
+    # before the sweep's per-endpoint work was batched.  Heavy p = 1 is left
+    # out: p <= sigma there, so its truncation cost is not a cost (README).
+    cfg = tmp_path / "family.json"
+    cfg.write_text(json.dumps(config))
+    rows = tmp_path / "rows.json"
+    argv = ["sweep", "--config", str(cfg), "--p", p, "--s", "1", "--pairs", str(pairs), "--seed", str(seed), "--json"]
+    code, out, _ = run_cli(argv, capsys)
+    assert code == 0
+    with open(os.path.join(GOLDEN, f"sweep_{name}.json"), "rb") as fh:
+        golden = fh.read()
+    assert out.encode("utf-8") == golden
+    assert run_cli(argv + ["--out", str(rows)], capsys)[1] == ""
+    assert rows.read_bytes() == golden
+
+
+@pytest.mark.parametrize(
+    "config, certified",
+    [(SWEEP_KERNEL, 4),
+     ({"type": "levyito", "dim": 2, "sigma": 0.5, "params": {"kind": "translation", "shift": 0.1},
+       "grid": {"n_radial": 20, "n_angular": 6}}, 0)],
+    ids=["kernel", "levyito-translation"],
+)
+def test_sweep_reports_its_certified_rows(config, certified, tmp_path, capsys):
+    cfg = tmp_path / "family.json"
+    cfg.write_text(json.dumps(config))
+    code, _, err = run_cli(["sweep", "--config", str(cfg), "--pairs", "4", "--p", "2"], capsys)
+    assert code == 0
+    assert err.endswith(f" certified={certified}/4\n") and err.startswith("max_ratio=")
 
 
 def test_sweep_zero_pairs(tmp_path, capsys):

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
 from levyot.bounds import pushforward_bound, radial_lower_bound
 from levyot.families import (
@@ -18,7 +19,10 @@ from levyot.families import (
     regularity_sweep,
     split_fraclap,
     sweep_pairs,
+    _discretize_density,
+    _power_truncation,
     _ray_coupling,
+    _ray_ids,
 )
 from levyot.measures import DiscreteMeasure, decompose
 from levyot.transport import CostSpec, distance, solve
@@ -94,6 +98,77 @@ def test_discretize_d2_and_d3_mass():
         mu = discretize_kernel(fam, np.zeros(dim), grid)
         exact = omega * (0.05 ** (-sigma) - 1.0) / sigma
         assert mu.total_mass() == pytest.approx(exact, rel=1e-3)
+
+
+def _per_direction_discretization(density, dim, grid, extra_breaks=()):
+    """Reference: the cell quadrature one direction at a time, one density call each."""
+    edges = grid.radial_edges(extra_breaks)
+    dirs, ang_w = grid.directions(dim)
+    sub = grid.refine
+    ratio = (edges[1:] / edges[:-1])[:, None] ** (np.arange(sub + 1)[None, :] / sub)
+    sub_edges = edges[:-1, None] * ratio
+    sub_mid = 0.5 * (sub_edges[:, :-1] + sub_edges[:, 1:])
+    sub_vol = (sub_edges[:, 1:] ** dim - sub_edges[:, :-1] ** dim) / dim
+    half = math.pi / grid.n_angular
+    pull = math.sin(half) / half if dim == 2 else 1.0
+    positions, weights, lefts = [], [], []
+    for e in dirs:
+        vals = np.asarray(density(sub_mid.reshape(-1)[:, None] * e[None, :]), dtype=float).reshape(sub_mid.shape)
+        cell_mass = (vals * sub_vol).sum(axis=1) * ang_w
+        moment = (vals * sub_vol * sub_mid).sum(axis=1) * ang_w
+        keep = cell_mass > 0.0
+        positions.append((moment[keep] / cell_mass[keep])[:, None] * (pull * e)[None, :])
+        weights.append(cell_mass[keep])
+        lefts.append(edges[:-1][keep])
+    return tuple(np.concatenate(part) for part in (positions, weights, lefts))
+
+
+def _skewed_kernel(dim: int, one_sided: bool) -> KernelFamily:
+    """A power law modulated by direction; ``one_sided`` zeroes the half-space z_0 <= 0."""
+    expo = -(dim + 0.5)
+
+    def density(x, Z):
+        r = np.linalg.norm(Z, axis=1)
+        tilt = np.maximum(Z[:, 0], 0.0) / r if one_sided else 1.0 + 0.5 * np.sin(x[0] + 3.0 * Z[:, -1] / r)
+        return tilt * r**expo
+
+    return KernelFamily(density=density, sigma=0.5, lambda1=1.5, dim=dim)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_batched_discretization_matches_per_direction_reference(dim):
+    x = np.full(dim, 0.7)
+    for one_sided in (False, True):
+        fam = _skewed_kernel(dim, one_sided)
+        for grid in (AnnularGrid(r_min=1e-3, r_max=2.0, n_radial=30, n_angular=7, refine=5), AnnularGrid(n_radial=12)):
+            for extra in ((), (0.3, 1.0)):
+                calls = []
+
+                def density(Z):
+                    calls.append(Z.shape)
+                    return fam.density(x, Z)
+
+                got = _discretize_density(density, dim, grid, extra)
+                want = _per_direction_discretization(lambda Z: fam.density(x, Z), dim, grid, extra)
+                assert len(calls) == 1
+                for a, b in zip(got, want):
+                    assert a.shape == b.shape and a.tobytes() == b.tobytes()
+                # the one-sided density leaves whole directions empty
+                n_cells = len(grid.directions(dim)[0]) * (len(grid.radial_edges(extra)) - 1)
+                assert 0 < got[1].size and (got[1].size < n_cells) == one_sided
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_discretization_rejects_negative_and_non_finite_densities(dim):
+    # each fault sits only on directions with z_0 < 0, none of them the first one
+    grid = AnnularGrid(r_min=1e-2, n_radial=10, n_angular=4)
+    negative = KernelFamily(density=lambda x, Z: np.where(Z[:, 0] < 0.0, -1.0, 1.0), sigma=0.5, lambda1=1.0, dim=dim)
+    with pytest.raises(ValueError, match="^density must be nonnegative$"):
+        discretize_kernel(negative, np.zeros(dim), grid)
+    for bad in (np.inf, np.nan):
+        broken = KernelFamily(density=lambda x, Z: np.where(Z[:, 0] < 0.0, bad, 1.0), sigma=0.5, lambda1=1.0, dim=dim)
+        with pytest.raises(ValueError, match="^density returned a non-finite value$"):
+            discretize_kernel(broken, np.zeros(dim), grid)
 
 
 def test_split_fraclap_supports_and_masses():
@@ -380,6 +455,26 @@ def test_truncation_cost_is_linear_in_the_coefficient(case):
     assert per_unit == pytest.approx([per_unit[0]] * len(points), rel=1e-14)
 
 
+@pytest.mark.parametrize("case", sorted(TRUNCATION_CASES))
+def test_sweep_runs_the_truncation_quadrature_once_per_runtime_and_p(case, monkeypatch):
+    config, coef, p = TRUNCATION_CASES[case]
+    dim, sigma, grid = config["dim"], config["sigma"], AnnularGrid(**config["grid"])
+    exponents = (p, 1.9)
+    radial = {q: _power_truncation(dim, sigma, q, grid) for q in exponents}
+    calls = []
+    monkeypatch.setattr("levyot.families.quad", lambda *args, **kwargs: calls.append(1) or quad(*args, **kwargs))
+    pairs = sweep_pairs(3, dim, seed=4)
+    for runs in (1, 2):  # a second runtime computes the integral afresh
+        runtime = build_family(config)
+        for q in exponents:
+            report = regularity_sweep(
+                runtime.make_measure, pairs, p=q, s=1.0, truncation_cost=lambda x: runtime.truncation_cost(x, q)
+            )
+            for row, (x, y) in zip(report.rows, pairs):
+                assert row.truncation_cost == max(coef(x) * radial[q], coef(y) * radial[q])
+        assert len(calls) == runs * len(exponents)
+
+
 @pytest.mark.parametrize("case", ["kernel-d1", "kernel-d2", "kernel-d3", "fraclap-full", "constant"])
 def test_grid_families_put_every_point_on_one_grid(case):
     # The transport solver starts from the in-place plan on coincident atoms,
@@ -398,6 +493,25 @@ def _random_line_measure(rng) -> DiscreteMeasure:
     n = int(rng.integers(1, 60))
     radii = 10.0 ** rng.uniform(-3.0, 1.0, n)
     return DiscreteMeasure(1, (radii * rng.choice([-1.0, 1.0], n))[:, None], 10.0 ** rng.uniform(-2.0, 3.0, n))
+
+
+def test_ray_ids_share_a_label_exactly_on_shared_rays():
+    # Directions drawn from a small pool, including mirror images that share
+    # all but one coordinate, at random radii; two atoms share a label exactly
+    # when they were drawn on the same direction.
+    rng = np.random.default_rng(31)
+    for dim in (1, 2, 3):
+        pool = rng.normal(size=(6, dim))
+        pool = np.concatenate([pool, pool * np.r_[np.ones(dim - 1), -1.0]])
+        pool /= np.linalg.norm(pool, axis=1, keepdims=True)
+        for n_mu, n_nu in ((40, 30), (0, 5), (0, 0)):
+            drawn = rng.integers(0, len(pool), n_mu + n_nu)
+            pos = pool[drawn] * rng.uniform(0.01, 2.0, drawn.size)[:, None]
+            mu = DiscreteMeasure(dim, pos[:n_mu].reshape(-1, dim), np.ones(n_mu))
+            nu = DiscreteMeasure(dim, pos[n_mu:].reshape(-1, dim), np.ones(n_nu))
+            ids = np.concatenate(_ray_ids(mu, nu))
+            distinct = np.unique(pool[drawn], axis=0, return_inverse=True)[1].reshape(-1)
+            assert np.array_equal(ids[:, None] == ids[None, :], distinct[:, None] == distinct[None, :])
 
 
 def test_ray_coupling_is_exact_in_one_dimension():

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from levyot.bounds import RadialTestFunction, positive_part_dual_bound, restriction_bound
-from levyot.families import AnnularGrid, FracLaplFamily, LevyItoFamily, pushforward, split_fraclap
+from levyot.families import AnnularGrid, FracLaplFamily, LevyItoFamily, _discretize_density, pushforward, split_fraclap
 from levyot.measures import (
     DiscreteMeasure,
     SchemaError,
@@ -194,6 +194,65 @@ def test_restrict_outside_nested(rng, make_measure):
     kept = {small.positions[k].tobytes() for k in range(small.n_atoms)}
     pool = {big.positions[k].tobytes() for k in range(big.n_atoms)}
     assert kept <= pool
+
+
+def _assert_built_from_rows(part, dim, positions, weights):
+    """``part`` equals the constructor's measure on these rows, bit for bit, and is read-only."""
+    ref = DiscreteMeasure(dim, positions, weights)
+    assert part.dim == dim
+    for got, want in ((part.positions, ref.positions), (part.weights, ref.weights), (part.radii, ref.radii)):
+        assert got.shape == want.shape and got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        assert not got.flags.writeable
+    with pytest.raises(AttributeError):
+        part.weights = ref.weights
+
+
+def test_sub_measures_equal_constructor_built_parts(rng, make_measure):
+    for dim in (1, 2, 3):
+        for _ in range(10):
+            mu = make_measure(rng, dim, max_atoms=40)
+            dec = decompose(mu)
+            inside = mu.radii < 1.0
+            _assert_built_from_rows(dec.hat, dim, mu.positions[inside], mu.weights[inside])
+            _assert_built_from_rows(dec.check, dim, mu.positions[~inside], mu.weights[~inside])
+            r = float(rng.uniform(0.05, 2.5))
+            keep = mu.radii >= r
+            _assert_built_from_rows(restrict_outside(mu, r), dim, mu.positions[keep], mu.weights[keep])
+    # an empty mask gives the zero measure
+    mu = make_measure(rng, 2, max_atoms=10, allow_empty=False)
+    for part in (restrict_outside(mu, 1e300), decompose(restrict_outside(mu, 1.0)).hat):
+        assert part.n_atoms == 0 and part.total_mass() == 0.0 and part == DiscreteMeasure.empty(2)
+        _assert_built_from_rows(part, 2, np.zeros((0, 2)), np.zeros(0))
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_split_fraclap_parts_equal_constructor_built_parts(dim):
+    fam = FracLaplFamily(a=lambda x: (0.5 + 0.25 * math.sin(x[0])) ** 1.5, sigma=1.5, lipschitz_L=0.25, dim=dim)
+    for grid in (AnnularGrid(r_min=1e-3, r_max=2.0, n_radial=40, n_angular=6), AnnularGrid(n_radial=30)):
+        for x in (0.0, 1.3, -0.7):
+            x = [x] * dim
+            rx = fam.split_radius(x)
+            pos, w, lefts = _discretize_density(fam.density_at(x), dim, grid, extra_breaks=(rx, 1.0))
+            masks = (lefts < min(rx, 1.0), (lefts >= rx) & (lefts < 1.0), lefts >= 1.0)
+            for part, mask in zip(split_fraclap(fam, x, grid), masks):
+                _assert_built_from_rows(part, dim, pos[mask], w[mask])
+    # with r_max = 1 the far part is the zero measure
+    assert split_fraclap(fam, [0.0] * dim, AnnularGrid(n_radial=30))[2] == DiscreteMeasure.empty(dim)
+
+
+def test_split_fraclap_merges_shared_centroids_only_within_a_part(monkeypatch):
+    # Two cells whose centroids round to one site but lie on either side of
+    # the split radius stay in their own parts, as separate atoms.
+    rx = 0.5 ** (1.0 / 1.5)
+    pos = np.array([[0.1], [0.6], [0.6], [0.6], [1.5]])
+    w = np.array([1.0, 2.0, 3.0, 4.0, 5.0])
+    lefts = np.array([0.05, rx / 2, rx / 2, rx, 1.0])
+    monkeypatch.setattr("levyot.families._discretize_density", lambda *args, **kwargs: (pos, w, lefts))
+    fam = FracLaplFamily(a=lambda x: 0.5, sigma=1.5, lipschitz_L=0.0, dim=1)
+    hat, tilde, check = split_fraclap(fam, [0.0], AnnularGrid())
+    _assert_built_from_rows(hat, 1, [[0.1], [0.6]], [1.0, 5.0])
+    _assert_built_from_rows(tilde, 1, [[0.6]], [4.0])
+    _assert_built_from_rows(check, 1, [[1.5]], [5.0])
 
 
 def test_tv_distance_examples():
