@@ -168,9 +168,11 @@ def radial_lower_bound(mu: DiscreteMeasure, nu: DiscreteMeasure, p: float) -> fl
     z -> |z| is 1-Lipschitz and keeps every reservoir cost |z|^p, so it maps
     any plan to a plan between the radial push-forwards that costs no more.
     On the half-line the monotone merge is optimal, so R is exact there.
-    Equality holds in any dimension when both measures put their mass on a
-    common set of rays and are coupled optimally ray by ray, as for radial
-    densities on a shared annular grid.
+    Equality holds in any dimension when both measures put one radial
+    profile on every ray of a common set of equally weighted rays, as radial
+    densities on a shared annular grid do.  Sharing the rays is not enough:
+    in d = 1, delta_1 + delta_-2 against delta_-1 + delta_2 has R = 0 but a
+    positive distance.
     """
     p = _check_p(p)
     if mu.dim != nu.dim:

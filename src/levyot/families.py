@@ -41,8 +41,19 @@ __all__ = [
 
 
 def _radial_power(Z: np.ndarray, expo: float) -> np.ndarray:
-    """|z|^expo for every row z of Z."""
-    return np.linalg.norm(np.atleast_2d(Z), axis=1) ** expo
+    """|z|^expo for every row z of Z.
+
+    Up to d = 3 the squares are summed coordinate by coordinate, left to
+    right, which has the bits of ``np.linalg.norm(Z, axis=1)`` in a third of
+    its time or less; NumPy reduces a short axis row by row.
+    """
+    Z = np.atleast_2d(np.asarray(Z, dtype=float))
+    if Z.shape[1] > 3:
+        return np.linalg.norm(Z, axis=1) ** expo
+    sq = Z[:, 0] * Z[:, 0]
+    for k in range(1, Z.shape[1]):
+        sq += Z[:, k] * Z[:, k]
+    return np.sqrt(sq) ** expo
 
 
 @dataclass(frozen=True)

@@ -8,12 +8,17 @@ different total masses.
 
 The solver reduces this to a balanced transportation problem by appending a
 virtual reservoir atom of mass |nu| to the mu side and one of mass |mu| to
-the nu side, with costs c(x, 0) = |x|^p, c(0, y) = |y|^p and c(0, 0) = 0, and
-runs a primal transportation simplex on the complete bipartite graph.  Tree
-potentials give exact dual potentials normalised to vanish at the reservoir.
-The (m+1) x (n+1) cost matrix of the reduction is never held: costs are
-computed from the atom positions a row block at a time (``_ReservoirCost``),
-and the solver keeps only the costs of its candidate arcs and tree arcs.
+the nu side, with costs c(x, 0) = |x|^p, c(0, y) = |y|^p and c(0, 0) = 0.
+In d = 1 the optimum is known in closed form: no optimal arc crosses the
+origin, and on each half-line the monotone (quantile) coupling with the
+origin as reservoir is optimal, so ``solve`` merges the two sorted halves
+and reads the duals off that staircase basis, with no pivot.  In higher
+dimensions it runs a primal transportation simplex on the complete bipartite
+graph.  Either way the basis potentials give exact dual potentials
+normalised to vanish at the reservoir.  The simplex computes costs from the
+atom positions a row block at a time (``_ReservoirCost``): it keeps the
+(m+1) x (n+1) cost matrix of the reduction only when that fits in one
+block, and otherwise only the costs of its candidate arcs and tree arcs.
 """
 
 from __future__ import annotations
@@ -83,8 +88,10 @@ class _ReservoirCost:
     Row i < m holds |x_i - y_j|^p and, in its last column, |x_i|^p; row m is
     the reservoir row |y_j|^p, with 0 at the corner.  Every cost the solver
     and the dual audit read comes from ``rows``, a block at a time, so the
-    dense matrix is never held.  Each entry is computed on its own, so a
-    block has the bits of the same rows of the dense matrix.
+    dense matrix is never held, unless it fits in one block: then ``blocks``
+    builds it once and hands out the same array on every pass.  Each entry
+    is computed on its own, so a block has the bits of the same rows of the
+    dense matrix.
     """
 
     BLOCK = 65536  # elements per row block of a full pass
@@ -96,6 +103,7 @@ class _ReservoirCost:
         self.res_row = np.append(self.res_y, 0.0)
         self.m, self.n = mu.n_atoms + 1, nu.n_atoms + 1
         self.step = min(self.m, max(1, self.BLOCK // self.n))
+        self._whole: Optional[np.ndarray] = None
 
     def rows(self, r0: int, r1: int, step: int = 1) -> np.ndarray:
         """Rows range(r0, r1, step) of the matrix, as a fresh array."""
@@ -110,7 +118,17 @@ class _ReservoirCost:
         return out
 
     def blocks(self):
-        """(first row, block) over the whole matrix, top to bottom."""
+        """(first row, block) over the whole matrix, top to bottom.
+
+        Blocks are read-only to the caller: a matrix of one block is kept
+        and handed out again by the next pass.
+        """
+        if self.step == self.m:
+            if self._whole is None:
+                self._whole = self.rows(0, self.m)
+                self._whole.setflags(write=False)
+            yield 0, self._whole
+            return
         for r0 in range(0, self.m, self.step):
             yield r0, self.rows(r0, min(r0 + self.step, self.m))
 
@@ -250,9 +268,10 @@ class _Simplex:
 
     Sources are the rows of the cost matrix (the last row is the virtual
     reservoir source), sinks its columns (last column virtual).  The matrix
-    is never held: ``costs`` computes it a row block at a time from the atom
-    positions, for one initial pass (the cost scale and the warm pool's
-    costs), for each full scan, the greedy start and Bland's rule.  A pool
+    is held only when it fits in one block: ``costs`` computes it a row
+    block at a time from the atom positions, for one initial pass (the cost
+    scale and the warm pool's costs), for each full scan, the greedy start
+    and Bland's rule.  A pool
     carries the cost of each of its arcs, and the tree the cost of each of
     its arcs next to its flow, so pivots and tree potentials never look a
     cost up.
@@ -307,14 +326,14 @@ class _Simplex:
         self._scan_buf = np.empty((costs.step, self.n))
         self._arange = np.arange(self.N, dtype=np.int64)
 
-    def _initial_pass(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def _initial_pass(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """One pass over the cost matrix; the greedy start's candidate arcs.
 
         Sets ``tol`` from the cost scale and, above the k-NN threshold,
         ``warm_cost`` to the warm pool's costs.  Returns the candidates'
         costs, their reduced costs against the star tree's duals,
-        c_ij - |x_i|^p - |y_j|^p (0 on the reservoir arcs), and their flat
-        indices, in increasing flat order.  Below the threshold (at most
+        c_ij - |x_i|^p - |y_j|^p (0 on the reservoir arcs), and their rows
+        and columns, in increasing flat order.  Below the threshold (at most
         65536 real arcs) the candidates are all arcs.  Above it they are the
         warm arcs of cost at most ``tol``, which join coincident atoms: a
         greedy pass over them is a matching, so its tree stays shallow.
@@ -342,25 +361,25 @@ class _Simplex:
             flat, cost = warm[near], self.warm_cost[near]
         rows, cols = np.divmod(flat, n)
         # c_ij minus the row's reservoir column (0 on the reservoir row) and the reservoir row
-        return cost, cost - np.append(self.costs.res_x, 0.0)[rows] - self.costs.res_row[cols], flat
+        return cost, cost - np.append(self.costs.res_x, 0.0)[rows] - self.costs.res_row[cols], rows, cols
 
     # -- initial tree ------------------------------------------------------
 
     def _greedy_forest(
-        self, cost: np.ndarray, red: np.ndarray, flat: np.ndarray, left: list[float]
+        self, cost: np.ndarray, red: np.ndarray, rows: np.ndarray, cols: np.ndarray, left: list[float]
     ) -> list[tuple[int, int, float, float]]:
         """Greedy arcs (i, j, flow, cost) over the cheap candidate arcs.
 
-        ``cost``, ``red`` and ``flat`` are the candidates' costs, reduced
-        costs and flat indices from ``_initial_pass``.  A candidate is cheap
-        when it prices negative against the star tree's duals,
+        ``cost``, ``red``, ``rows`` and ``cols`` are the candidates' costs,
+        reduced costs, rows and columns from ``_initial_pass``.  A candidate
+        is cheap when it prices negative against the star tree's duals,
         c_ij - |x_i|^p - |y_j|^p < -tol, which no reservoir arc does.  Arcs
         are taken in (reduced cost, flat index) order and each moves
         min(supply left, demand left), so it exhausts at least one endpoint.
         With no cheap candidate the forest is empty.  ``left`` (supplies then
         demands, by node id) is drawn down in place.
         """
-        n, sink0 = self.n, self.m  # row length, first sink id
+        sink0 = self.m  # first sink id
         cand = np.flatnonzero(red < -self.tol)
         arcs: list[tuple[int, int, float, float]] = []
         # The cheapest arcs go first, a batch at a time; after each batch the
@@ -375,18 +394,17 @@ class _Simplex:
                 take, cand, vals = cand[first], cand[~first], vals[first]
             else:
                 take, cand = cand, cand[:0]
-            for c in take[np.argsort(vals, kind="stable")].tolist():
-                i, j = divmod(flat.item(c), n)
+            take = take[np.argsort(vals, kind="stable")]
+            for i, j, c in zip(rows[take].tolist(), cols[take].tolist(), cost[take].tolist()):
                 s, d = left[i], left[sink0 + j]
                 if s == 0.0 or d == 0.0:
                     continue
                 f = min(s, d)
-                arcs.append((i, j, f, cost.item(c)))
+                arcs.append((i, j, f, c))
                 left[i] = s - f
                 left[sink0 + j] = d - f
             live = np.array(left) > 0.0
-            k = flat[cand]
-            cand = cand[live[k // n] & live[sink0 + k % n]]
+            cand = cand[live[rows[cand]] & live[sink0 + cols[cand]]]
         return arcs
 
     def _build_tree(self, arcs: list[tuple[int, int, float, float]], left: list[float]) -> None:
@@ -846,10 +864,17 @@ def solve(mu: DiscreteMeasure, nu: DiscreteMeasure, cost: CostSpec) -> SolveRepo
 
     Returns the optimal cost, an optimal vertex plan, optimal dual potentials
     satisfying complementary slackness, the pivot count, and the primal-dual
-    gap (which certifies optimality to rounding accuracy).
+    gap (which certifies optimality to rounding accuracy).  In d = 1 the
+    monotone coupling of each half-line is the optimum and no pivot is made;
+    in higher dimensions the transportation simplex finds it.
     """
     if mu.dim != nu.dim:
         raise ValueError("measures must share the ambient dimension")
+    return (_solve_line if mu.dim == 1 else _solve_simplex)(mu, nu, cost)
+
+
+def _solve_simplex(mu: DiscreteMeasure, nu: DiscreteMeasure, cost: CostSpec) -> SolveReport:
+    """``solve`` by the transportation simplex, in any dimension."""
     m, n = mu.n_atoms, nu.n_atoms
     costs = _ReservoirCost(cost, mu, nu)
 
@@ -878,30 +903,115 @@ def solve(mu: DiscreteMeasure, nu: DiscreteMeasure, cost: CostSpec) -> SolveRepo
     from_res = np.zeros(n)
     to_res[rows[into]] = flow[into]
     from_res[cols[out_of]] = flow[out_of]
-    direct_r, direct_c, direct_v = rows[direct], cols[direct], flow[direct]
-
-    plan = TransportPlan(
-        n_mu=m,
-        n_nu=n,
-        direct_rows=direct_r,
-        direct_cols=direct_c,
-        direct_vals=direct_v,
-        to_reservoir=to_res,
-        from_reservoir=from_res,
-    )
+    plan = TransportPlan(m, n, rows[direct], cols[direct], flow[direct], to_res, from_res)
 
     # Shift tree potentials so both reservoir nodes sit exactly at zero; the
     # result is feasible and optimal for the reservoir LP.
-    phi = sx.u[:m] - sx.w[n]
-    psi = sx.u[m] - sx.w[:n]
-    duals = DualPotentials(phi=phi, psi=psi, p=cost.p)
+    duals = DualPotentials(phi=sx.u[:m] - sx.w[n], psi=sx.u[m] - sx.w[:n], p=cost.p)
+    return _report(mu, nu, costs.res_x, costs.res_y, plan, np.array(sx.arc_cost)[direct], duals, sx.iterations)
 
-    terms = (np.array(sx.arc_cost)[direct] * direct_v).tolist()
-    terms.extend((to_res * costs.res_x).tolist())
-    terms.extend((from_res * costs.res_y).tolist())
+
+def _solve_line(mu: DiscreteMeasure, nu: DiscreteMeasure, cost: CostSpec) -> SolveReport:
+    """``solve`` in d = 1: the monotone coupling of each half-line, exactly.
+
+    No optimal plan needs an arc across the origin, since
+    (|x| + |y|)^p >= |x|^p + |y|^p, so each half-line is solved on its own.
+    There the reservoir problem is balanced transport between
+    mu + |nu| delta_0 and nu + |mu| delta_0, and the quantile coupling is
+    optimal: atoms are paired from the far end inwards, each arc moving the
+    smaller of its two atoms' residual masses, and what is left on the
+    longer side meets the reservoir.  Flows are residual differences per
+    atom, so an atom that is not split carries its weight bit for bit, and
+    the heavy inner masses never enter a sum.
+
+    The duals are the potentials of this staircase basis (the north-west
+    corner rule on the radii sorted from the far end), walked from the
+    origin outwards: an atom that meets the reservoir gets |z|^p, and each
+    arc sets its new end to its cost minus the known end.  An arc that
+    exhausts both of its atoms has two new ends; the basis then links its mu
+    atom by a zero-flow arc to the next nu atom inwards, or to the reservoir
+    when there is none.  That keeps the basis a staircase, whose potentials
+    are feasible because the cost matrix of a sorted half-line is Monge.
+    """
+    left_x, left_y = mu.weights.tolist(), nu.weights.tolist()
+    # per arc, far end first: mu atom, nu atom, flow, the atoms it exhausts
+    # (0 mu, 1 nu, 2 both) and, for 2, the next nu atom inwards (-1: none)
+    arcs: list[tuple[int, int, float, int, int]] = []
+    for a, b in zip(_half_lines(mu), _half_lines(nu)):
+        na, nb = len(a), len(b)
+        ia = ib = 0
+        while ia < na and ib < nb:
+            i, j = a[ia], b[ib]
+            s, d = left_x[i], left_y[j]
+            if s < d:
+                left_x[i], left_y[j] = 0.0, d - s
+                arcs.append((i, j, s, 0, -1))
+                ia += 1
+            elif s > d:
+                left_x[i], left_y[j] = s - d, 0.0
+                arcs.append((i, j, d, 1, -1))
+                ib += 1
+            else:
+                left_x[i] = left_y[j] = 0.0
+                ia += 1
+                ib += 1
+                arcs.append((i, j, s, 2, b[ib] if ib < nb else -1))
+    rows, cols, flows, _, links = zip(*arcs) if arcs else ((),) * 5
+
+    res_x, res_y = cost.reservoir_cost(mu), cost.reservoir_cost(nu)
+    rows_a, cols_a = np.array(rows, dtype=np.int64), np.array(cols, dtype=np.int64)
+    # the arcs' costs, then their links', from one call
+    both = cost.pairwise(mu.positions[np.tile(rows_a, 2)], nu.positions[np.array(cols + links, dtype=np.int64)])
+    arc_cost = both[: len(arcs)]
+    link_cost = np.where(np.array(links) >= 0, both[len(arcs) :], res_x[rows_a])
+
+    phi, psi = res_x.tolist(), res_y.tolist()
+    psi.append(0.0)  # the reservoir, as link -1
+    for (i, j, _, k, lk), c, lc in zip(reversed(arcs), reversed(arc_cost.tolist()), reversed(link_cost.tolist())):
+        if k == 1:
+            psi[j] = c - phi[i]
+        elif k == 0:
+            phi[i] = c - psi[j]
+        else:
+            phi[i] = lc - psi[lk]
+            psi[j] = c - phi[i]
+    del psi[-1]
+
+    plan = TransportPlan(mu.n_atoms, nu.n_atoms, rows_a, cols_a, np.array(flows, dtype=float),
+                         np.array(left_x), np.array(left_y))
+    duals = DualPotentials(phi=np.array(phi), psi=np.array(psi), p=cost.p)
+    return _report(mu, nu, res_x, res_y, plan, arc_cost, duals, 0)
+
+
+def _half_lines(mu: DiscreteMeasure) -> tuple[list[int], list[int]]:
+    """Atom indices of a d = 1 measure on z > 0 and on z < 0, far end first."""
+    z = mu.positions[:, 0]
+    order = np.argsort(-z)
+    k = int(np.count_nonzero(z > 0.0))
+    return order[:k].tolist(), order[k:][::-1].tolist()
+
+
+def _report(
+    mu: DiscreteMeasure,
+    nu: DiscreteMeasure,
+    res_x: np.ndarray,
+    res_y: np.ndarray,
+    plan: TransportPlan,
+    arc_cost: np.ndarray,
+    duals: DualPotentials,
+    iterations: int,
+) -> SolveReport:
+    """The report of an optimal plan and its duals: value, dual value and gap.
+
+    ``res_x``, ``res_y`` are the reservoir costs of the atoms and
+    ``arc_cost`` the cost of each direct arc of the plan.
+    """
+    terms = (arc_cost * plan.direct_vals).tolist()
+    terms.extend((plan.to_reservoir * res_x).tolist())
+    terms.extend((plan.from_reservoir * res_y).tolist())
     value = math.fsum(terms)
-    dual = math.fsum((mu.weights * phi).tolist()) + math.fsum((nu.weights * psi).tolist())
-    return SolveReport(value=value, plan=plan, duals=duals, iterations=sx.iterations, gap=abs(value - dual))
+    dual = math.fsum((mu.weights * duals.phi).tolist()) + math.fsum((nu.weights * duals.psi).tolist())
+    return SolveReport(value=value, plan=plan, duals=duals, iterations=iterations, gap=abs(value - dual))
 
 
 def distance(mu: DiscreteMeasure, nu: DiscreteMeasure, p: float) -> float:

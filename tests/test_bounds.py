@@ -184,6 +184,17 @@ def test_radial_lower_bound_examples():
         radial_lower_bound(mu, nu, 2.5)
 
 
+@pytest.mark.parametrize("p", [1.0, 2.0])
+def test_radial_lower_bound_needs_one_profile_per_ray(p):
+    # both measures use the same two rays of d = 1, each ray once with weight
+    # 1, but with swapped profiles: the radial push-forwards coincide while
+    # each half-line moves one unit by 1
+    mu = DiscreteMeasure(1, [[1.0], [-2.0]], [1.0, 1.0])
+    nu = DiscreteMeasure(1, [[-1.0], [2.0]], [1.0, 1.0])
+    assert radial_lower_bound(mu, nu, p) == 0.0
+    assert solve(mu, nu, CostSpec(p)).value == 2.0
+
+
 def test_radial_lower_bound_below_solve(rng, make_measure):
     for _ in range(120):
         dim = int(rng.integers(1, 4))

@@ -41,6 +41,32 @@ def test_dist_basic(measure_files, capsys):
     assert "plan" in doc and "duals" in doc
 
 
+def test_dist_in_one_dimension_takes_no_simplex(tmp_path, monkeypatch, capsys):
+    # 20,000 atoms a side: the monotone coupling solves it exactly, without
+    # pivots and without building the simplex
+    import numpy as np
+
+    import levyot.transport as tr
+
+    def no_simplex(*args):
+        raise AssertionError("d = 1 built the simplex")
+
+    monkeypatch.setattr(tr._Simplex, "__init__", no_simplex)
+    rng = np.random.default_rng(20000)
+    files = []
+    for name in ("mu", "nu"):
+        z = rng.uniform(0.01, 2.0, 20000) * rng.choice([-1.0, 1.0], 20000)
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps({"dim": 1, "atoms": [{"z": [float(c)], "w": float(w)}
+                                                        for c, w in zip(z, rng.uniform(0.1, 3.0, 20000))]}))
+        files.append(str(path))
+    code, out, _ = run_cli(["dist", *files, "--p", "2"], capsys)
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["iterations"] == 0 and doc["gap"] <= 1e-9 * (1.0 + doc["value"])
+    assert len(doc["duals"]["phi"]) == len(doc["duals"]["psi"]) == 20000
+
+
 def test_dist_identical_files(measure_files, capsys):
     a, _ = measure_files
     code, out, _ = run_cli(["dist", a, a, "--p", "2"], capsys)

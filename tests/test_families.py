@@ -21,11 +21,12 @@ from levyot.families import (
     sweep_pairs,
     _discretize_density,
     _power_truncation,
+    _radial_power,
     _ray_coupling,
     _ray_ids,
 )
 from levyot.measures import DiscreteMeasure, decompose
-from levyot.transport import CostSpec, distance, solve
+from levyot.transport import CostSpec, _solve_simplex, distance, solve
 
 
 def powerlaw_kernel(sigma: float, dim: int = 1, coef: float = 1.0) -> KernelFamily:
@@ -514,6 +515,18 @@ def test_ray_ids_share_a_label_exactly_on_shared_rays():
             assert np.array_equal(ids[:, None] == ids[None, :], distinct[:, None] == distinct[None, :])
 
 
+@pytest.mark.parametrize("dim", [1, 2, 3, 4])
+def test_radial_power_has_the_bits_of_the_norm(dim):
+    # coordinates over twelve orders of magnitude, a scale per point, and a
+    # few near 1e100
+    rng = np.random.default_rng(dim)
+    Z = rng.normal(size=(20000, dim)) * 10.0 ** rng.uniform(-6, 6, (20000, 1))
+    Z[:10] *= 1e94
+    for expo in (1.0, -2.5, -(dim + 1.8)):
+        assert _radial_power(Z, expo).tobytes() == (np.linalg.norm(Z, axis=1) ** expo).tobytes()
+    assert _radial_power(Z[0], 1.0).tobytes() == np.linalg.norm(Z[:1], axis=1).tobytes()
+
+
 def test_ray_coupling_is_exact_in_one_dimension():
     # In d = 1 no optimal arc crosses the origin, since (|x| + |y|)^p >=
     # |x|^p + |y|^p, so the two half-lines' monotone couplings are optimal.
@@ -522,7 +535,8 @@ def test_ray_coupling_is_exact_in_one_dimension():
         p = float(rng.choice([1.0, 1.5, 2.0]))
         mu, nu = _random_line_measure(rng), _random_line_measure(rng)
         upper, gross = _ray_coupling(mu, nu, p)
-        assert upper == pytest.approx(solve(mu, nu, CostSpec(p)).value, rel=1e-12, abs=0.0)
+        # the simplex, as solve takes the same monotone coupling in d = 1
+        assert upper == pytest.approx(_solve_simplex(mu, nu, CostSpec(p)).value, rel=1e-12, abs=0.0)
         assert upper <= gross
 
 

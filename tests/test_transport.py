@@ -22,6 +22,8 @@ from levyot.transport import (
     verify_plan,
 )
 
+from test_families import _random_line_measure
+
 
 def test_cost_spec():
     with pytest.raises(ValueError):
@@ -106,7 +108,7 @@ def test_plan_extraction_matches_loop_reference(monkeypatch, rng, make_measure, 
     # above the k-NN warm-start threshold
     cases.append(tuple(DiscreteMeasure(3, rng.normal(size=(k, 3)), rng.uniform(0.2, 2.0, k)) for k in (300, 260)))
     for k, (mu, nu) in enumerate(cases):
-        rep = solve(mu, nu, CostSpec((1.0, 1.5, 2.0)[k % 3]))
+        rep = tr._solve_simplex(mu, nu, CostSpec((1.0, 1.5, 2.0)[k % 3]))
         plan = rep.plan
         assert plan.to_dict() == _plan_loop(trees.pop(), mu.n_atoms, nu.n_atoms)
         assert plan.direct_rows.dtype == plan.direct_cols.dtype == np.int64
@@ -126,13 +128,13 @@ def _dense_cost(mu, nu, p):
 
 def _initial_trees(monkeypatch, cases):
     """The simplex of each (mu, nu, p) case as built, before any pivot, with
-    its dense cost matrix as ``dense``."""
+    its dense cost matrix as ``dense``; d = 1 cases take the simplex too."""
     import levyot.transport as tr
 
     trees = []
     monkeypatch.setattr(tr._Simplex, "run", lambda self: trees.append(self))
     for mu, nu, p in cases:
-        solve(mu, nu, CostSpec(p))
+        tr._solve_simplex(mu, nu, CostSpec(p))
         trees[-1].dense = _dense_cost(mu, nu, p)
     return trees
 
@@ -633,7 +635,9 @@ def _instances(draw, max_atoms, unit):
 @given(_instances(6, unit=True), _P)
 def test_property_unit_weights_match_oracle(sides, p):
     mu, nu = sides
-    assert abs(solve(mu, nu, CostSpec(p)).value - brute_force_unit(mu, nu, p)) <= 1e-10
+    rep = solve(mu, nu, CostSpec(p))
+    assert abs(rep.value - brute_force_unit(mu, nu, p)) <= 1e-10
+    assert rep.duals.violations(mu, nu) == []
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=80)
@@ -644,6 +648,116 @@ def test_property_weighted_instances_certify(sides, p):
     assert rep.gap <= 1e-9 * (1.0 + rep.value)
     assert verify_plan(rep.plan, mu, nu) == []
     assert k_support_check(rep.plan, mu, nu, p) == []
+    assert rep.duals.violations(mu, nu) == []
+
+
+def _embedded(mu, dim=2):
+    """mu in R^dim, with zero coordinates after the first."""
+    pos = np.zeros((mu.n_atoms, dim))
+    pos[:, :1] = mu.positions
+    return DiscreteMeasure(dim, pos, mu.weights)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=80)
+@given(_instances(40, unit=False).filter(lambda sides: sides[0].dim == 1), _P)
+def test_property_line_solve_matches_the_simplex(sides, p):
+    # the same instance in d = 2, with a zero second coordinate, has the same
+    # cost bits and goes to the simplex
+    mu, nu = sides
+    rep = solve(mu, nu, CostSpec(p))
+    oracle = solve(_embedded(mu), _embedded(nu), CostSpec(p))
+    assert rep.iterations == 0
+    assert rep.value == pytest.approx(oracle.value, rel=1e-12, abs=1e-15)
+    assert rep.gap <= 1e-9 * (1.0 + rep.value)
+
+
+def _line_certificates(rep, mu, nu, p):
+    assert rep.iterations == 0
+    assert rep.gap <= 1e-9 * (1.0 + rep.value)
+    assert rep.duals.violations(mu, nu) == []
+    assert verify_plan(rep.plan, mu, nu) == []
+    assert k_support_check(rep.plan, mu, nu, p) == []
+
+
+def test_line_solve_matches_the_simplex_on_random_instances():
+    import levyot.transport as tr
+
+    rng = np.random.default_rng(5)
+    for k in range(300):
+        mu, nu = _random_line_measure(rng), _random_line_measure(rng)
+        p = (1.0, 1.5, 2.0)[k % 3]
+        rep = solve(mu, nu, CostSpec(p))
+        _line_certificates(rep, mu, nu, p)
+        assert rep.value == pytest.approx(tr._solve_simplex(mu, nu, CostSpec(p)).value, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("unit", [True, False], ids=["unit", "integer"])
+def test_line_duals_are_feasible_on_degenerate_lattices(unit):
+    # Lattice sites and integer weights make arcs that exhaust both of their
+    # atoms at once (with unit weights, every arc does), where the dual walk
+    # links through a zero-flow arc.
+    import levyot.transport as tr
+
+    rng = np.random.default_rng(7)
+    sites = np.array([k for k in range(-8, 9) if k], dtype=float) / 4.0
+    arcs = 0
+    for k in range(400):
+        mu, nu = (
+            DiscreteMeasure(1, rng.choice(sites, size=n, replace=False)[:, None],
+                            np.ones(n) if unit else rng.integers(1, 4, n).astype(float))
+            for n in rng.integers(0, 13, 2)
+        )
+        p = (1.0, 1.5, 2.0)[k % 3]
+        rep = solve(mu, nu, CostSpec(p))
+        _line_certificates(rep, mu, nu, p)
+        assert rep.value == pytest.approx(tr._solve_simplex(mu, nu, CostSpec(p)).value, rel=1e-12, abs=1e-15)
+        if unit and max(mu.n_atoms, nu.n_atoms) <= 6:
+            assert rep.value == pytest.approx(brute_force_unit(mu, nu, p), rel=1e-12, abs=1e-15)
+        arcs += rep.plan.direct_vals.size
+    assert arcs > 1000
+
+
+def _half_line_parts(mu):
+    """The atoms of a d = 1 measure on (0, inf) and on (-inf, 0)."""
+    x = mu.positions[:, 0]
+    return [DiscreteMeasure(1, mu.positions[keep], mu.weights[keep]) for keep in (x > 0.0, x < 0.0)]
+
+
+def test_line_solve_is_exact_on_heavy_masses():
+    # the d = 1 fraclap family down to 1e-7, masses above 1e10: the value is
+    # the radial bound of each half-line, which p = 2 needs most
+    from levyot.bounds import radial_lower_bound
+    from levyot.families import sweep_pairs
+
+    runtime = build_family({"type": "fraclap", "dim": 1, "sigma": 1.8,
+                            "params": {"a0": 0.5, "a1": 0.25, "part": "full"},
+                            "grid": {"r_min": 1e-7, "r_max": 1.0, "n_radial": 120}})
+    for x, y in sweep_pairs(6, 1, seed=2018):
+        mu, nu = runtime.make_measure(x), runtime.make_measure(y)
+        assert mu.weights.max() > 1e10
+        for p in (1.0, 2.0):
+            rep = solve(mu, nu, CostSpec(p))
+            _line_certificates(rep, mu, nu, p)
+            halves = zip(_half_line_parts(mu), _half_line_parts(nu))
+            exact = math.fsum(radial_lower_bound(a, b, p) for a, b in halves)
+            assert rep.value == pytest.approx(exact, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("p", [1.0, 2.0])
+def test_line_solve_dilates_exactly(p):
+    # positions times t = 2^k scale every cost by t^p exactly, so the value,
+    # the duals and the plan follow bit for bit
+    rng = np.random.default_rng(11)
+    for _ in range(20):
+        mu, nu = _random_line_measure(rng), _random_line_measure(rng)
+        base = solve(mu, nu, CostSpec(p))
+        for k in (-30, -20, -10, 10, 20, 30):
+            t = 2.0**k
+            rep = solve(*(DiscreteMeasure(1, m.positions * t, m.weights) for m in (mu, nu)), CostSpec(p))
+            assert rep.value == t**p * base.value
+            assert rep.plan.to_dict() == base.plan.to_dict()
+            assert np.array_equal(rep.duals.phi, t**p * base.duals.phi)
+            assert np.array_equal(rep.duals.psi, t**p * base.duals.psi)
 
 
 def test_solve_single_pair_direct():
