@@ -11,6 +11,7 @@ with 3.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -426,8 +427,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """``build_parser()``, built once per process: parsing leaves the parser
+    as it was, since every option's default is immutable or None."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    parser = _parser()
     args = parser.parse_args(argv)
     if getattr(args, "replay", None):
         given = [f"--{k}" for k in ("tol", "n", "seed", "reproducer") if getattr(args, k) is not None]

@@ -14,6 +14,7 @@ other pair goes to the simplex.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
@@ -104,22 +105,19 @@ class AnnularGrid:
         raise ValueError("annular grids support dimensions 1 to 3 only")
 
 
-def _discretize_density(
-    density: Callable[[np.ndarray], np.ndarray],
-    dim: int,
-    grid: AnnularGrid,
-    extra_breaks: Sequence[float] = (),
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """One atom per (shell, direction) cell: mass centroid and quadrature weight.
+@functools.lru_cache(maxsize=8)
+def _grid_layout(
+    grid: AnnularGrid, dim: int, extra_breaks: tuple[float, ...]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray, float]:
+    """The part of ``_discretize_density`` that does not depend on the density.
 
-    Returns (positions, weights, cell_left_edges) with zero-mass cells dropped.
-    The weight is the midpoint-refined quadrature of the density against the
-    exact shell volumes; the centroid averages the radial subsamples (with the
-    exact in-sector angular centroid factor in d = 2).
+    Returns (cell left edges, sub-shell midpoints, sub-shell volumes, pulled
+    directions, points, angular weight), all arrays read-only, so one layout
+    serves every endpoint of a family.  A split family's breaks move with x,
+    so a few recent layouts are kept, not all of them.
     """
     edges = grid.radial_edges(extra_breaks)
     dirs, ang_w = grid.directions(dim)
-    n_cells = edges.size - 1
 
     sub = grid.refine
     # geometric subsamples within each shell, matched to power-law densities
@@ -136,10 +134,34 @@ def _discretize_density(
     else:
         angular_pull = 1.0
 
-    # one density call on every point, laid out (direction, cell, subsample);
-    # each cell still sums its own subsamples, so the result is direction-major
-    pts = sub_mid.reshape(1, -1, 1) * dirs[:, None, :]
-    vals = np.asarray(density(pts.reshape(-1, dim)), dtype=float).reshape(len(dirs), n_cells, sub)
+    # every point of the density call, laid out (direction, cell, subsample)
+    pts = (sub_mid.reshape(1, -1, 1) * dirs[:, None, :]).reshape(-1, dim)
+    layout = (edges[:-1], sub_mid, sub_vol, angular_pull * dirs, pts)
+    for arr in layout:
+        arr.flags.writeable = False
+    return (*layout, ang_w)
+
+
+def _discretize_density(
+    density: Callable[[np.ndarray], np.ndarray],
+    dim: int,
+    grid: AnnularGrid,
+    extra_breaks: Sequence[float] = (),
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One atom per (shell, direction) cell: mass centroid and quadrature weight.
+
+    Returns (positions, weights, cell_left_edges) with zero-mass cells dropped.
+    The weight is the midpoint-refined quadrature of the density against the
+    exact shell volumes; the centroid averages the radial subsamples (with the
+    exact in-sector angular centroid factor in d = 2).  ``density`` gets a
+    read-only point array, shared by every call on the same grid.
+    """
+    left, sub_mid, sub_vol, dirs, pts, ang_w = _grid_layout(grid, dim, tuple(extra_breaks))
+    n_cells, sub = sub_mid.shape
+
+    # one density call on every point; each cell still sums its own
+    # subsamples, so the result is direction-major
+    vals = np.asarray(density(pts), dtype=float).reshape(len(dirs), n_cells, sub)
     if np.any(~np.isfinite(vals)):
         raise ValueError("density returned a non-finite value")
     if np.any(vals < 0):
@@ -149,8 +171,8 @@ def _discretize_density(
     keep = cell_mass > 0.0
     r_centroid = moment[keep] / cell_mass[keep]
     direction = np.nonzero(keep)[0]
-    positions = r_centroid[:, None] * (angular_pull * dirs)[direction]
-    lefts = np.broadcast_to(edges[:-1], keep.shape)[keep]
+    positions = r_centroid[:, None] * dirs[direction]
+    lefts = np.broadcast_to(left, keep.shape)[keep]
     return positions, cell_mass[keep], lefts
 
 
@@ -159,7 +181,7 @@ class KernelFamily:
     """Measures with densities K(x, z) dz under a power-law envelope.
 
     ``density(x, Z)`` evaluates K at one base point and a batch of jump
-    locations Z of shape (k, dim).  ``lambda1`` declares the envelope
+    locations Z of shape (k, dim); Z is read-only.  ``lambda1`` declares the envelope
     K(x, z) <= lambda1 |z|^{-(dim+sigma)} and ``holder_gamma``, when given,
     declares |K(x,z) - K(y,z)| <= |x-y|^gamma lambda1 |z|^{-(dim+sigma)}.
     Both are declarations: nothing here checks them, and the discretization

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from array import array
 from dataclasses import dataclass
 from typing import Optional
 
@@ -287,7 +288,15 @@ class _Simplex:
 
     The spanning tree is kept as a preorder sequence (``order``/``pos``) with
     subtree sizes, so each pivot moves contiguous array segments and shifts
-    the node potentials of one preorder segment with a single add.  Entering
+    the node potentials of one preorder segment with a single add.  The
+    preorder, the positions and the node potentials live in ``array.array``
+    buffers (``_order_a``, ``_pos_a``, ``_pot_a``), and ``order``, ``pos``,
+    ``pot``, ``u`` and ``w`` are NumPy views of the same memory.  Scalar
+    reads and the preorder splice go through the buffers, which index to
+    plain Python numbers and move slices with a memmove; the vector work,
+    the potential shift, the ``pos`` rewrite and pool pricing, goes through
+    the views.  A copy (``copy.deepcopy``) rebuilds its views on its own
+    buffers.  Entering
     arcs come first from a sparse nearest-neighbour warm-start pool, then
     from candidate pools that a full scan fills with the eligible and the
     near-eligible arcs.  A pool is priced in major and minor passes: a major
@@ -313,10 +322,9 @@ class _Simplex:
 
         # One potential per node: pot[i] = u_i for sources, pot[m + j] = -v_j
         # for sinks, so arc (i, j) prices at c_ij - pot[i] + pot[m + j] and a
-        # dual shift is one add over a preorder segment.  u and w are views.
-        self.pot = np.zeros(self.N)
-        self.u = self.pot[: self.m]
-        self.w = self.pot[self.m :]
+        # dual shift is one add over a preorder segment.  _build_tree binds
+        # the views pot, u (sources) and w (sinks) of this buffer.
+        self._pot_a = array("d", bytes(8 * self.N))
         self.warm = self._neighbor_arcs()
         left = np.concatenate([supply, demand]).tolist()
         self._build_tree(self._greedy_forest(*self._initial_pass(), left), left)
@@ -477,26 +485,44 @@ class _Simplex:
             size[parent[node]] += size[node]
 
         self.parent, self.flow, self.arc_cost, self.size = parent, flow, arc_cost, size
-        self.order = np.array(order, dtype=np.int64)
-        self.pos = np.empty(N, dtype=np.int64)
+        self._order_a, self._pos_a = array("q", order), array("q", bytes(8 * N))
+        self._bind_views()
         self.pos[self.order] = np.arange(N)
         self._restore_potentials()
+
+    _VIEWS = ("order", "pos", "pot", "u", "w")
+
+    def _bind_views(self) -> None:
+        """NumPy views ``order``, ``pos``, ``pot``, ``u`` and ``w`` of the buffers."""
+        self.order = np.frombuffer(self._order_a, dtype=np.int64)
+        self.pos = np.frombuffer(self._pos_a, dtype=np.int64)
+        self.pot = np.frombuffer(self._pot_a, dtype=np.float64)
+        self.u = self.pot[: self.m]
+        self.w = self.pot[self.m :]
+
+    def __getstate__(self) -> dict:
+        # a copied view would not share its copied buffer: rebuild the views
+        return {k: v for k, v in self.__dict__.items() if k not in self._VIEWS}
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        self._bind_views()
 
     # -- tree mechanics ----------------------------------------------------
 
     def _pivot(self, i: int, j: int, cost: float) -> None:
         """Enter arc (i, j), of cost ``cost``, into the tree."""
         s_node, t_node = i, self.m + j
-        pot = self.pot
-        delta = cost - pot.item(s_node) + pot.item(t_node)
-        m, pos, size, parent, flow = self.m, self.pos, self.size, self.parent, self.flow
+        pot_a = self._pot_a
+        delta = cost - pot_a[s_node] + pot_a[t_node]
+        m, pos_a, size, parent, flow = self.m, self._pos_a, self.size, self.parent, self.flow
 
         # Climb from each endpoint to the lowest common ancestor.
         up_s: list[int] = []
-        pt = pos.item(t_node)
+        pt = pos_a[t_node]
         node = s_node
         while True:
-            pn = pos.item(node)
+            pn = pos_a[node]
             if pn <= pt < pn + size[node]:
                 break
             up_s.append(node)
@@ -544,10 +570,10 @@ class _Simplex:
         # the entering arc's reduced cost, signed by the side of its root.
         # When the detached side is the larger one, shift the complement the
         # other way instead; reduced costs only see the difference.
-        a = pos.item(e_sub)
+        a = pos_a[e_sub]
         sz = size[e_sub]
         du = delta if e_sub < m else -delta
-        order = self.order
+        order, pot = self.order, self.pot
         if 2 * sz <= self.N:
             pot[order[a : a + sz]] += du
         else:
@@ -561,26 +587,24 @@ class _Simplex:
         ``chain`` runs from the new subtree root up to the node whose parent
         arc is leaving; the entering arc carries flow ``theta`` at ``cost``;
         ``lca`` is the top of the pivot cycle.  Re-rooting reverses the chain;
-        the new preorder is assembled from contiguous slices of the old one in
-        a single splice.
+        the new preorder segment is built from contiguous slices of the old
+        one by appending ``array`` slices of ``_order_a``, and spliced in by
+        slice assignment to the buffer, a memmove; only the ``pos`` rewrite
+        of the moved range goes through the NumPy views.
         """
-        order, pos, size, parent = self.order, self.pos, self.size, self.parent
+        order_a, pos_a, size, parent = self._order_a, self._pos_a, self.size, self.parent
         flow, arc_cost = self.flow, self.arc_cost
         k = len(chain) - 1
-        starts = [pos.item(c) for c in chain]
+        starts = [pos_a[c] for c in chain]
         old_sz = [size[c] for c in chain]
         ends = [starts[t] + old_sz[t] for t in range(k + 1)]
         a, b = starts[k], ends[k]
         total = b - a
 
-        if k == 0:
-            seg = order[a:b].copy()
-        else:
-            pieces = [order[starts[0] : ends[0]]]
-            for t in range(1, k + 1):
-                pieces.append(order[starts[t] : starts[t - 1]])
-                pieces.append(order[ends[t - 1] : ends[t]])
-            seg = np.concatenate(pieces)
+        seg = order_a[starts[0] : ends[0]]
+        for t in range(1, k + 1):
+            seg += order_a[starts[t] : starts[t - 1]]
+            seg += order_a[ends[t - 1] : ends[t]]
 
         # Chain bookkeeping: the arc between chain[t-1] and chain[t] now
         # hangs at chain[t]; its flow and cost were stored at chain[t-1].
@@ -608,16 +632,19 @@ class _Simplex:
             size[node] += total
             node = parent[node]
 
-        p = pos.item(e_root)
+        # Buffer slice assignments of equal length; an empty one would raise
+        # BufferError while the views exist, so p + 1 == a skips the shift.
+        p = pos_a[e_root]
         if p >= b:
-            order[a : p + 1 - total] = order[b : p + 1].copy()
-            order[p + 1 - total : p + 1] = seg
+            order_a[a : p + 1 - total] = order_a[b : p + 1]
+            order_a[p + 1 - total : p + 1] = seg
             lo, hi = a, p + 1
         else:  # p + 1 <= a (e_root cannot sit inside the detached segment)
-            order[p + 1 + total : b] = order[p + 1 : a].copy()
-            order[p + 1 : p + 1 + total] = seg
+            if p + 1 < a:
+                order_a[p + 1 + total : b] = order_a[p + 1 : a]
+            order_a[p + 1 : p + 1 + total] = seg
             lo, hi = p + 1, b
-        pos[order[lo:hi]] = self._arange[lo:hi]
+        self.pos[self.order[lo:hi]] = self._arange[lo:hi]
 
     # -- pricing -----------------------------------------------------------
 
@@ -714,7 +741,7 @@ class _Simplex:
         only those, so the major passes stay cheap; arcs dropped then are
         caught by the next full scan if they come back.
         """
-        n, m, tol, pot = self.n, self.m, self.tol, self.pot
+        n, m, tol, pot, pot_a = self.n, self.m, self.tol, self.pot, self._pot_a
         batch = 128
         pool_rows = pool // n
         pool_sinks = pool - pool_rows * n + m
@@ -748,10 +775,9 @@ class _Simplex:
                 else:
                     take, vals = cand, cand_red
                 sel = take[np.lexsort((pool[take], vals))]
-                for flat, c in zip(pool[sel].tolist(), pool_cost[sel].tolist()):
-                    i, j = divmod(flat, n)
-                    if c - pot.item(i) + pot.item(m + j) < -tol:
-                        self._pivot(i, j, c)
+                for i, t, c in zip(pool_rows[sel].tolist(), pool_sinks[sel].tolist(), pool_cost[sel].tolist()):
+                    if c - pot_a[i] + pot_a[t] < -tol:
+                        self._pivot(i, t - m, c)
                 if eligible <= batch:
                     break
                 cand_red = pool_cost[cand] - pot.take(pool_rows[cand])
@@ -828,7 +854,7 @@ class _Simplex:
         parent = self.parent
         flow = self.flow
         root = self.root
-        for node in self.order.tolist()[::-1]:
+        for node in reversed(self._order_a):
             if node == root:
                 continue
             f = residual[node]
@@ -847,12 +873,12 @@ class _Simplex:
         m = self.m
         parent, arc_cost = self.parent, self.arc_cost
         pot = [0.0] * self.N
-        for node in self.order.tolist()[1:]:
+        for node in self._order_a[1:]:
             if node < m:
                 pot[node] = arc_cost[node] + pot[parent[node]]
             else:
                 pot[node] = pot[parent[node]] - arc_cost[node]
-        self.pot[:] = pot
+        self._pot_a[:] = array("d", pot)
 
 
 # ---------------------------------------------------------------------------

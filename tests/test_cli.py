@@ -67,6 +67,42 @@ def test_dist_in_one_dimension_takes_no_simplex(tmp_path, monkeypatch, capsys):
     assert len(doc["duals"]["phi"]) == len(doc["duals"]["psi"]) == 20000
 
 
+# SHA-256 of `levyot dist --out` on _cloud_pair's files, from commit 0a9ac84,
+# which kept the simplex's spanning tree in NumPy arrays.
+DIST_SHA256 = {
+    "1": "bf6863c176b9e136ee29f2abf970d389a7d564356ca1106cf5217d83b13d9e97",
+    "2": "10a96caae0149b31c926fd2e84c042f24831cc4a59756a8461a06d5a13d7a625",
+}
+
+
+def _cloud_pair(tmp_path):
+    """Seeded d = 3 clouds of 260 atoms a side, 20 of them shared: 67,600 atom
+    pairs, above the k-NN threshold of 65,536."""
+    import numpy as np
+
+    rng = np.random.default_rng(260)
+    x, y = rng.normal(size=(260, 3)), rng.normal(size=(260, 3))
+    y[:20] = x[:20]
+    files = []
+    for name, z in (("mu", x), ("nu", y)):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps({"dim": 3, "atoms": [{"z": [float(c) for c in zz], "w": float(w)}
+                                                        for zz, w in zip(z, rng.uniform(0.2, 2.0, 260))]}))
+        files.append(str(path))
+    return files
+
+
+@pytest.mark.parametrize("p", ["1", "2"])
+def test_dist_above_the_knn_threshold_matches_golden_bytes(p, tmp_path, capsys):
+    import hashlib
+
+    out = tmp_path / "dist.json"
+    code, stdout, _ = run_cli(["dist", *_cloud_pair(tmp_path), "--p", p, "--out", str(out)], capsys)
+    assert code == 0 and stdout == ""
+    assert json.loads(out.read_text())["iterations"] > 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == DIST_SHA256[p]
+
+
 def test_dist_identical_files(measure_files, capsys):
     a, _ = measure_files
     code, out, _ = run_cli(["dist", a, a, "--p", "2"], capsys)
@@ -504,6 +540,35 @@ def test_verify_suites(capsys, tmp_path, monkeypatch):
         code, out, err = run_cli(["verify", "--replay", "bundle.json", *extra], capsys)
         assert code == 2
         assert out == "" and f"not allowed with {extra[0]}" in err
+
+
+def test_main_reuses_its_parser_without_carrying_options_over(capsys, tmp_path, monkeypatch):
+    import levyot.cli as cli
+
+    monkeypatch.chdir(tmp_path)
+
+    # an absurd tolerance fails the run and writes a bundle; the same run
+    # without the override passes and writes none
+    bundle = tmp_path / "repro.json"
+    argv = ["verify", "--suite", "duality", "--n", "3", "--seed", "1"]
+    code, out, _ = run_cli(argv + ["--tol", "duality_rel=1e-30", "--reproducer", str(bundle)], capsys)
+    assert code == 1 and "FAIL" in out and bundle.exists()
+    bundle.unlink()
+    parser = cli._parser()
+    code, out, err = run_cli(argv, capsys)
+    assert code == 0 and "# passed 3/3" in out and "FAIL" not in out and err == ""
+    assert not bundle.exists() and cli._parser() is parser
+
+
+def test_python_dash_m_runs_the_command_line():
+    import subprocess
+    from pathlib import Path
+
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    done = subprocess.run([sys.executable, "-m", "levyot", "--help"], env=env, capture_output=True, text=True)
+    assert done.returncode == 0
+    assert done.stdout.startswith("usage: levyot")
 
 
 def test_verify_failure_writes_reproducer(capsys, tmp_path):

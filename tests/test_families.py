@@ -136,6 +136,25 @@ def _skewed_kernel(dim: int, one_sided: bool) -> KernelFamily:
     return KernelFamily(density=density, sigma=0.5, lambda1=1.5, dim=dim)
 
 
+def test_discretization_reuses_a_read_only_grid_layout():
+    # two endpoints on one grid: one point array, read-only, and the bits of
+    # the per-direction reference at each endpoint
+    fam = _skewed_kernel(2, False)
+    grid = AnnularGrid(r_min=1e-3, r_max=2.0, n_radial=30, n_angular=7, refine=5)
+    seen = []
+    for x in (np.full(2, 0.7), np.full(2, -0.4)):
+
+        def density(Z):
+            seen.append(Z)
+            return fam.density(x, Z)
+
+        got = _discretize_density(density, 2, grid, (0.3, 1.0))
+        want = _per_direction_discretization(lambda Z: fam.density(x, Z), 2, grid, (0.3, 1.0))
+        for a, b in zip(got, want):
+            assert a.shape == b.shape and a.tobytes() == b.tobytes()
+    assert seen[0] is seen[1] and not seen[0].flags.writeable
+
+
 @pytest.mark.parametrize("dim", [1, 2, 3])
 def test_batched_discretization_matches_per_direction_reference(dim):
     x = np.full(dim, 0.7)

@@ -478,6 +478,61 @@ def test_candidate_list_pricing(monkeypatch, sizes, p):
     assert verify_plan(plan, mu, nu) == []
 
 
+def _assert_tree_buffers(sx):
+    """The spanning tree's preorder invariants, read through the NumPy views,
+    and the views still on the simplex's own buffers."""
+    N, root = sx.N, sx.root
+    order, pos = sx.order, sx.pos
+    size, parent = np.array(sx.size), np.array(sx.parent)
+    assert np.array_equal(np.sort(order), np.arange(N))
+    assert np.array_equal(pos[order], np.arange(N))
+    assert order[0] == root and parent[root] == -1 and size[root] == N
+    # sizes count each subtree, and each node sits after its parent inside the
+    # parent's segment: so pos[v] : pos[v] + size[v] is exactly v's subtree
+    node = np.flatnonzero(np.arange(N) != root)
+    par = parent[node]
+    assert np.array_equal(np.bincount(par, weights=size[node], minlength=N) + 1, size)
+    assert np.all(pos[par] < pos[node])
+    assert np.all(pos[node] + size[node] <= pos[par] + size[par])
+    for view, buf in ((sx.order, sx._order_a), (sx.pos, sx._pos_a), (sx.pot, sx._pot_a),
+                      (sx.u, sx._pot_a), (sx.w, sx._pot_a)):
+        assert np.shares_memory(view, buf)
+
+
+@pytest.mark.parametrize("sizes", [(120, 100), (300, 260)])
+def test_tree_invariants_hold_after_every_pivot(monkeypatch, sizes):
+    import copy
+
+    import levyot.transport as tr
+
+    # 120 x 100 is below the k-NN threshold, 300 x 260 above it
+    mu, nu = _clouds(np.random.default_rng(sum(sizes)), sizes)
+    (sx,) = _initial_trees(monkeypatch, [(mu, nu, 2.0)])
+    monkeypatch.undo()
+    assert (sx.warm is None) == (sizes == (120, 100))
+    _assert_tree_buffers(sx)
+    pivot = tr._Simplex._pivot
+    checked = []
+
+    def checked_pivot(self, i, j, cost):
+        pivot(self, i, j, cost)
+        _assert_tree_buffers(self)
+        checked.append(self)
+
+    monkeypatch.setattr(tr._Simplex, "_pivot", checked_pivot)
+    # a copy pivots on its own buffers and leaves the original as it was
+    state = (sx.order.tobytes(), sx.pos.tobytes(), sx.pot.tobytes(), sx.size[:], sx.parent[:], sx.flow[:])
+    ref = copy.deepcopy(sx)
+    _assert_tree_buffers(ref)
+    assert not np.shares_memory(ref.pot, sx._pot_a) and not np.shares_memory(ref.order, sx._order_a)
+    ref.run()
+    assert ref.iterations > 0 and checked.count(ref) == ref.iterations
+    assert state == (sx.order.tobytes(), sx.pos.tobytes(), sx.pot.tobytes(), sx.size, sx.parent, sx.flow)
+    sx.run()
+    assert checked.count(sx) == sx.iterations == ref.iterations
+    assert sx.order.tobytes() == ref.order.tobytes() and sx.pot.tobytes() == ref.pot.tobytes()
+
+
 @pytest.mark.parametrize("p", [1.0, 1.5, 2.0])
 @pytest.mark.parametrize("dim", [1, 2, 3, 8])
 def test_block_costs_match_the_dense_matrix_bit_for_bit(dim, p):
