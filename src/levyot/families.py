@@ -181,11 +181,12 @@ class KernelFamily:
     """Measures with densities K(x, z) dz under a power-law envelope.
 
     ``density(x, Z)`` evaluates K at one base point and a batch of jump
-    locations Z of shape (k, dim); Z is read-only.  ``lambda1`` declares the envelope
-    K(x, z) <= lambda1 |z|^{-(dim+sigma)} and ``holder_gamma``, when given,
-    declares |K(x,z) - K(y,z)| <= |x-y|^gamma lambda1 |z|^{-(dim+sigma)}.
-    Both are declarations: nothing here checks them, and the discretization
-    does not use them.
+    locations Z of shape (k, dim); Z is read-only.  ``lambda1`` declares
+    the envelope K(x, z) <= lambda1 |z|^{-(dim+sigma)} and
+    ``holder_gamma``, when given, declares
+    |K(x,z) - K(y,z)| <= |x-y|^gamma lambda1 |z|^{-(dim+sigma)}.  Both are
+    declarations: nothing here checks them, and the discretization does not
+    use them.
     """
 
     density: Callable[[np.ndarray, np.ndarray], np.ndarray]
