@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.integrate import quad
 
 from .measures import DiscreteMeasure, _check_p, _pow, _signed_sites, weight_by_power, tv_distance
 from . import transport
@@ -275,6 +274,8 @@ def mutilde_checks(family, x, y) -> tuple[float, float]:
     def radial(lo: float, hi: float, power: float) -> float:
         if hi <= lo:
             return 0.0
+        from scipy.integrate import quad
+
         val, _ = quad(lambda r: r ** power, lo, hi, epsabs=QUAD_TOL, epsrel=QUAD_TOL)
         return val
 

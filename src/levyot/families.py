@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy.integrate import quad
 
 from .measures import _MAX_RADIUS, DiscreteMeasure, SchemaError, decompose, measure_from_dict, _check_p, _pow
 from . import bounds, transport
@@ -519,6 +518,8 @@ class FamilyRuntime:
 def _power_truncation(dim: int, sigma: float, p: float, grid: AnnularGrid) -> float:
     """p-cost of |z|^{-dim-sigma} dz inside r_min: the total angular weight times
     the radial integral of r^{p-1-sigma} over (0, r_min), finite only for p > sigma."""
+    from scipy.integrate import quad
+
     dirs, ang_w = grid.directions(dim)
     expo = p - 1.0 - sigma
     # np.power, not **: a float ** that overflows raises where NumPy gives an

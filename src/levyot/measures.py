@@ -94,7 +94,7 @@ class DiscreteMeasure:
         Atom coordinates; every row has 0 < |z| <= 2^510.  n = 0 is the zero
         measure, which every function in the package accepts.
     weights : array-like, shape (n,)
-        Strictly positive masses.
+        Strictly positive masses with a finite total.
 
     This constructor owns every numeric rule for atoms; its errors name the
     first offending atom by its input index.
@@ -127,6 +127,13 @@ class DiscreteMeasure:
         if not (np.all(np.isfinite(w)) and np.all(w > 0.0)):
             k = int(np.argmin(np.isfinite(w) & (w > 0.0)))
             raise ValueError(f"atom {k}: weight must be positive and finite, got {w[k]}")
+        # the total is at most n * max(w), so total_mass's fsum has to decide
+        # only near the top of the float range
+        if w.size and not float(w.max()) * w.size < 2.0 ** 1023:
+            try:
+                math.fsum(w.tolist())
+            except OverflowError:
+                raise ValueError("the total weight overflows the float range; rescale the weights") from None
 
         first, w = _merge_sites(pos, w)
         pos = pos[first]

@@ -30,7 +30,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
 from .measures import DiscreteMeasure, _check_p, _pow
 
@@ -64,6 +63,8 @@ class CostSpec:
 
     def pairs(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         """|x_i - y_j|^p between two arrays of positions, one row per x."""
+        from scipy.spatial.distance import cdist
+
         if self.p == 2.0:
             return cdist(x, y, "sqeuclidean")
         return _pow(cdist(x, y, "euclidean"), self.p)
@@ -1030,14 +1031,27 @@ def _report(
     """The report of an optimal plan and its duals: value, dual value and gap.
 
     ``res_x``, ``res_y`` are the reservoir costs of the atoms and
-    ``arc_cost`` the cost of each direct arc of the plan.
+    ``arc_cost`` the cost of each direct arc of the plan.  A value, dual
+    value or gap beyond the float range raises ValueError.
     """
-    terms = (arc_cost * plan.direct_vals).tolist()
-    terms.extend((plan.to_reservoir * res_x).tolist())
-    terms.extend((plan.from_reservoir * res_y).tolist())
-    value = math.fsum(terms)
-    dual = math.fsum((mu.weights * duals.phi).tolist()) + math.fsum((nu.weights * duals.psi).tolist())
-    return SolveReport(value=value, plan=plan, duals=duals, iterations=iterations, gap=abs(value - dual))
+    with np.errstate(over="ignore"):  # an overflow is refused below
+        terms = (arc_cost * plan.direct_vals).tolist()
+        terms.extend((plan.to_reservoir * res_x).tolist())
+        terms.extend((plan.from_reservoir * res_y).tolist())
+        phi_terms = (mu.weights * duals.phi).tolist()
+        psi_terms = (nu.weights * duals.psi).tolist()
+    try:
+        value = math.fsum(terms)
+        dual = math.fsum(phi_terms) + math.fsum(psi_terms)
+    except (OverflowError, ValueError):  # an intermediate overflow, or inf - inf
+        value = dual = math.nan
+    gap = abs(value - dual)
+    if not math.isfinite(gap):
+        raise ValueError(
+            f"the transport cost overflows the float range (value {value!r}, dual value {dual!r}); "
+            "rescale the weights or the coordinates"
+        )
+    return SolveReport(value=value, plan=plan, duals=duals, iterations=iterations, gap=gap)
 
 
 def distance(mu: DiscreteMeasure, nu: DiscreteMeasure, p: float) -> float:

@@ -16,7 +16,6 @@ from functools import lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.interpolate import RegularGridInterpolator
 
 from .measures import DiscreteMeasure, SchemaError, decompose, tv_distance, _check_p
 from . import transport
@@ -90,9 +89,11 @@ class GridFunction:
         mesh = np.meshgrid(*self.axes(), indexing="ij")
         return np.stack([m.reshape(-1) for m in mesh], axis=1)
 
-    def _interp(self) -> RegularGridInterpolator:
+    def _interp(self):
         cached = getattr(self, "_interp_cache", None)
         if cached is None:
+            from scipy.interpolate import RegularGridInterpolator
+
             cached = RegularGridInterpolator(self.axes(), self.values, method="linear")
             object.__setattr__(self, "_interp_cache", cached)
         return cached

@@ -209,6 +209,18 @@ def test_dist_overflow_is_schema_error(mu_atoms, nu_atoms, p, tmp_path, capsys):
     assert out == "" and err.startswith("error: atom 0: |z| = ") and "exceeds 2^510" in err
 
 
+@pytest.mark.parametrize("command", ["dist", "dual"])
+@pytest.mark.parametrize("dim", [1, 2])
+def test_cost_overflow_is_solver_failure(command, dim, tmp_path, capsys):
+    # every atom is in range, but 1e10 * (1e150)^2 is beyond the float range:
+    # no inf/nan report, which would not be valid JSON
+    far = _write_measure(tmp_path / "far.json", dim, [([1e150] + [0.0] * (dim - 1), 1e10)])
+    near = _write_measure(tmp_path / "near.json", dim, [([1.0] + [0.0] * (dim - 1), 1.0)])
+    code, out, err = run_cli([command, far, near, "--p", "2"], capsys)
+    assert code == 3
+    assert out == "" and err.startswith("solver failure: the transport cost overflows the float range")
+
+
 def test_dual_reports_strong_duality(measure_files, capsys):
     a, b = measure_files
     code, out, _ = run_cli(["dual", a, b, "--p", "1"], capsys)
@@ -569,6 +581,50 @@ def test_python_dash_m_runs_the_command_line():
     done = subprocess.run([sys.executable, "-m", "levyot", "--help"], env=env, capture_output=True, text=True)
     assert done.returncode == 0
     assert done.stdout.startswith("usage: levyot")
+
+
+COLD_START = """
+import json, sys
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+
+seen = {}
+from levyot import cli
+seen["import"] = scipy_modules()
+try:
+    cli.main(["--help"])
+except SystemExit:
+    pass
+seen["help"] = scipy_modules()
+line_a, line_b, plane_a, plane_b, out = sys.argv[1:]
+cli.main(["dist", line_a, line_b, "--out", out])
+seen["dist d=1"] = scipy_modules()
+cli.main(["dist", plane_a, plane_b, "--out", out])
+seen["dist d=2"] = scipy_modules()
+print(json.dumps(seen))
+"""
+
+
+def test_cold_start_imports_scipy_only_where_a_command_uses_it(tmp_path):
+    # SciPy is imported inside the functions that use it: the package, --help
+    # and a d = 1 solve load none of it, a d >= 2 solve only scipy.spatial
+    import subprocess
+    from pathlib import Path
+
+    files = [
+        _write_measure(tmp_path / f"{name}.json", dim, [([0.3 * k + 0.1] * dim, 1.0 + k) for k in range(1, 4 + shift)])
+        for name, dim, shift in (("line_a", 1, 0), ("line_b", 1, 1), ("plane_a", 2, 0), ("plane_b", 2, 1))
+    ]
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    argv = [sys.executable, "-c", COLD_START, *files, str(tmp_path / "out.json")]
+    done = subprocess.run(argv, env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    seen = json.loads(done.stdout.splitlines()[-1])
+    assert seen["import"] == seen["help"] == seen["dist d=1"] == []
+    assert "scipy.spatial" in seen["dist d=2"]
+    assert not [m for m in seen["dist d=2"] if m.startswith(("scipy.integrate", "scipy.interpolate"))]
 
 
 def test_verify_failure_writes_reproducer(capsys, tmp_path):

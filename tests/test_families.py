@@ -482,7 +482,7 @@ def test_sweep_runs_the_truncation_quadrature_once_per_runtime_and_p(case, monke
     exponents = (p, 1.9)
     radial = {q: _power_truncation(dim, sigma, q, grid) for q in exponents}
     calls = []
-    monkeypatch.setattr("levyot.families.quad", lambda *args, **kwargs: calls.append(1) or quad(*args, **kwargs))
+    monkeypatch.setattr("scipy.integrate.quad", lambda *args, **kwargs: calls.append(1) or quad(*args, **kwargs))
     pairs = sweep_pairs(3, dim, seed=4)
     for runs in (1, 2):  # a second runtime computes the integral afresh
         runtime = build_family(config)

@@ -39,6 +39,9 @@ def test_measure_rejects_origin_and_merges_duplicates():
         ([[1.0], [1e154]], [1.0, 1.0], "atom 1: |z| = 1e+154 exceeds 2^510"),
         ([[1.0, 0.0], [1.0, 0.0], [1e160, 0.0]], [1.0] * 3, "atom 2: |z| = inf exceeds 2^510"),
         ([[3e153, 3e153]], [1.0], "atom 0: |z| = 4.24"),
+        # each weight is finite but their sum is not
+        ([[1.0], [2.0]], [1e308, 1e308], "the total weight overflows the float range"),
+        ([[1.0], [1.0]], [1e308, 1e308], "the total weight overflows the float range"),
     ]:
         with pytest.raises(ValueError) as info:
             DiscreteMeasure(len(positions[0]), positions, weights)
@@ -51,6 +54,8 @@ def test_measure_rejects_origin_and_merges_duplicates():
     mu = DiscreteMeasure(1, [[0.5], [0.5], [1.0]], [1.0, 2.0, 3.0])
     assert mu.n_atoms == 2
     assert mu.total_mass() == 6.0
+    # a total near the top of the float range is still accepted when it is finite
+    assert DiscreteMeasure(1, [[1.0], [2.0]], [1e308, 5e307]).total_mass() == 1.5e308
     # bit-exact merge only
     nu = DiscreteMeasure(1, [[0.5], [0.5 + 1e-16]], [1.0, 1.0])
     assert nu.n_atoms == 2 or 0.5 + 1e-16 == 0.5  # identical floats merge
@@ -325,6 +330,9 @@ MALFORMED_MEASURES = {
     "weight-huge": {"dim": 2, "atoms": [{"z": [0.5, 0.5], "w": 1.0}, {"z": [0.1, 0.0], "w": 10**400}]},
     "dim-huge": {"dim": 10**18, "atoms": []},
     "radius-huge": {"dim": 1, "atoms": [{"z": [1e154], "w": 1.0}]},
+    # every weight is finite, their total is not
+    "mass-huge-d1": {"dim": 1, "atoms": [{"z": [1.0], "w": 1e308}, {"z": [2.0], "w": 1e308}]},
+    "mass-huge-d2": {"dim": 2, "atoms": [{"z": [1.0, 0.0], "w": 1e308}, {"z": [2.0, 0.0], "w": 1e308}]},
     # beyond the 4300 digits int() parses by default, so json.load itself fails
     "coordinate-5000-digits": {"dim": 1, "atoms": [{"z": [10**5000 - 1], "w": 1.0}]},
 }
