@@ -51,6 +51,25 @@ __all__ = [
 # is treated as optimal.  Keeps the duality gap at rounding level.
 PIVOT_TOL = 1e-12
 
+# Above this many real arcs (m * n) the simplex warm-starts from k-NN arcs and
+# prices its cost blocks with SciPy's cdist; at or below it NumPy does both.
+KNN_ARCS = 65536
+
+
+def _sq_dist(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """sum_k (x[..., k] - y[..., k])^2, broadcast over the leading axes.
+
+    The squares are added one coordinate at a time, k = 0, ..., d-1, which is
+    the order cdist's "sqeuclidean" adds them in, so the two agree bit for bit.
+    """
+    sq = x[..., 0] - y[..., 0]
+    sq *= sq
+    for k in range(1, x.shape[-1]):
+        diff = x[..., k] - y[..., k]
+        diff *= diff
+        sq += diff
+    return sq
+
 
 @dataclass(frozen=True)
 class CostSpec:
@@ -63,17 +82,16 @@ class CostSpec:
 
     def pairs(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         """|x_i - y_j|^p between two arrays of positions, one row per x."""
-        from scipy.spatial.distance import cdist
-
-        if self.p == 2.0:
-            return cdist(x, y, "sqeuclidean")
-        return _pow(cdist(x, y, "euclidean"), self.p)
+        return self._power(_sq_dist(x[:, None, :], y[None, :, :]))
 
     def pairwise(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        """|x_k - y_k|^p row by row, by the same formula as ``pairs``."""
-        diff = x - y
-        sq = (diff * diff).sum(axis=1)
-        return sq if self.p == 2.0 else _pow(np.sqrt(sq), self.p)
+        """|x_k - y_k|^p row by row; entry k has the bits of ``pairs(x, y)[k, k]``."""
+        return self._power(_sq_dist(x, y))
+
+    def _power(self, sq: np.ndarray) -> np.ndarray:
+        """|x - y|^p from a fresh array of |x - y|^2 (overwritten), as
+        cdist's "euclidean" then ``_pow``."""
+        return sq if self.p == 2.0 else _pow(np.sqrt(sq, out=sq), self.p)
 
     def pair_matrix(self, mu: DiscreteMeasure, nu: DiscreteMeasure) -> np.ndarray:
         """Dense |x_i - y_j|^p over the atom grids."""
@@ -93,7 +111,9 @@ class _ReservoirCost:
     dense matrix is never held, unless it fits in one block: then ``blocks``
     builds it once and hands out the same array on every pass.  Each entry
     is computed on its own, so a block has the bits of the same rows of the
-    dense matrix.
+    dense matrix.  Above ``KNN_ARCS`` real arcs the pairs come from cdist,
+    which has the bits of ``CostSpec.pairs`` and is faster on long rows;
+    the choice is made once, so every block of an instance uses one kernel.
     """
 
     BLOCK = 65536  # elements per row block of a full pass
@@ -105,7 +125,17 @@ class _ReservoirCost:
         self.res_row = np.append(self.res_y, 0.0)
         self.m, self.n = mu.n_atoms + 1, nu.n_atoms + 1
         self.step = min(self.m, max(1, self.BLOCK // self.n))
+        self.above_knn = mu.n_atoms * nu.n_atoms > KNN_ARCS
         self._whole: Optional[np.ndarray] = None
+
+    def _pairs(self, x: np.ndarray) -> np.ndarray:
+        if not self.above_knn:
+            return self.spec.pairs(x, self.y)
+        from scipy.spatial.distance import cdist
+
+        if self.spec.p == 2.0:
+            return cdist(x, self.y, "sqeuclidean")
+        return _pow(cdist(x, self.y, "euclidean"), self.spec.p)
 
     def rows(self, r0: int, r1: int, step: int = 1) -> np.ndarray:
         """Rows range(r0, r1, step) of the matrix, as a fresh array."""
@@ -113,7 +143,7 @@ class _ReservoirCost:
         k = len(range(r0, stop, step))
         out = np.empty((len(range(r0, r1, step)), self.n))
         if k:
-            out[:k, :-1] = self.spec.pairs(self.x[r0:stop:step], self.y)
+            out[:k, :-1] = self._pairs(self.x[r0:stop:step])
             out[:k, -1] = self.res_x[r0:stop:step]
         if k < len(out):  # the reservoir row is the last one picked
             out[k] = self.res_row
@@ -343,7 +373,7 @@ class _Simplex:
         costs, their reduced costs against the star tree's duals,
         c_ij - |x_i|^p - |y_j|^p (0 on the reservoir arcs), and their rows
         and columns, in increasing flat order.  Below the threshold (at most
-        65536 real arcs) the candidates are all arcs.  Above it they are the
+        ``KNN_ARCS`` real arcs) the candidates are all arcs.  Above it they are the
         warm arcs of cost at most ``tol``, which join coincident atoms: a
         greedy pass over them is a matching, so its tree stays shallow.
         """
@@ -789,11 +819,11 @@ class _Simplex:
     def _neighbor_arcs(self) -> Optional[np.ndarray]:
         """Flat indices of a sparse warm-start arc set, sorted: mutual nearest
         neighbours between the two real atom clouds plus all reservoir arcs."""
-        m_real, n_real = self.m - 1, self.n - 1
-        if m_real * n_real <= 65536:
+        if not self.costs.above_knn:
             return None
         from scipy.spatial import cKDTree
 
+        m_real, n_real = self.m - 1, self.n - 1
         k = min(32, n_real)
         tree_nu = cKDTree(self.costs.y)
         _, nbr = tree_nu.query(self.costs.x, k=k)

@@ -10,6 +10,7 @@ and a small linear-equation experiment that runs the whole chain end to end.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -89,19 +90,27 @@ class GridFunction:
         mesh = np.meshgrid(*self.axes(), indexing="ij")
         return np.stack([m.reshape(-1) for m in mesh], axis=1)
 
-    def _interp(self):
-        cached = getattr(self, "_interp_cache", None)
-        if cached is None:
-            from scipy.interpolate import RegularGridInterpolator
-
-            cached = RegularGridInterpolator(self.axes(), self.values, method="linear")
-            object.__setattr__(self, "_interp_cache", cached)
-        return cached
-
     def __call__(self, points) -> np.ndarray:
         pts = np.atleast_2d(np.asarray(points, dtype=float))
+        if np.isnan(pts).any():
+            raise ValueError("cannot evaluate a grid function at NaN")
         clamped = np.clip(pts, self.lo[None, :], self.hi[None, :])
-        out = self._interp()(clamped)
+        # per axis: each point's cell [a_i, a_i+1] (the last cell for a_n-1)
+        # and its weights (1 - t, t) on the cell's two ends
+        cells, weights = [], []
+        for k, axis in enumerate(self.axes()):
+            x = clamped[:, k]
+            i = np.clip(np.searchsorted(axis, x, side="right") - 1, 0, axis.size - 2)
+            t = (x - axis[i]) / (axis[i + 1] - axis[i])
+            cells.append(i)
+            weights.append((1.0 - t, t))
+        # sum over the 2^d corners of the cell: value times weights, axis by axis
+        out = np.zeros(len(clamped))
+        for corner in itertools.product((0, 1), repeat=self.dim):
+            term = self.values[tuple(i + c for i, c in zip(cells, corner))]
+            for c, w in zip(corner, weights):
+                term = term * w[c]
+            out += term
         return out if np.asarray(points).ndim > 1 else float(out[0])
 
     def sup_norm(self) -> float:

@@ -1,6 +1,7 @@
 """Tests for the command-line interface: outputs, exit codes, determinism."""
 
 import json
+import math
 import os
 import sys
 
@@ -597,24 +598,38 @@ try:
 except SystemExit:
     pass
 seen["help"] = scipy_modules()
-line_a, line_b, plane_a, plane_b, out = sys.argv[1:]
-cli.main(["dist", line_a, line_b, "--out", out])
+line_a, line_b, plane_a, plane_b, wide_a, wide_b, out = sys.argv[1:]
+assert cli.main(["dist", line_a, line_b, "--out", out]) == 0
 seen["dist d=1"] = scipy_modules()
-cli.main(["dist", plane_a, plane_b, "--out", out])
+assert cli.main(["dist", plane_a, plane_b, "--out", out]) == 0
 seen["dist d=2"] = scipy_modules()
+assert cli.main(["verify", "--suite", "duality", "--n", "2"]) == 0
+seen["verify"] = scipy_modules()
+assert cli.main(["experiment", "--nodes", "64", "--out", out]) == 0
+seen["experiment"] = scipy_modules()
+assert cli.main(["dist", wide_a, wide_b, "--out", out]) == 0
+seen["dist above k-NN"] = scipy_modules()
 print(json.dumps(seen))
 """
 
 
 def test_cold_start_imports_scipy_only_where_a_command_uses_it(tmp_path):
-    # SciPy is imported inside the functions that use it: the package, --help
-    # and a d = 1 solve load none of it, a d >= 2 solve only scipy.spatial
+    # SciPy is imported inside the functions that use it: the package, --help,
+    # solves at or below the k-NN threshold, a small verify suite and the
+    # experiment load none of it; a solve above the threshold only scipy.spatial
     import subprocess
     from pathlib import Path
+
+    from levyot.transport import KNN_ARCS
 
     files = [
         _write_measure(tmp_path / f"{name}.json", dim, [([0.3 * k + 0.1] * dim, 1.0 + k) for k in range(1, 4 + shift)])
         for name, dim, shift in (("line_a", 1, 0), ("line_b", 1, 1), ("plane_a", 2, 0), ("plane_b", 2, 1))
+    ]
+    side = math.isqrt(KNN_ARCS) + 1  # side * side real arcs, just above the threshold
+    files += [
+        _write_measure(tmp_path / f"wide_{shift}.json", 2, [([0.01 * k + shift, 0.1 * (k % 7)], 1.0 + k % 3) for k in range(1, side + 1)])
+        for shift in (0.0, 0.005)
     ]
     src = Path(__file__).resolve().parents[1] / "src"
     env = dict(os.environ, PYTHONPATH=str(src))
@@ -622,9 +637,10 @@ def test_cold_start_imports_scipy_only_where_a_command_uses_it(tmp_path):
     done = subprocess.run(argv, env=env, capture_output=True, text=True)
     assert done.returncode == 0, done.stderr
     seen = json.loads(done.stdout.splitlines()[-1])
-    assert seen["import"] == seen["help"] == seen["dist d=1"] == []
-    assert "scipy.spatial" in seen["dist d=2"]
-    assert not [m for m in seen["dist d=2"] if m.startswith(("scipy.integrate", "scipy.interpolate"))]
+    assert seen["import"] == seen["help"] == seen["dist d=1"] == seen["dist d=2"] == []
+    assert seen["verify"] == seen["experiment"] == []
+    assert "scipy.spatial" in seen["dist above k-NN"]
+    assert not [m for m in seen["dist above k-NN"] if m.startswith(("scipy.integrate", "scipy.interpolate"))]
 
 
 def test_verify_failure_writes_reproducer(capsys, tmp_path):

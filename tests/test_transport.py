@@ -726,6 +726,45 @@ def test_property_line_solve_matches_the_simplex(sides, p):
     assert rep.gap <= 1e-9 * (1.0 + rep.value)
 
 
+@st.composite
+def _position_pairs(draw):
+    """Two clouds of 1 to 12 points in R^d, d in 1..16, as valid atom
+    positions: each coordinate is c * 2^e / sqrt(d) with |c| <= 1 and e
+    drawn from a range within [-498, 510], so coordinates run from about
+    1e-150 up to 2^510 / sqrt(d) and every point has norm at most 2^510.
+    The coordinates come from a drawn seed, which keeps examples cheap."""
+    dim = draw(st.integers(1, 16))
+    lo = draw(st.integers(-498, 510))
+    hi = draw(st.integers(lo, 510))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    clouds = []
+    for _ in range(2):
+        shape = (draw(st.integers(1, 12)), dim)
+        coef = rng.uniform(-1.0, 1.0, shape) / math.sqrt(dim)
+        clouds.append(np.ldexp(coef, rng.integers(lo, hi + 1, shape)))
+    return clouds
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(_position_pairs(), _P)
+def test_property_cost_kernel_matches_cdist_bit_for_bit(clouds, p):
+    from scipy.spatial.distance import cdist
+
+    x, y = clouds
+    want = cdist(x, y, "sqeuclidean") if p == 2.0 else _pow(cdist(x, y, "euclidean"), p)
+    got = CostSpec(p).pairs(x, y)
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(_position_pairs(), _P)
+def test_property_pairwise_is_the_diagonal_of_pairs(clouds, p):
+    x, y = clouds
+    k = min(len(x), len(y))
+    cost = CostSpec(p)
+    assert cost.pairwise(x[:k], y[:k]).tobytes() == np.diagonal(cost.pairs(x, y))[:k].tobytes()
+
+
 def _line_certificates(rep, mu, nu, p):
     assert rep.iterations == 0
     assert rep.gap <= 1e-9 * (1.0 + rep.value)

@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.spatial.distance import cdist
 
 from levyot.measures import DiscreteMeasure
@@ -94,6 +95,42 @@ def test_grid_function_interpolation_and_extension():
     assert g(np.array([-3.0])) == pytest.approx(0.0)
     with pytest.raises(ValueError):
         GridFunction(np.array([0.0]), np.array([0.0]), np.array([1.0, 2.0]))
+    with pytest.raises(ValueError, match="NaN"):
+        g(np.array([math.nan]))
+
+
+@st.composite
+def _grids_and_points(draw):
+    """A grid function in d in 1..3 with 2 to 7 nodes per axis, values up to
+    1e300 in size, and 60 query points in the box widened by half its extent
+    on each side.  Sizes and scales are drawn; the numbers come from a drawn
+    seed, which keeps examples cheap."""
+    dim = draw(st.integers(1, 3))
+    shape = tuple(draw(st.lists(st.integers(2, 7), min_size=dim, max_size=dim)))
+    scale = 10.0 ** draw(st.integers(-300, 300))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    lo = rng.uniform(-100.0, 100.0, dim)
+    hi = lo + 10.0 ** rng.uniform(-3, 2, dim)
+    g = GridFunction(lo, hi, rng.uniform(-1.0, 1.0, shape) * scale)
+    points = lo + (hi - lo) * rng.uniform(-0.5, 1.5, (60, dim))
+    return g, points
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(_grids_and_points())
+def test_property_grid_function_is_multilinear_interpolation(case):
+    from scipy.interpolate import RegularGridInterpolator
+
+    g, points = case
+    # exact at the nodes
+    assert g(g.nodes()).tobytes() == g.values.reshape(-1).tobytes()
+    # outside the box, the value at the nearest point of the box
+    inside = np.clip(points, g.lo, g.hi)
+    got = g(points)
+    assert got.tobytes() == g(inside).tobytes()
+    # within 4 ulps of max |v| of SciPy's linear interpolation elsewhere
+    want = RegularGridInterpolator(g.axes(), g.values, method="linear")(inside)
+    assert np.max(np.abs(got - want)) <= 4 * np.spacing(g.sup_norm())
 
 
 @pytest.mark.parametrize("delta", [0.0, -1.0, math.inf, math.nan], ids=["zero", "negative", "inf", "nan"])
