@@ -52,7 +52,8 @@ __all__ = [
 PIVOT_TOL = 1e-12
 
 # Above this many real arcs (m * n) the simplex warm-starts from k-NN arcs and
-# prices its cost blocks with SciPy's cdist; at or below it NumPy does both.
+# prices its cost blocks with SciPy's cdist, which pay for their import there;
+# at or below it the greedy start takes all arcs, priced with NumPy.
 KNN_ARCS = 65536
 
 
