@@ -6,7 +6,7 @@ cost of truncating small jumps, push-forward couplings, and the Lipschitz
 test-function inequality.  The radial bound is a lower bound: the exact cost
 between the radial push-forwards z -> |z|, a monotone merge on the half-line.
 The fractional-kernel annulus checks integrate the continuum radial densities
-by adaptive quadrature rather than reusing atom discretizations.
+in closed form rather than reusing atom discretizations.
 """
 
 from __future__ import annotations
@@ -33,7 +33,6 @@ __all__ = [
     "sphere_area",
 ]
 
-QUAD_TOL = 1e-10
 # Net site weights above -SIGN_TOL count as nonnegative in mu - nu.
 SIGN_TOL = 1e-15
 
@@ -132,41 +131,14 @@ def positive_part_dual_bound(mu: DiscreteMeasure, nu: DiscreteMeasure, p: float)
     return math.fsum(w * r**p for w, r in zip(net.tolist(), radii.tolist()))
 
 
-def _half_line_merge(
-    ra: np.ndarray, wa: np.ndarray, rb: np.ndarray, wb: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The monotone coupling of a + |b| delta_0 with b + |a| delta_0 on [0, inf).
-
-    ``ra, wa`` are the radii and weights of one side's atoms, ``rb, wb`` the
-    other's.  On a half-line with the reservoir at 0 this balanced coupling
-    is an optimal reservoir plan for every p >= 1, because reservoir-to-
-    reservoir mass is free and the quantile coupling is optimal for a convex
-    cost of r - s.  Returns (ia, ib, mass), one entry per segment of the
-    merged quantile breakpoints: the a atom, the b atom (-1 for the
-    reservoir) and the mass moved between them.  The reservoir-to-reservoir
-    segment costs nothing and is left out.
-
-    Quantiles accumulate from the far end inwards, so the breakpoints are
-    sums of the outer atoms' masses only: the reservoir's mass (|a| + |b|,
-    about 1e12 on heavy measures) never enters a sum, and the rounding of
-    the heavy inner atoms lands where the costs are smallest.
-    """
-    oa = np.argsort(-ra, kind="stable")
-    ob = np.argsort(-rb, kind="stable")
-    ca, cb = np.cumsum(wa[oa]), np.cumsum(wb[ob])
-    ends = np.unique(np.concatenate([ca, cb]))
-    starts = np.concatenate([[0.0], ends])[:-1]
-    ia = np.append(oa, -1)[np.searchsorted(ca, starts, side="right")]
-    ib = np.append(ob, -1)[np.searchsorted(cb, starts, side="right")]
-    return ia, ib, ends - starts
-
-
 def radial_lower_bound(mu: DiscreteMeasure, nu: DiscreteMeasure, p: float) -> float:
     """Lower bound R <= distance(mu, nu)^p: the exact cost between |z|_# mu and |z|_# nu.
 
     z -> |z| is 1-Lipschitz and keeps every reservoir cost |z|^p, so it maps
     any plan to a plan between the radial push-forwards that costs no more.
-    On the half-line the monotone merge is optimal, so R is exact there.
+    On the half-line the monotone merge (``transport._monotone_merge``, with
+    every atom on one ray) is optimal, so R is exact there: its segment
+    masses are correctly rounded from the exact quantile breakpoints.
     Equality holds in any dimension when both measures put one radial
     profile on every ray of a common set of equally weighted rays, as radial
     densities on a shared annular grid do.  Sharing the rays is not enough:
@@ -176,7 +148,11 @@ def radial_lower_bound(mu: DiscreteMeasure, nu: DiscreteMeasure, p: float) -> fl
     p = _check_p(p)
     if mu.dim != nu.dim:
         raise ValueError("measures must share the ambient dimension")
-    ia, ib, mass = _half_line_merge(mu.radii, mu.weights, nu.radii, nu.weights)
+    # every atom on one ray: the half-line of the radii
+    _, ia, ib, mass = transport._monotone_merge(
+        np.zeros(mu.n_atoms, dtype=np.intp), mu.radii, mu.weights,
+        np.zeros(nu.n_atoms, dtype=np.intp), nu.radii, nu.weights,
+    )
     a = np.append(mu.radii, 0.0)[ia]
     b = np.append(nu.radii, 0.0)[ib]
     return math.fsum((mass * _pow(np.abs(a - b), p)).tolist())
@@ -256,7 +232,7 @@ def mutilde_checks(family, x, y) -> tuple[float, float]:
     For the density a(x) |z|^{-d-sigma} split at r_x = a(x)^{1/sigma}, the
     middle piece lives on r_x <= |z| < 1.  Returns its total mass at ``x`` and
     the quotient (integral of |z| against the variation between x and y)
-    divided by |x - y|, both from adaptive quadrature of the radial densities.
+    divided by |x - y|, both integrated in closed form.
     """
     sigma = family.sigma
     if not 1.0 < sigma < 2.0:
@@ -272,12 +248,8 @@ def mutilde_checks(family, x, y) -> tuple[float, float]:
     rx = ax ** (1.0 / sigma)
 
     def radial(lo: float, hi: float, power: float) -> float:
-        if hi <= lo:
-            return 0.0
-        from scipy.integrate import quad
-
-        val, _ = quad(lambda r: r ** power, lo, hi, epsabs=QUAD_TOL, epsrel=QUAD_TOL)
-        return val
+        # the integral of r^power over [lo, hi]; power is -1 - sigma or -sigma, never -1
+        return (hi ** (power + 1.0) - lo ** (power + 1.0)) / (power + 1.0) if hi > lo else 0.0
 
     # density against dz has the radial profile r^{d-1} * r^{-d-sigma}
     mass = omega * ax * radial(rx, 1.0, -1.0 - sigma)

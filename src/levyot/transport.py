@@ -12,7 +12,7 @@ the nu side, with costs c(x, 0) = |x|^p, c(0, y) = |y|^p and c(0, 0) = 0.
 In d = 1 the optimum is known in closed form: no optimal arc crosses the
 origin, and on each half-line the monotone (quantile) coupling with the
 origin as reservoir is optimal, so ``solve`` merges the two sorted halves
-and reads the duals off that staircase basis, with no pivot.  In higher
+(``_monotone_merge``) and reads the duals off that staircase basis.  In higher
 dimensions it runs a primal transportation simplex on the complete bipartite
 graph.  Either way the basis potentials give exact dual potentials
 normalised to vanish at the reservoir.  The simplex computes costs from the
@@ -923,7 +923,8 @@ def solve(mu: DiscreteMeasure, nu: DiscreteMeasure, cost: CostSpec) -> SolveRepo
     Returns the optimal cost, an optimal vertex plan, optimal dual potentials
     satisfying complementary slackness, the pivot count, and the primal-dual
     gap (which certifies optimality to rounding accuracy).  In d = 1 the
-    monotone coupling of each half-line is the optimum and no pivot is made;
+    monotone coupling of each half-line (``_monotone_merge``) is the optimum,
+    with masses rounded once from exact breakpoints, and no pivot is made;
     in higher dimensions the transportation simplex finds it.
     """
     if mu.dim != nu.dim:
@@ -973,80 +974,116 @@ def _solve_line(mu: DiscreteMeasure, nu: DiscreteMeasure, cost: CostSpec) -> Sol
     """``solve`` in d = 1: the monotone coupling of each half-line, exactly.
 
     No optimal plan needs an arc across the origin, since
-    (|x| + |y|)^p >= |x|^p + |y|^p, so each half-line is solved on its own.
-    There the reservoir problem is balanced transport between
-    mu + |nu| delta_0 and nu + |mu| delta_0, and the quantile coupling is
-    optimal: atoms are paired from the far end inwards, each arc moving the
-    smaller of its two atoms' residual masses, and what is left on the
-    longer side meets the reservoir.  Flows are residual differences per
-    atom, so an atom that is not split carries its weight bit for bit, and
-    the heavy inner masses never enter a sum.
+    (|x| + |y|)^p >= |x|^p + |y|^p, so each half-line is solved on its own,
+    by the quantile coupling of ``_monotone_merge`` with each atom labelled
+    by the sign of z.  Its segments are the plan.
 
     The duals are the potentials of this staircase basis (the north-west
     corner rule on the radii sorted from the far end), walked from the
     origin outwards: an atom that meets the reservoir gets |z|^p, and each
-    arc sets its new end to its cost minus the known end.  An arc that
-    exhausts both of its atoms has two new ends; the basis then links its mu
-    atom by a zero-flow arc to the next nu atom inwards, or to the reservoir
-    when there is none.  That keeps the basis a staircase, whose potentials
-    are feasible because the cost matrix of a sorted half-line is Monge.
+    arc sets the atom that the next segment inwards drops to its cost minus
+    the other end.  An arc that ends both of its atoms links its mu atom by
+    a zero-flow arc to the next segment's nu atom (the reservoir past the
+    half-line).  That keeps the basis a staircase, whose potentials are
+    feasible because the cost matrix of a sorted half-line is Monge.
     """
-    left_x, left_y = mu.weights.tolist(), nu.weights.tolist()
-    # per arc, far end first: mu atom, nu atom, flow, the atoms it exhausts
-    # (0 mu, 1 nu, 2 both) and, for 2, the next nu atom inwards (-1: none)
-    arcs: list[tuple[int, int, float, int, int]] = []
-    for a, b in zip(_half_lines(mu), _half_lines(nu)):
-        na, nb = len(a), len(b)
-        ia = ib = 0
-        while ia < na and ib < nb:
-            i, j = a[ia], b[ib]
-            s, d = left_x[i], left_y[j]
-            if s < d:
-                left_x[i], left_y[j] = 0.0, d - s
-                arcs.append((i, j, s, 0, -1))
-                ia += 1
-            elif s > d:
-                left_x[i], left_y[j] = s - d, 0.0
-                arcs.append((i, j, d, 1, -1))
-                ib += 1
-            else:
-                left_x[i] = left_y[j] = 0.0
-                ia += 1
-                ib += 1
-                arcs.append((i, j, s, 2, b[ib] if ib < nb else -1))
-    rows, cols, flows, _, links = zip(*arcs) if arcs else ((),) * 5
+    ray, ia, ib, mass = _monotone_merge(
+        mu.positions[:, 0] < 0.0, mu.radii, mu.weights, nu.positions[:, 0] < 0.0, nu.radii, nu.weights
+    )
+    # each segment's successor on its half-line; -1, the reservoir, past the last
+    same = ray[1:] == ray[:-1]
+    next_a = np.concatenate([np.where(same, ia[1:], -1), [-1]])
+    next_b = np.concatenate([np.where(same, ib[1:], -1), [-1]])
+    # segment and link costs in one call, the reservoir (-1) at the origin: there they are |z|^p, bit for bit
+    x, y = (np.concatenate([m.positions, [[0.0]]]) for m in (mu, nu))
+    both = cost.pairwise(x[np.concatenate([ia, ia])], y[np.concatenate([ib, next_b])])
 
     res_x, res_y = cost.reservoir_cost(mu), cost.reservoir_cost(nu)
-    rows_a, cols_a = np.array(rows, dtype=np.int64), np.array(cols, dtype=np.int64)
-    # the arcs' costs, then their links', from one call
-    both = cost.pairwise(mu.positions[np.tile(rows_a, 2)], nu.positions[np.array(cols + links, dtype=np.int64)])
-    arc_cost = both[: len(arcs)]
-    link_cost = np.where(np.array(links) >= 0, both[len(arcs) :], res_x[rows_a])
-
-    phi, psi = res_x.tolist(), res_y.tolist()
-    psi.append(0.0)  # the reservoir, as link -1
-    for (i, j, _, k, lk), c, lc in zip(reversed(arcs), reversed(arc_cost.tolist()), reversed(link_cost.tolist())):
-        if k == 1:
+    phi, psi = res_x.tolist(), res_y.tolist() + [0.0]  # psi[-1]: the reservoir, as link -1
+    to_res, from_res = [0.0] * mu.n_atoms, [0.0] * nu.n_atoms
+    walk = zip(ia.tolist(), ib.tolist(), next_a.tolist(), next_b.tolist(), both.tolist(), both[ia.size :].tolist(),
+               mass.tolist())
+    for i, j, ni, nj, c, lc, m in reversed(list(walk)):
+        if j < 0:
+            to_res[i] = m
+        elif i < 0:
+            from_res[j] = m
+        elif ni == i:  # the nu atom ends here
             psi[j] = c - phi[i]
-        elif k == 0:
+        elif nj == j:  # the mu atom ends here
             phi[i] = c - psi[j]
         else:
-            phi[i] = lc - psi[lk]
+            phi[i] = lc - psi[nj]
             psi[j] = c - phi[i]
-    del psi[-1]
 
-    plan = TransportPlan(mu.n_atoms, nu.n_atoms, rows_a, cols_a, np.array(flows, dtype=float),
-                         np.array(left_x), np.array(left_y))
-    duals = DualPotentials(phi=np.array(phi), psi=np.array(psi), p=cost.p)
-    return _report(mu, nu, res_x, res_y, plan, arc_cost, duals, 0)
+    direct = np.minimum(ia, ib) >= 0
+    plan = TransportPlan(mu.n_atoms, nu.n_atoms, ia[direct], ib[direct], mass[direct],
+                         np.array(to_res), np.array(from_res))
+    duals = DualPotentials(phi=np.array(phi), psi=np.array(psi[:-1]), p=cost.p)
+    return _report(mu, nu, res_x, res_y, plan, both[: ia.size][direct], duals, 0)
 
 
-def _half_lines(mu: DiscreteMeasure) -> tuple[list[int], list[int]]:
-    """Atom indices of a d = 1 measure on z > 0 and on z < 0, far end first."""
-    z = mu.positions[:, 0]
-    order = np.argsort(-z)
-    k = int(np.count_nonzero(z > 0.0))
-    return order[:k].tolist(), order[k:][::-1].tolist()
+def _two_sum(a, b):
+    """s = fl(a + b) and its rounding error t, so that a + b = s + t exactly (Knuth)."""
+    s = a + b
+    v = s - a
+    return s, (a - (s - v)) + (b - v)
+
+
+def _monotone_merge(ray_a, ra, wa, ray_b, rb, wb):
+    """The monotone (quantile) coupling, ray by ray, of two measures with a reservoir.
+
+    Atom k of side a has radius ``ra[k]``, mass ``wa[k]`` and ray label
+    ``ray_a[k]`` (a nonnegative integer); likewise for b.  On each ray, a
+    plus b's mass there at the origin is coupled with b plus a's: both
+    sides' quantile breakpoints, from the far end inwards, are merged, and
+    each segment between two pairs the atoms that hold it.  A ray one side
+    does not use merges against nothing, so its atoms meet the reservoir.
+    On a half-line this coupling is optimal for every p >= 1.
+
+    Returns (ray, ia, ib, mass) per segment, by ray label and far end
+    first: the ray, the a and b atoms (-1: the reservoir) and the mass.  The
+    free reservoir-to-reservoir segment is left out.  Breakpoints are
+    compared as normalised (hi, lo) pairs, so equal cumulative sums meet,
+    and each mass is a difference of two, rounded once.
+    """
+    na = ra.size
+    # both sides in one array, b's labels shifted past every label: each
+    # side's rays in label order, each ray one run of atoms, far end first
+    ray = np.concatenate([ray_a, ray_b])
+    shift = ray.max() + 1 if ray.size else 0
+    key = np.concatenate([ray_a, ray_b + shift])
+    # a complex key sorts by (real, imag) in one pass: here by (key, -radius)
+    order = np.argsort(key - 1j * np.concatenate([ra, rb]), kind="stable")
+    ray, key, w = ray[order], key[order], np.concatenate([wa, wb])[order]
+    # the mass of each run from its far end through each atom, as a
+    # normalised double-double (hi, lo): a cumsum plus the sum of its exact
+    # TwoSum errors, less the run's base by TwoSum, then normalised
+    c = np.concatenate(([0.0], np.cumsum(w)))
+    v = c[1:] - c[:-1]
+    err = np.concatenate(([0.0], np.cumsum((c[:-1] - (c[1:] - v)) + (w - v))))
+    base = np.searchsorted(key, key)  # the first atom of each atom's run
+    hi, lo = _two_sum(c[1:], -c[base])
+    hi, lo = _two_sum(hi, lo + (err[1:] - err[base]))
+
+    point = hi + 1j * lo  # the breakpoint, ordered as (hi, lo)
+    merged = np.lexsort((point, ray))
+    ray, point = ray[merged], point[merged]
+    # a and b breakpoints below each one: where each side's next atom sits in ``key``
+    from_a = merged < na
+    ka = np.add.accumulate(from_a, dtype=np.intp) - from_a
+    kb = np.arange(na, na + ray.size) - ka
+    keep = np.ones(ray.size, dtype=bool)
+    keep[1:] = (ray[1:] != ray[:-1]) | (point[1:] != point[:-1])
+    ray, point, ka, kb = ray[keep], point[keep], ka[keep], kb[keep]
+    # the segment ending at a breakpoint lies in that atom of each side, when it is on the same ray
+    key, order = np.concatenate([key, [-1]]), np.concatenate([order, [-1]])
+    ia = np.where(key[ka] == ray, order[ka], -1)
+    ib = np.where(key[kb] == ray + shift, order[kb] - na, -1)
+    # each segment starts at the breakpoint before it on its ray, or at 0
+    start = np.concatenate(([0.0], point[:-1] * (ray[1:] == ray[:-1])))
+    d, t = _two_sum(point.real, -start.real)
+    return ray, ia, ib, d + (t + (point.imag - start.imag))
 
 
 def _report(

@@ -1,6 +1,7 @@
 """Tests for the closed-form distance bounds against the exact solver."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -208,6 +209,43 @@ def test_radial_lower_bound_below_solve(rng, make_measure):
         b = DiscreteMeasure(1, nu.radii[:, None], nu.weights)
         exact = solve(a, b, CostSpec(p)).value
         assert radial_lower_bound(a, b, p) == pytest.approx(exact, rel=1e-12, abs=1e-300)
+
+
+def _exact_radial_cost(mu, nu):
+    """R at p = 2 in exact rational arithmetic: the radii merged far end first."""
+    sides = []
+    for m in (mu, nu):
+        atoms = sorted(zip(m.radii.tolist(), m.weights.tolist()), reverse=True)
+        sides.append([(Fraction(r), Fraction(w)) for r, w in atoms] + [(Fraction(0), None)])  # then the reservoir
+    (a, b), i, j, total = sides, 0, 0, Fraction(0)
+    left_a, left_b = a[0][1], b[0][1]
+    while left_a is not None or left_b is not None:
+        step = min(left for left in (left_a, left_b) if left is not None)
+        total += step * (a[i][0] - b[j][0]) ** 2
+        if left_a is not None:
+            left_a -= step
+            if left_a == 0:
+                i += 1
+                left_a = a[i][1]
+        if left_b is not None:
+            left_b -= step
+            if left_b == 0:
+                j += 1
+                left_b = b[j][1]
+    return total
+
+
+def test_radial_lower_bound_is_exact_on_long_lines():
+    # 20,000 atoms a side with masses from 1e-2 to 1e3: segment masses that
+    # are differences of plain cumulative sums put R hundreds of ulps off
+    rng = np.random.default_rng(20000)
+    mu, nu = (
+        DiscreteMeasure(1, (10.0 ** rng.uniform(-3, 1, 20000) * rng.choice([-1.0, 1.0], 20000))[:, None],
+                        10.0 ** rng.uniform(-2, 3, 20000))
+        for _ in range(2)
+    )
+    exact = _exact_radial_cost(mu, nu)
+    assert abs(Fraction(radial_lower_bound(mu, nu, 2.0)) - exact) <= 4 * math.ulp(float(exact))
 
 
 def test_mutilde_checks_closed_form():

@@ -556,6 +556,8 @@ def test_ray_coupling_is_exact_in_one_dimension():
         upper, gross = _ray_coupling(mu, nu, p)
         # the simplex, as solve takes the same monotone coupling in d = 1
         assert upper == pytest.approx(_solve_simplex(mu, nu, CostSpec(p)).value, rel=1e-12, abs=0.0)
+        # solve prices the same plan with fsum, so the two agree bit for bit
+        assert upper == solve(mu, nu, CostSpec(p)).value
         assert upper <= gross
 
 

@@ -1,7 +1,9 @@
 """Tests for the reservoir transport solver, duals, and oracles."""
 
 import dataclasses
+import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -13,6 +15,7 @@ from levyot.transport import (
     TransportPlan,
     CostSpec,
     _cost_scale,
+    _monotone_merge,
     DualPotentials,
     brute_force_unit,
     distance,
@@ -852,6 +855,45 @@ def test_line_solve_dilates_exactly(p):
             assert rep.plan.to_dict() == base.plan.to_dict()
             assert np.array_equal(rep.duals.phi, t**p * base.duals.phi)
             assert np.array_equal(rep.duals.psi, t**p * base.duals.psi)
+
+
+def _fraction_merge(ray_a, ra, wa, ray_b, rb, wb):
+    """The monotone merge in exact rational arithmetic: (ray, ia, ib, mass) per segment."""
+    segments = []
+    for ray in sorted(set(ray_a.tolist()) | set(ray_b.tolist())):
+        held = []  # per side: its atoms on the ray, far end first, and their cumulative masses
+        for labels, r, w in ((ray_a, ra, wa), (ray_b, rb, wb)):
+            atoms = sorted(np.flatnonzero(labels == ray).tolist(), key=lambda k: -r[k])
+            held.append((atoms, list(itertools.accumulate(Fraction(float(w[k])) for k in atoms))))
+        start = Fraction(0)
+        for end in sorted(set(held[0][1]) | set(held[1][1])):
+            ia, ib = (next((k for k, e in zip(atoms, sums) if e >= end), -1) for atoms, sums in held)
+            segments.append((ray, ia, ib, end - start))
+            start = end
+    return segments
+
+
+# unit-lattice masses, whose cumulative sums meet, and masses from 1e-2 to 1e11
+_MASS = st.integers(1, 4).map(float) | st.builds(lambda m, e: m * 10.0**e, st.floats(1.0, 10.0), st.integers(-2, 10))
+
+
+@st.composite
+def _ray_side(draw):
+    """Atoms on up to four rays (labels 0..3), so some rays only one side uses."""
+    n = draw(st.integers(0, 12))
+    atoms = st.tuples(st.integers(0, 3), st.sampled_from([0.25, 0.5, 1.0]) | st.floats(1e-3, 10.0), _MASS)
+    rays, radii, masses = zip(*draw(st.lists(atoms, min_size=n, max_size=n))) if n else ((), (), ())
+    return np.array(rays, dtype=np.intp), np.array(radii, dtype=float), np.array(masses, dtype=float)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(_ray_side(), _ray_side())
+def test_property_monotone_merge_matches_exact_fractions(a, b):
+    ray, ia, ib, mass = _monotone_merge(*a, *b)
+    want = _fraction_merge(*a, *b)
+    assert list(zip(ray.tolist(), ia.tolist(), ib.tolist())) == [seg[:3] for seg in want]
+    for got, (*_, exact) in zip(mass.tolist(), want):
+        assert abs(Fraction(got) - exact) <= math.ulp(float(exact))
 
 
 def test_solve_single_pair_direct():
