@@ -4,9 +4,9 @@ The upper bounds dominate the exact solver value: total-variation bounds for
 measures inside the unit ball, the one-sided bound for ordered measures, the
 cost of truncating small jumps, push-forward couplings, and the Lipschitz
 test-function inequality.  The radial bound is a lower bound: the exact cost
-between the radial push-forwards z -> |z|, a monotone merge on the half-line.
-The fractional-kernel annulus checks integrate the continuum radial densities
-in closed form rather than reusing atom discretizations.
+between the radial push-forwards z -> |z|, the solver's staircase solve of
+the half-line.  The fractional-kernel annulus checks integrate the continuum
+radial densities in closed form rather than reusing atom discretizations.
 """
 
 from __future__ import annotations
@@ -135,27 +135,18 @@ def radial_lower_bound(mu: DiscreteMeasure, nu: DiscreteMeasure, p: float) -> fl
     """Lower bound R <= distance(mu, nu)^p: the exact cost between |z|_# mu and |z|_# nu.
 
     z -> |z| is 1-Lipschitz and keeps every reservoir cost |z|^p, so it maps
-    any plan to a plan between the radial push-forwards that costs no more.
-    On the half-line the monotone merge (``transport._monotone_merge``, with
-    every atom on one ray) is optimal, so R is exact there: its segment
-    masses are correctly rounded from the exact quantile breakpoints.
-    Equality holds in any dimension when both measures put one radial
-    profile on every ray of a common set of equally weighted rays, as radial
-    densities on a shared annular grid do.  Sharing the rays is not enough:
-    in d = 1, delta_1 + delta_-2 against delta_-1 + delta_2 has R = 0 but a
-    positive distance.
+    any plan to one between the radial push-forwards that costs no more.  R
+    is the value of their staircase solve (``transport._radial_staircase``).
+    Equality holds in any dimension when both measures put one radial profile
+    on every ray of a common set of equally weighted rays, as radial densities
+    on a shared annular grid do.  Sharing the rays is not enough: in d = 1,
+    delta_1 + delta_-2 against delta_-1 + delta_2 has R = 0 < distance.
     """
-    p = _check_p(p)
+    cost = transport.CostSpec(p)
     if mu.dim != nu.dim:
         raise ValueError("measures must share the ambient dimension")
-    # every atom on one ray: the half-line of the radii
-    _, ia, ib, mass = transport._monotone_merge(
-        np.zeros(mu.n_atoms, dtype=np.intp), mu.radii, mu.weights,
-        np.zeros(nu.n_atoms, dtype=np.intp), nu.radii, nu.weights,
-    )
-    a = np.append(mu.radii, 0.0)[ia]
-    b = np.append(nu.radii, 0.0)[ib]
-    return math.fsum((mass * _pow(np.abs(a - b), p)).tolist())
+    _, _, mass, seg_cost, _, _ = transport._radial_staircase(mu, nu, cost)
+    return math.fsum((mass * seg_cost).tolist())
 
 
 def _check_radius(r: float) -> float:

@@ -6,10 +6,9 @@ split, and push-forwards of a fixed reference measure.  Discretization uses
 geometric annular shells with one atom per cell at the cell's mass centroid.
 
 The regularity sweep measures how fast the hat parts separate as x moves:
-ratio = distance(hat mu_x, hat mu_y) / |x - y|^s over a batch of pairs.  A
-pair whose measures are radial profiles on shared rays is solved exactly by
-the ray-by-ray monotone coupling, certified by the radial lower bound; any
-other pair goes to the simplex.
+ratio = distance(hat mu_x, hat mu_y) / |x - y|^s over a batch of pairs, each
+distance from ``transport.solve``.  The measures of a grid family are radial
+profiles on shared rays, which ``solve`` couples exactly ray by ray.
 """
 
 from __future__ import annotations
@@ -21,8 +20,8 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .measures import _MAX_RADIUS, DiscreteMeasure, SchemaError, decompose, measure_from_dict, _check_p, _pow
-from . import bounds, transport
+from .measures import _MAX_RADIUS, DiscreteMeasure, SchemaError, decompose, measure_from_dict, _check_p
+from . import transport
 
 __all__ = [
     "AnnularGrid",
@@ -313,8 +312,8 @@ class PairResult:
 
 @dataclass(frozen=True)
 class SweepReport:
-    """Sweep rows and their largest ratio; ``certified`` counts the rows taken
-    from the ray coupling rather than the simplex."""
+    """Sweep rows and their largest ratio; ``certified`` counts the rows whose
+    solve did not need the simplex (``SolveReport.path`` "line" or "rays")."""
 
     rows: list[PairResult]
     max_ratio: float
@@ -328,74 +327,6 @@ def _check_s(s: float) -> float:
     if not 0.0 < s < math.inf:
         raise ValueError(f"regularity exponent s must be positive and finite, got {s!r}")
     return s
-
-
-# Ray directions are snapped to this grid before atoms are grouped by ray.
-_RAY_GRID = 2.0**32
-
-# Allowance of the sweep certificate, relative to the gross cost G of the ray
-# coupling: the sum over its segments of mass * (|x| + |y|)^p, which bounds
-# every term of U and of R.  The two sides differ only by rounding.  U prices
-# a segment from the atom positions and R from the radii; a stored atom lies
-# within a few ulps of its ray, so the two prices differ by at most about
-# d + p + 3 ulps of (|x| + |y|)^p.  Each segment mass is within an ulp of its
-# exact value (``transport._monotone_merge``).  64 ulps of G (2^-52 each)
-# covers both with room; |U - R| measured at most 0.12 ulps of G on the
-# kernel, heavy and d = 3 kernel grids at p = 1, 1.5 and 2.  Since R is a
-# lower bound and U the cost of a feasible plan, a certified U is within this
-# allowance of the optimum.
-RAY_CERT_TOL = 2.0**-46
-
-
-def _ray_ids(mu: DiscreteMeasure, nu: DiscreteMeasure) -> tuple[np.ndarray, np.ndarray]:
-    """A ray label for every atom of mu and of nu, shared where the rays coincide.
-
-    Directions z / |z| are snapped to a 2^-32 grid.  The atoms of one grid
-    ray agree in direction to a few ulps, so they share a label unless a
-    component sits within rounding of a grid midpoint; a ray split that way
-    only makes the sweep certificate miss.
-    """
-    # one row per coordinate, one column per atom
-    units = np.concatenate([mu.positions.T / mu.radii, nu.positions.T / nu.radii], axis=1)
-    key = np.rint(units * _RAY_GRID).astype(np.int64)
-    # label each atom by the rank of its key among the distinct keys; a
-    # lexsort of the int64 rows is much cheaper than np.unique over records
-    order = np.lexsort(key)
-    ranked = key[:, order]
-    new_ray = np.ones(key.shape[1], dtype=bool)
-    new_ray[1:] = np.any(ranked[:, 1:] != ranked[:, :-1], axis=0)
-    ids = np.empty(key.shape[1], dtype=np.intp)
-    ids[order] = np.cumsum(new_ray)
-    return ids[: mu.n_atoms], ids[mu.n_atoms :]
-
-
-def _ray_coupling(mu: DiscreteMeasure, nu: DiscreteMeasure, p: float) -> tuple[float, float]:
-    """Cost U of the ray-by-ray monotone plan between mu and nu, and its gross cost G.
-
-    One ``transport._monotone_merge`` over the ``_ray_ids`` labels couples,
-    on each ray, mu's atoms plus |nu_ray| at the origin with nu's plus
-    |mu_ray|; atoms on a ray the other measure does not use meet the
-    reservoir.  The union is a feasible plan, priced with the solver's pair
-    and reservoir costs, so U >= the optimum.  G is the sum over its
-    segments of mass * (|x| + |y|)^p.
-    """
-    cost = transport.CostSpec(p)
-    ray_x, ray_y = _ray_ids(mu, nu)
-    _, rows, cols, mass = transport._monotone_merge(ray_x, mu.radii, mu.weights, ray_y, nu.radii, nu.weights)
-
-    # index -1 is the reservoir: radius 0, and no cost of its own
-    price = np.append(cost.reservoir_cost(mu), 0.0)[rows] + np.append(cost.reservoir_cost(nu), 0.0)[cols]
-    direct = (rows >= 0) & (cols >= 0)
-    price[direct] = cost.pairwise(mu.positions[rows[direct]], nu.positions[cols[direct]])
-    reach = np.append(mu.radii, 0.0)[rows] + np.append(nu.radii, 0.0)[cols]
-    return math.fsum((mass * price).tolist()), math.fsum((mass * _pow(reach, p)).tolist())
-
-
-def _certified_cost(mu: DiscreteMeasure, nu: DiscreteMeasure, p: float) -> Optional[float]:
-    """The ray coupling's cost U when the radial lower bound R meets it, else None."""
-    lower = bounds.radial_lower_bound(mu, nu, p)
-    upper, gross = _ray_coupling(mu, nu, p)
-    return upper if abs(upper - lower) <= RAY_CERT_TOL * gross else None
 
 
 def regularity_sweep(
@@ -413,10 +344,8 @@ def regularity_sweep(
     its inner radius (the larger of the two endpoints per pair); a pair
     whose truncation cost or ratio is not finite raises ValueError.
 
-    Each pair's cost is first taken from a two-sided certificate: the
-    ray-by-ray monotone coupling U (a feasible plan) against the radial
-    lower bound R.  When |U - R| <= RAY_CERT_TOL * G the row is U, exact to
-    that allowance; otherwise it comes from ``transport.distance``.
+    Each distance comes from ``transport.solve``; ``certified`` counts the
+    rows it did not hand to the simplex.
     """
     p = _check_p(p)
     s = _check_s(s)
@@ -436,28 +365,20 @@ def regularity_sweep(
             raise ValueError(f"|x - y|^s = {sep!r}^{s!r} leaves the float range; use a smaller s")
         prepared.append((x, y, sep, scale))
 
-    def one(pair) -> PairResult:
-        x, y, sep, scale = pair
+    rows, certified = [], 0
+    for x, y, sep, scale in prepared:
         tc = 0.0
         if truncation_cost is not None:
             tc = max(float(truncation_cost(x)), float(truncation_cost(y)))
             if not math.isfinite(tc):
                 raise ValueError(f"truncation cost at x = {x.tolist()} or y = {y.tolist()} is {tc!r}, not finite")
-        hat_x = decompose(make_measure(x)).hat
-        hat_y = decompose(make_measure(y)).hat
-        value = _certified_cost(hat_x, hat_y, p)
-        dist = transport.distance(hat_x, hat_y, p) if value is None else value ** (1.0 / p)
-        ratio = dist / scale
+        report = transport.solve(decompose(make_measure(x)).hat, decompose(make_measure(y)).hat, transport.CostSpec(p))
+        ratio = report.distance / scale
         if not math.isfinite(ratio):
-            raise ValueError(f"distance / |x - y|^s = {dist!r} / {scale!r} overflows; use a smaller s")
-        row = PairResult(x=x, y=y, separation=sep, distance=dist, ratio=ratio, truncation_cost=tc)
-        return row, value is not None
-
-    results = [one(pair) for pair in prepared]
-    rows = [row for row, _ in results]
-    max_ratio = max((r.ratio for r in rows), default=0.0)
-    certified = sum(hit for _, hit in results)
-    return SweepReport(rows=rows, max_ratio=max_ratio, p=p, s=s, certified=certified)
+            raise ValueError(f"distance / |x - y|^s = {report.distance!r} / {scale!r} overflows; use a smaller s")
+        rows.append(PairResult(x=x, y=y, separation=sep, distance=report.distance, ratio=ratio, truncation_cost=tc))
+        certified += report.path != "simplex"
+    return SweepReport(rows=rows, max_ratio=max((r.ratio for r in rows), default=0.0), p=p, s=s, certified=certified)
 
 
 def sweep_pairs(n_pairs: int, dim: int, seed: int) -> list[tuple[np.ndarray, np.ndarray]]:

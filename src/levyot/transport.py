@@ -9,16 +9,16 @@ different total masses.
 The solver reduces this to a balanced transportation problem by appending a
 virtual reservoir atom of mass |nu| to the mu side and one of mass |mu| to
 the nu side, with costs c(x, 0) = |x|^p, c(0, y) = |y|^p and c(0, 0) = 0.
-In d = 1 the optimum is known in closed form: no optimal arc crosses the
-origin, and on each half-line the monotone (quantile) coupling with the
-origin as reservoir is optimal, so ``solve`` merges the two sorted halves
-(``_monotone_merge``) and reads the duals off that staircase basis.  In higher
-dimensions it runs a primal transportation simplex on the complete bipartite
-graph.  Either way the basis potentials give exact dual potentials
-normalised to vanish at the reservoir.  The simplex computes costs from the
-atom positions a row block at a time (``_ReservoirCost``): it keeps the
-(m+1) x (n+1) cost matrix of the reduction only when that fits in one
-block, and otherwise only the costs of its candidate arcs and tree arcs.
+In d = 1 no optimal arc crosses the origin, and on each half-line the
+monotone (quantile) coupling with the origin as reservoir is optimal:
+``solve`` merges the sorted halves (``_monotone_merge``) and reads the duals
+off that staircase basis.  In higher dimensions it first tries the
+ray-by-ray coupling, certified by the lifted duals of the radial problem,
+and else runs a primal transportation simplex on the complete bipartite
+graph.  The simplex computes costs from the atom positions a row block at a
+time (``_ReservoirCost``): it keeps the (m+1) x (n+1) cost matrix only when
+that fits in one block, and otherwise only the costs of its candidate arcs
+and tree arcs.
 """
 
 from __future__ import annotations
@@ -55,6 +55,22 @@ PIVOT_TOL = 1e-12
 # prices its cost blocks with SciPy's cdist, which pay for their import there;
 # at or below it the greedy start takes all arcs, priced with NumPy.
 KNN_ARCS = 65536
+
+# Ray directions are snapped to this grid before atoms are grouped by ray.
+_RAY_GRID = 2.0**32
+
+# Allowance of the ray certificate, relative to the gross cost G of the ray
+# coupling: the sum over its segments of mass * (|x| + |y|)^p, which bounds
+# every term of U and of R.  The two sides differ only by rounding.  U prices
+# a segment from the atom positions and R from the radii; a stored atom lies
+# within a few ulps of its ray, so the two prices differ by at most about
+# d + p + 3 ulps of (|x| + |y|)^p.  Each segment mass is within an ulp of its
+# exact value (``_monotone_merge``).  64 ulps of G (2^-52 each) covers both
+# with room; |U - R| measured at most 0.12 ulps of G on the kernel, heavy and
+# d = 3 kernel grids at p = 1, 1.5 and 2.  Since R is a lower bound and U the
+# cost of a feasible plan, a certified U is within this allowance of the
+# optimum.
+RAY_CERT_TOL = 2.0**-46
 
 
 def _sq_dist(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -253,6 +269,7 @@ class SolveReport:
     duals: DualPotentials
     iterations: int
     gap: float
+    path: str  # the method that found it, "line", "rays" or "simplex" (see solve); not in to_dict
 
     @property
     def distance(self) -> float:
@@ -921,15 +938,19 @@ def solve(mu: DiscreteMeasure, nu: DiscreteMeasure, cost: CostSpec) -> SolveRepo
     """Exact minimiser of the reservoir transport LP between two measures.
 
     Returns the optimal cost, an optimal vertex plan, optimal dual potentials
-    satisfying complementary slackness, the pivot count, and the primal-dual
-    gap (which certifies optimality to rounding accuracy).  In d = 1 the
-    monotone coupling of each half-line (``_monotone_merge``) is the optimum,
-    with masses rounded once from exact breakpoints, and no pivot is made;
-    in higher dimensions the transportation simplex finds it.
+    satisfying complementary slackness, the pivot count, the primal-dual gap
+    (which certifies optimality to rounding accuracy) and the path.  In d = 1
+    the monotone coupling of each half-line is the optimum ("line").  Above,
+    the ray-by-ray monotone coupling is taken, with no pivot, when the lifted
+    radial duals certify it ("rays"), as on the annular grids of
+    ``families``; else the transportation simplex solves ("simplex").  The
+    ray plan is a vertex: its support is a forest of at most m + n arcs, per
+    ray a staircase path that touches at most one of the reservoir nodes.
     """
     if mu.dim != nu.dim:
         raise ValueError("measures must share the ambient dimension")
-    return (_solve_line if mu.dim == 1 else _solve_simplex)(mu, nu, cost)
+    report = _solve_line(mu, nu, cost) if mu.dim == 1 else _solve_rays(mu, nu, cost)
+    return _solve_simplex(mu, nu, cost) if report is None else report
 
 
 def _solve_simplex(mu: DiscreteMeasure, nu: DiscreteMeasure, cost: CostSpec) -> SolveReport:
@@ -967,60 +988,129 @@ def _solve_simplex(mu: DiscreteMeasure, nu: DiscreteMeasure, cost: CostSpec) -> 
     # Shift tree potentials so both reservoir nodes sit exactly at zero; the
     # result is feasible and optimal for the reservoir LP.
     duals = DualPotentials(phi=sx.u[:m] - sx.w[n], psi=sx.u[m] - sx.w[:n], p=cost.p)
-    return _report(mu, nu, costs.res_x, costs.res_y, plan, np.array(sx.arc_cost)[direct], duals, sx.iterations)
+    # the reservoir self-loop's cost is 0, so it adds nothing to the value
+    return _report(mu, nu, plan, flow[live], np.array(sx.arc_cost)[live], duals, sx.iterations, "simplex")
 
 
 def _solve_line(mu: DiscreteMeasure, nu: DiscreteMeasure, cost: CostSpec) -> SolveReport:
-    """``solve`` in d = 1: the monotone coupling of each half-line, exactly.
+    """``solve`` in d = 1: ``_staircase`` with each atom labelled by the sign of z.
 
-    No optimal plan needs an arc across the origin, since
-    (|x| + |y|)^p >= |x|^p + |y|^p, so each half-line is solved on its own,
-    by the quantile coupling of ``_monotone_merge`` with each atom labelled
-    by the sign of z.  Its segments are the plan.
-
-    The duals are the potentials of this staircase basis (the north-west
-    corner rule on the radii sorted from the far end), walked from the
-    origin outwards: an atom that meets the reservoir gets |z|^p, and each
-    arc sets the atom that the next segment inwards drops to its cost minus
-    the other end.  An arc that ends both of its atoms links its mu atom by
-    a zero-flow arc to the next segment's nu atom (the reservoir past the
-    half-line).  That keeps the basis a staircase, whose potentials are
-    feasible because the cost matrix of a sorted half-line is Monge.
+    No optimal arc crosses the origin, since (|x| + |y|)^p >= |x|^p + |y|^p.
     """
-    ray, ia, ib, mass = _monotone_merge(
-        mu.positions[:, 0] < 0.0, mu.radii, mu.weights, nu.positions[:, 0] < 0.0, nu.radii, nu.weights
-    )
-    # each segment's successor on its half-line; -1, the reservoir, past the last
+    z_mu, z_nu = mu.positions[:, 0], nu.positions[:, 0]
+    ia, ib, mass, seg_cost, phi, psi = _staircase(z_mu < 0.0, z_mu, mu.weights, z_nu < 0.0, z_nu, nu.weights, cost)
+    plan, _ = _segment_plan(mu.n_atoms, nu.n_atoms, ia, ib, mass)
+    return _report(mu, nu, plan, mass, seg_cost, DualPotentials(phi=phi, psi=psi, p=cost.p), 0, "line")
+
+
+def _solve_rays(mu: DiscreteMeasure, nu: DiscreteMeasure, cost: CostSpec) -> Optional[SolveReport]:
+    """``solve`` by the ray-by-ray monotone coupling; None where it is not certified.
+
+    One ``_monotone_merge`` over the ``_ray_ids`` labels gives a feasible
+    plan of cost U.  The staircase duals f, g of the radial problem, lifted
+    to phi_i = f(|x_i|) and psi_j = g(|y_j|), are feasible (||x| - |y|| <=
+    |x - y|) and their value is the radial lower bound R.  U is accepted when
+    the gap |U - R| is at most RAY_CERT_TOL * G, G the sum over the plan's
+    segments of mass * (|x| + |y|)^p.  Where both sides have atoms but share
+    no ray, U sends all mass through the reservoir while R pairs mass at
+    |a - b|^p < a^p + b^p, so the attempt is skipped.
+    """
+    ray_x, ray_y = _ray_ids(mu, nu)
+    if mu.n_atoms and nu.n_atoms and set(ray_x.tolist()).isdisjoint(ray_y.tolist()):
+        return None
+    _, ia, ib, mass = _monotone_merge(ray_x, mu.radii, mu.weights, ray_y, nu.radii, nu.weights)
+    plan, direct = _segment_plan(mu.n_atoms, nu.n_atoms, ia, ib, mass)
+    *_, phi, psi = _radial_staircase(mu, nu, cost)
+    price = np.append(cost.reservoir_cost(mu), 0.0)[ia] + np.append(cost.reservoir_cost(nu), 0.0)[ib]
+    price[direct] = cost.pairwise(mu.positions[plan.direct_rows], nu.positions[plan.direct_cols])
+    with np.errstate(over="ignore"):  # G only scales the allowance, so a dot product does; inf certifies nothing
+        gross = float(mass @ _pow(np.append(mu.radii, 0.0)[ia] + np.append(nu.radii, 0.0)[ib], cost.p))
+    try:
+        report = _report(mu, nu, plan, mass, price, DualPotentials(phi=phi, psi=psi, p=cost.p), 0, "rays")
+    except ValueError:  # U leaves the float range; the optimum need not
+        return None
+    return report if report.gap <= RAY_CERT_TOL * gross < math.inf else None
+
+
+def _ray_ids(mu: DiscreteMeasure, nu: DiscreteMeasure) -> tuple[np.ndarray, np.ndarray]:
+    """A ray label for every atom of mu and of nu, shared where the rays coincide.
+
+    Directions z / |z| are snapped to a 2^-32 grid.  The atoms of one grid
+    ray agree in direction to a few ulps, so they share a label unless a
+    component sits within rounding of a grid midpoint; a ray split that way
+    only makes the ray certificate miss.
+    """
+    # one row per coordinate, one column per atom
+    units = np.concatenate([mu.positions.T / mu.radii, nu.positions.T / nu.radii], axis=1)
+    key = np.rint(units * _RAY_GRID).astype(np.int64)
+    # label each atom by the rank of its key among the distinct keys; a
+    # lexsort of the int64 rows is much cheaper than np.unique over records
+    order = np.lexsort(key)
+    ranked = key[:, order]
+    new_ray = np.ones(key.shape[1], dtype=bool)
+    new_ray[1:] = np.any(ranked[:, 1:] != ranked[:, :-1], axis=0)
+    ids = np.empty(key.shape[1], dtype=np.intp)
+    ids[order] = np.cumsum(new_ray)
+    return ids[: mu.n_atoms], ids[mu.n_atoms :]
+
+
+def _radial_staircase(mu: DiscreteMeasure, nu: DiscreteMeasure, cost: CostSpec):
+    """``_staircase`` between |z|_# mu and |z|_# nu: every atom on one ray, at its radius."""
+    one = np.zeros(mu.n_atoms + nu.n_atoms, dtype=np.intp)
+    return _staircase(one[: mu.n_atoms], mu.radii, mu.weights, one[mu.n_atoms :], nu.radii, nu.weights, cost)
+
+
+def _staircase(ray_a, za, wa, ray_b, zb, wb, cost: CostSpec):
+    """The monotone coupling of two measures on half-lines, and its staircase duals.
+
+    Atom k of side a sits on ray ``ray_a[k]`` at coordinate ``za[k]`` (|za[k]|
+    from the origin) with mass ``wa[k]``; likewise for b.  Returns the
+    ``_monotone_merge`` segments (ia, ib, mass), their costs |za - zb|^p
+    (|z|^p at the reservoir, -1), and the staircase basis potentials phi, psi.
+    Walked from the origin outwards, an atom's potential is its arc's cost
+    minus the potential of the atom last brought in on the other side of its
+    ray (the reservoir's 0 before any).  The basis is a staircase, so these
+    are feasible: the cost matrix of a sorted half-line is Monge.
+    """
+    ray, ia, ib, mass = _monotone_merge(ray_a, np.abs(za), wa, ray_b, np.abs(zb), wb)
+    # each segment's successor on its ray; -1, the reservoir, past the last
     same = ray[1:] == ray[:-1]
     next_a = np.concatenate([np.where(same, ia[1:], -1), [-1]])
     next_b = np.concatenate([np.where(same, ib[1:], -1), [-1]])
     # segment and link costs in one call, the reservoir (-1) at the origin: there they are |z|^p, bit for bit
-    x, y = (np.concatenate([m.positions, [[0.0]]]) for m in (mu, nu))
+    x, y = np.append(za, 0.0)[:, None], np.append(zb, 0.0)[:, None]
+    k = ia.size
     both = cost.pairwise(x[np.concatenate([ia, ia])], y[np.concatenate([ib, next_b])])
+    # walk order: row r is segment k - 1 - r; an event is an atom it has and the one inside lacks, a first
+    new = np.empty((k, 2), dtype=bool)
+    new[::-1, 0] = (ia >= 0) & (ia != next_a)
+    new[::-1, 1] = (ib >= 0) & (ib != next_b)
+    event = np.flatnonzero(new)
+    row, on_b = event >> 1, event & 1
+    seg = k - 1 - row
+    price = both[seg + k * (new[row, 1] > on_b)]  # with a b atom, an a atom takes the zero-flow link arc
+    # a run of events on one side of a ray hangs on the last event of the run before, and the ends of
+    # a ray's runs form the chain end_r = price_r - end_(r-1): a signed cumsum has its bits
+    key = 2 * ray[seg] + on_b
+    last = np.diff(key, append=key[-1:] + 1) != 0  # the events that end a run
+    end = np.flatnonzero(last)
+    sign = 1.0 - 2.0 * (np.arange(end.size) & 1)
+    chain, parent = sign * price[end], np.zeros(end.size)
+    cuts = np.flatnonzero(np.diff(key[end] >> 1)) + 1
+    for lo, hi in zip([0, *cuts], [*cuts, end.size]):
+        parent[lo + 1 : hi] = sign[lo : hi - 1] * np.cumsum(chain[lo : hi - 1])
+    pot = np.empty(za.size + zb.size)
+    pot[np.where(on_b, ib[seg] + za.size, ia[seg])] = price - parent[np.cumsum(last) - last]
+    return ia, ib, mass, both[:k], pot[: za.size], pot[za.size :]
 
-    res_x, res_y = cost.reservoir_cost(mu), cost.reservoir_cost(nu)
-    phi, psi = res_x.tolist(), res_y.tolist() + [0.0]  # psi[-1]: the reservoir, as link -1
-    to_res, from_res = [0.0] * mu.n_atoms, [0.0] * nu.n_atoms
-    walk = zip(ia.tolist(), ib.tolist(), next_a.tolist(), next_b.tolist(), both.tolist(), both[ia.size :].tolist(),
-               mass.tolist())
-    for i, j, ni, nj, c, lc, m in reversed(list(walk)):
-        if j < 0:
-            to_res[i] = m
-        elif i < 0:
-            from_res[j] = m
-        elif ni == i:  # the nu atom ends here
-            psi[j] = c - phi[i]
-        elif nj == j:  # the mu atom ends here
-            phi[i] = c - psi[j]
-        else:
-            phi[i] = lc - psi[nj]
-            psi[j] = c - phi[i]
 
+def _segment_plan(m: int, n: int, ia: np.ndarray, ib: np.ndarray, mass: np.ndarray):
+    """The plan of m x n ``_monotone_merge`` segments, and its direct segments' mask."""
     direct = np.minimum(ia, ib) >= 0
-    plan = TransportPlan(mu.n_atoms, nu.n_atoms, ia[direct], ib[direct], mass[direct],
-                         np.array(to_res), np.array(from_res))
-    duals = DualPotentials(phi=np.array(phi), psi=np.array(psi[:-1]), p=cost.p)
-    return _report(mu, nu, res_x, res_y, plan, both[: ia.size][direct], duals, 0)
+    to_res, from_res = np.zeros(m), np.zeros(n)
+    to_res[ia[ib < 0]] = mass[ib < 0]
+    from_res[ib[ia < 0]] = mass[ia < 0]
+    return TransportPlan(m, n, ia[direct], ib[direct], mass[direct], to_res, from_res), direct
 
 
 def _two_sum(a, b):
@@ -1089,23 +1179,21 @@ def _monotone_merge(ray_a, ra, wa, ray_b, rb, wb):
 def _report(
     mu: DiscreteMeasure,
     nu: DiscreteMeasure,
-    res_x: np.ndarray,
-    res_y: np.ndarray,
     plan: TransportPlan,
-    arc_cost: np.ndarray,
+    flow: np.ndarray,
+    price: np.ndarray,
     duals: DualPotentials,
     iterations: int,
+    path: str,
 ) -> SolveReport:
     """The report of an optimal plan and its duals: value, dual value and gap.
 
-    ``res_x``, ``res_y`` are the reservoir costs of the atoms and
-    ``arc_cost`` the cost of each direct arc of the plan.  A value, dual
-    value or gap beyond the float range raises ValueError.
+    The value is the sum of ``flow`` * ``price`` over the plan's arcs, the
+    reservoir's included.  A value, dual value or gap beyond the float range
+    raises ValueError.
     """
     with np.errstate(over="ignore"):  # an overflow is refused below
-        terms = (arc_cost * plan.direct_vals).tolist()
-        terms.extend((plan.to_reservoir * res_x).tolist())
-        terms.extend((plan.from_reservoir * res_y).tolist())
+        terms = (flow * price).tolist()
         phi_terms = (mu.weights * duals.phi).tolist()
         psi_terms = (nu.weights * duals.psi).tolist()
     try:
@@ -1119,7 +1207,7 @@ def _report(
             f"the transport cost overflows the float range (value {value!r}, dual value {dual!r}); "
             "rescale the weights or the coordinates"
         )
-    return SolveReport(value=value, plan=plan, duals=duals, iterations=iterations, gap=gap)
+    return SolveReport(value=value, plan=plan, duals=duals, iterations=iterations, gap=gap, path=path)
 
 
 def distance(mu: DiscreteMeasure, nu: DiscreteMeasure, p: float) -> float:

@@ -279,9 +279,10 @@ GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
      ("heavy_p2", SWEEP_HEAVY, 2018, 3, "2")],
 )
 def test_sweep_json_matches_golden_bytes(name, config, seed, pairs, p, tmp_path, capsys):
-    # The golden files are `levyot sweep --json` output from commit 2e62e52,
-    # before the sweep's per-endpoint work was batched.  Heavy p = 1 is left
-    # out: p <= sigma there, so its truncation cost is not a cost (README).
+    # The golden files are `levyot sweep --json` output as regenerated by
+    # commit b7a7878, whose exact monotone merge moved the last bits of 13 of
+    # the 15 distances.  Heavy p = 1 is left out: p <= sigma there, so its
+    # truncation cost is not a cost (README).
     cfg = tmp_path / "family.json"
     cfg.write_text(json.dumps(config))
     rows = tmp_path / "rows.json"
@@ -308,6 +309,52 @@ def test_sweep_reports_its_certified_rows(config, certified, tmp_path, capsys):
     code, _, err = run_cli(["sweep", "--config", str(cfg), "--pairs", "4", "--p", "2"], capsys)
     assert code == 0
     assert err.endswith(f" certified={certified}/4\n") and err.startswith("max_ratio=")
+
+
+@pytest.mark.parametrize("p", ["1", "2"])
+@pytest.mark.parametrize("config, seed", [(SWEEP_HEAVY, 2018), (SWEEP_KERNEL, 7)], ids=["heavy", "kernel"])
+def test_dist_and_dual_agree_with_sweep(config, seed, p, tmp_path, capsys):
+    # The hat parts of the sweep's own measures, written to files: dist and
+    # dual take the certified ray path that the sweep rows come from.
+    import warnings
+
+    import numpy as np
+    from scipy.integrate import IntegrationWarning
+
+    from levyot.families import build_family, sweep_pairs
+    from levyot.measures import decompose, measure_to_dict
+    from levyot.transport import RAY_CERT_TOL, DualPotentials, dual_value
+
+    cfg = tmp_path / "family.json"
+    cfg.write_text(json.dumps(config))
+    with warnings.catch_warnings():
+        # heavy p = 1 has p <= sigma, where the truncation quadrature diverges
+        # (ROADMAP 6(a)); only the distances are compared here
+        warnings.simplefilter("ignore", IntegrationWarning)
+        code, out, _ = run_cli(["sweep", "--config", str(cfg), "--p", p, "--pairs", "3", "--seed", str(seed), "--json"],
+                               capsys)
+    assert code == 0
+    runtime, q = build_family(config), float(p)
+    for row, (x, y) in zip(json.loads(out)["rows"], sweep_pairs(3, 2, seed)):
+        mu, nu = (decompose(runtime.make_measure(z)).hat for z in (x, y))
+        files = [str(tmp_path / "mu.json"), str(tmp_path / "nu.json")]
+        for path, hat in zip(files, (mu, nu)):
+            with open(path, "w") as fh:
+                json.dump(measure_to_dict(hat), fh)
+        code, out, _ = run_cli(["dist", *files, "--p", p], capsys)
+        assert code == 0
+        doc = json.loads(out)
+        plan = doc["plan"]
+        # G: the plan's gross cost, mass * (|x| + |y|)^p summed over its arcs
+        gross = math.fsum([v * (mu.radii[i] + nu.radii[j]) ** q for i, j, v in plan["direct"]]
+                          + (np.array(plan["to_reservoir"]) * mu.radii**q).tolist()
+                          + (np.array(plan["from_reservoir"]) * nu.radii**q).tolist())
+        assert abs(doc["value"] - row["distance"] ** q) <= RAY_CERT_TOL * gross
+        code, out, _ = run_cli(["dual", *files, "--p", p], capsys)
+        assert code == 0
+        duals = json.loads(out)
+        value = dual_value(DualPotentials(np.array(duals["phi"]), np.array(duals["psi"]), q), mu, nu)
+        assert abs(value - row["distance"] ** q) <= RAY_CERT_TOL * gross
 
 
 def test_sweep_zero_pairs(tmp_path, capsys):

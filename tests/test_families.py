@@ -8,7 +8,6 @@ from scipy.integrate import quad
 
 from levyot.bounds import pushforward_bound, radial_lower_bound
 from levyot.families import (
-    RAY_CERT_TOL,
     AnnularGrid,
     FracLaplFamily,
     KernelFamily,
@@ -22,11 +21,9 @@ from levyot.families import (
     _discretize_density,
     _power_truncation,
     _radial_power,
-    _ray_coupling,
-    _ray_ids,
 )
 from levyot.measures import DiscreteMeasure, decompose
-from levyot.transport import CostSpec, _solve_simplex, distance, solve
+from levyot.transport import RAY_CERT_TOL, CostSpec, _ray_ids, _solve_rays, _solve_simplex, distance, solve
 
 
 def powerlaw_kernel(sigma: float, dim: int = 1, coef: float = 1.0) -> KernelFamily:
@@ -547,18 +544,25 @@ def test_radial_power_has_the_bits_of_the_norm(dim):
 
 
 def test_ray_coupling_is_exact_in_one_dimension():
-    # In d = 1 no optimal arc crosses the origin, since (|x| + |y|)^p >=
-    # |x|^p + |y|^p, so the two half-lines' monotone couplings are optimal.
+    # In d = 1 the rays are the two half-lines.  No optimal arc crosses the
+    # origin, since (|x| + |y|)^p >= |x|^p + |y|^p, so the monotone coupling
+    # of each half-line, which solve takes, is optimal; on one half-line the
+    # ray path certifies that same report, bit for bit.
     rng = np.random.default_rng(16)
     for _ in range(300):
         p = float(rng.choice([1.0, 1.5, 2.0]))
         mu, nu = _random_line_measure(rng), _random_line_measure(rng)
-        upper, gross = _ray_coupling(mu, nu, p)
-        # the simplex, as solve takes the same monotone coupling in d = 1
-        assert upper == pytest.approx(_solve_simplex(mu, nu, CostSpec(p)).value, rel=1e-12, abs=0.0)
-        # solve prices the same plan with fsum, so the two agree bit for bit
-        assert upper == solve(mu, nu, CostSpec(p)).value
-        assert upper <= gross
+        report = solve(mu, nu, CostSpec(p))
+        assert report.path == "line"
+        assert report.value == pytest.approx(_solve_simplex(mu, nu, CostSpec(p)).value, rel=1e-12, abs=0.0)
+        ids = np.concatenate(_ray_ids(mu, nu))
+        west = np.concatenate([mu.positions[:, 0], nu.positions[:, 0]]) < 0.0
+        assert np.array_equal(ids[:, None] == ids[None, :], west[:, None] == west[None, :])
+        east_mu, east_nu = (DiscreteMeasure(1, m.positions[m.positions[:, 0] > 0.0], m.weights[m.positions[:, 0] > 0.0])
+                            for m in (mu, nu))
+        rays = _solve_rays(east_mu, east_nu, CostSpec(p))
+        assert rays.path == "rays"
+        assert rays.to_dict() == solve(east_mu, east_nu, CostSpec(p)).to_dict()
 
 
 # The kernel and heavy-mass fractional configs of the perfbench family sweep.
@@ -612,6 +616,38 @@ def test_heavy_sweep_rows_stay_below_the_in_place_plan():
         assert value == pytest.approx(radial_lower_bound(a, b, 2.0), rel=1e-11, abs=0.0)
 
 
+@pytest.mark.parametrize("config", [SWEEP_KERNEL, SWEEP_HEAVY, _grid_config("kernel", 3, 0.5, _KERNEL)],
+                         ids=["kernel", "heavy", "kernel-d3"])
+def test_ray_plan_is_a_vertex(config):
+    # The ray plan's support, direct arcs plus nonzero reservoir flows, is a
+    # forest over the m + n atoms and the two reservoir nodes, so it has at
+    # most m + n + 1 arcs and the plan is a vertex of the transportation polytope.
+    runtime = build_family(config)
+    for x, y in sweep_pairs(3, config["dim"], seed=2018):
+        mu, nu = _hats(runtime, x, y)
+        m, n = mu.n_atoms, nu.n_atoms
+        for p in (1.0, 2.0):
+            report = solve(mu, nu, CostSpec(p))
+            assert report.path == "rays"
+            plan = report.plan
+            # nodes: mu atoms 0..m-1, the mu side's reservoir m, nu atoms m+1..m+n, the nu side's reservoir m+n+1
+            arcs = [(i, m + 1 + j) for i, j in zip(plan.direct_rows.tolist(), plan.direct_cols.tolist())]
+            arcs += [(i, m + n + 1) for i in np.flatnonzero(plan.to_reservoir).tolist()]
+            arcs += [(m, m + 1 + j) for j in np.flatnonzero(plan.from_reservoir).tolist()]
+            assert len(arcs) <= m + n + 1
+            root = list(range(m + n + 2))
+
+            def find(a):
+                while root[a] != a:
+                    a = root[a]
+                return a
+
+            for a, b in arcs:
+                ra, rb = find(a), find(b)
+                assert ra != rb  # no cycle
+                root[ra] = rb
+
+
 def test_levyito_translation_sweep_falls_back_to_the_simplex():
     runtime = build_family(
         {"type": "levyito", "dim": 2, "sigma": 0.5, "params": {"kind": "translation", "shift": 0.1},
@@ -634,19 +670,33 @@ def test_grid_constant_family_sweeps_to_exact_zero(dim):
     assert report.max_ratio == 0.0
 
 
+def _gross(report, mu, nu, p):
+    """G of a plan: the sum over its arcs of mass * (|x| + |y|)^p."""
+    plan = report.plan
+    reach = mu.radii[plan.direct_rows] + nu.radii[plan.direct_cols]
+    return math.fsum(
+        (plan.direct_vals * reach**p).tolist() + (plan.to_reservoir * mu.radii**p).tolist()
+        + (plan.from_reservoir * nu.radii**p).tolist()
+    )
+
+
 def test_sweep_certificate_accepts_within_its_allowance():
     # d = 3 kernel grid: every ray is shared, so U meets R within RAY_CERT_TOL * G
     runtime = build_family(_grid_config("kernel", 3, 0.5, _KERNEL))
     for x, y in sweep_pairs(4, 3, seed=12):
         hat_x, hat_y = _hats(runtime, x, y)
         for p in (1.0, 1.5, 2.0):
-            upper, gross = _ray_coupling(hat_x, hat_y, p)
+            report = solve(hat_x, hat_y, CostSpec(p))
+            assert report.path == "rays" and report.iterations == 0
             lower = radial_lower_bound(hat_x, hat_y, p)
-            assert abs(upper - lower) <= RAY_CERT_TOL * gross
-            assert upper == pytest.approx(solve(hat_x, hat_y, CostSpec(p)).value, rel=1e-12, abs=0.0)
-    # atoms of one measure on rays the other does not use: U pays the reservoir
-    east = DiscreteMeasure(2, [[0.5, 0.0], [0.2, 0.0]], [1.0, 3.0])
+            assert abs(report.value - lower) <= RAY_CERT_TOL * _gross(report, hat_x, hat_y, p)
+            assert report.value == pytest.approx(_solve_simplex(hat_x, hat_y, CostSpec(p)).value, rel=1e-12, abs=0.0)
+    # atoms of one measure on a ray the other does not use: U pays the
+    # reservoir for them where R pairs them, so solve goes to the simplex
+    east = DiscreteMeasure(2, [[0.5, 0.0], [0.2, 0.0], [0.0, 0.5]], [1.0, 3.0, 1.0])
     north = DiscreteMeasure(2, [[0.0, 0.5], [0.0, 0.2]], [1.0, 3.0])
-    upper, gross = _ray_coupling(east, north, 2.0)
-    assert upper == pytest.approx(2.0 * (0.25 + 3.0 * 0.04), rel=1e-15)
-    assert radial_lower_bound(east, north, 2.0) == 0.0
+    assert _solve_rays(east, north, CostSpec(2.0)) is None
+    report = solve(east, north, CostSpec(2.0))
+    assert report.path == "simplex"
+    assert report.value == pytest.approx(3.0 * 0.08 + 0.25, rel=1e-15)
+    assert radial_lower_bound(east, north, 2.0) < report.value

@@ -10,12 +10,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from levyot.families import build_family
-from levyot.measures import DiscreteMeasure, _pow, tv_distance
+from levyot.measures import DiscreteMeasure, _pow, restrict_outside, tv_distance
 from levyot.transport import (
     TransportPlan,
     CostSpec,
     _cost_scale,
     _monotone_merge,
+    _ray_ids,
+    _solve_rays,
+    _solve_simplex,
     DualPotentials,
     brute_force_unit,
     distance,
@@ -250,7 +253,7 @@ def test_coincident_start_solves_to_the_star_optimum(monkeypatch, p):
     import levyot.transport as tr
 
     mu, nu = _kernel_pair()
-    rep = solve(mu, nu, CostSpec(p))
+    rep = _solve_simplex(mu, nu, CostSpec(p))
     assert rep.gap <= 1e-9 * (1.0 + rep.value)
     assert verify_plan(rep.plan, mu, nu) == []
     assert k_support_check(rep.plan, mu, nu, p) == []
@@ -259,7 +262,7 @@ def test_coincident_start_solves_to_the_star_optimum(monkeypatch, p):
         assert rep.iterations == 0
         assert rep.value == pytest.approx(_in_place_value(mu, nu, p), rel=1e-12, abs=0.0)
     monkeypatch.setattr(tr._Simplex, "_greedy_forest", lambda self, *args: [])
-    star = solve(mu, nu, CostSpec(p))
+    star = _solve_simplex(mu, nu, CostSpec(p))
     assert star.iterations > rep.iterations
     assert rep.value == pytest.approx(star.value, rel=1e-12, abs=0.0)
 
@@ -896,6 +899,78 @@ def test_property_monotone_merge_matches_exact_fractions(a, b):
         assert abs(Fraction(got) - exact) <= math.ulp(float(exact))
 
 
+_UNIT_MASS = st.integers(1, 4).map(float) | st.floats(0.1, 3.0)
+_RADIUS = st.sampled_from([0.25, 0.5, 1.0]) | st.floats(0.05, 1.5)
+
+
+@st.composite
+def _shared_ray_pair(draw):
+    """(mu, nu, p): a random measure on up to four rays in d = 2 or 3, and a
+    partner on the same rays: itself, itself outside a ball, itself with
+    some rays rescaled radially, or the empty measure, on either side."""
+    dim = draw(st.sampled_from([2, 3]))
+    axis = st.lists(st.floats(-1.0, 1.0), min_size=dim, max_size=dim).filter(lambda v: math.hypot(*v) > 0.1)
+    dirs = np.array(draw(st.lists(axis, min_size=1, max_size=4)))
+    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+    if draw(st.booleans()):  # one radial profile on every ray, as on an annular grid
+        profile = draw(st.lists(st.tuples(_RADIUS, _UNIT_MASS), min_size=1, max_size=5))
+        atoms = [(k, r, w) for k in range(len(dirs)) for r, w in profile]
+    else:
+        atoms = draw(st.lists(st.tuples(st.integers(0, len(dirs) - 1), _RADIUS, _UNIT_MASS), min_size=1, max_size=12))
+    ray, radius, weight = (np.array(col) for col in zip(*atoms))
+    mu = DiscreteMeasure(dim, radius[:, None] * dirs[ray], weight)
+    kind = draw(st.sampled_from(["self", "restrict", "rescale", "empty"]))
+    if kind == "self":
+        nu = mu
+    elif kind == "restrict":
+        nu = restrict_outside(mu, draw(_RADIUS))
+    elif kind == "rescale":
+        scaled = np.isin(ray, sorted(draw(st.sets(st.integers(0, len(dirs) - 1), min_size=1))))
+        factor = np.where(scaled, draw(st.sampled_from([0.5, 2.0]) | st.floats(0.5, 1.5)), 1.0)
+        nu = DiscreteMeasure(dim, (factor * radius)[:, None] * dirs[ray], weight)
+    else:
+        nu = DiscreteMeasure.empty(dim)
+    if draw(st.booleans()):
+        mu, nu = nu, mu
+    return mu, nu, draw(st.sampled_from([1.0, 1.5, 2.0]))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(_shared_ray_pair())
+def test_property_ray_path_is_exact_on_shared_rays(case):
+    mu, nu, p = case
+    cost = CostSpec(p)
+    report, simplex = solve(mu, nu, cost), _solve_simplex(mu, nu, cost)
+    rays = _solve_rays(mu, nu, cost)
+    if rays is None:  # not certified: solve is the simplex
+        assert report.path == "simplex" and report.to_dict() == simplex.to_dict()
+        return
+    assert report.path == "rays" and report.iterations == 0 and report.to_dict() == rays.to_dict()
+    assert report.value == pytest.approx(simplex.value, rel=1e-12, abs=0.0)
+    assert report.duals.violations(mu, nu) == []
+    assert verify_plan(report.plan, mu, nu) == []
+    assert k_support_check(report.plan, mu, nu, p) == []
+
+
+@st.composite
+def _cloud_pair(draw):
+    """(mu, nu, p): seeded normal clouds of 1 to 15 atoms a side in d = 2 or 3."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    dim, m, n = draw(st.sampled_from([2, 3])), draw(st.integers(1, 15)), draw(st.integers(1, 15))
+    mu, nu = (DiscreteMeasure(dim, rng.normal(size=(k, dim)), rng.uniform(0.1, 3.0, k)) for k in (m, n))
+    return mu, nu, draw(st.sampled_from([1.0, 1.5, 2.0]))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(_cloud_pair())
+def test_property_clouds_without_shared_rays_take_the_simplex(case):
+    mu, nu, p = case
+    assert not np.isin(*_ray_ids(mu, nu)).any()
+    report = solve(mu, nu, CostSpec(p))
+    assert report.path == "simplex"
+    assert report.to_dict() == _solve_simplex(mu, nu, CostSpec(p)).to_dict()
+
+
 def test_solve_single_pair_direct():
     mu = DiscreteMeasure(1, [[0.3]], [1.0])
     nu = DiscreteMeasure(1, [[0.4]], [1.0])
@@ -1198,4 +1273,4 @@ def test_determinism():
     assert solve(*big, CostSpec(1.5)).to_dict() == solve(*big, CostSpec(1.5)).to_dict()
     # and so is its start from coincident atoms matched in place
     pair = _kernel_pair()
-    assert solve(*pair, CostSpec(1.5)).to_dict() == solve(*pair, CostSpec(1.5)).to_dict()
+    assert _solve_simplex(*pair, CostSpec(1.5)).to_dict() == _solve_simplex(*pair, CostSpec(1.5)).to_dict()
