@@ -128,7 +128,7 @@ def positive_part_dual_bound(mu: DiscreteMeasure, nu: DiscreteMeasure, p: float)
     if np.any(net < -SIGN_TOL):
         raise ValueError(f"mu - nu is a signed measure (worst deficit {float(net.min())!r})")
     radii = np.concatenate([mu.radii, nu.radii])[first]
-    return math.fsum(w * r**p for w, r in zip(net.tolist(), radii.tolist()))
+    return math.fsum((net * _pow(radii, p)).tolist())
 
 
 def radial_lower_bound(mu: DiscreteMeasure, nu: DiscreteMeasure, p: float) -> float:

@@ -2,8 +2,10 @@
 
 A family maps a point x to a measure mu_x: kernel densities K(x, z) dz,
 fractional power-law densities a(x) |z|^{-d-sigma} with the three-way annulus
-split, and push-forwards of a fixed reference measure.  Discretization uses
+split, and push-forwards of a fixed reference measure, discretized on
 geometric annular shells with one atom per cell at the cell's mass centroid.
+In the kernel, fraclap ``full`` and constant configs x enters only through a
+coefficient: the measure at x is one discretized |z|^{-d-sigma} times coef(x).
 
 The regularity sweep measures how fast the hat parts separate as x moves:
 ratio = distance(hat mu_x, hat mu_y) / |x - y|^s over a batch of pairs, each
@@ -110,9 +112,9 @@ def _grid_layout(
     """The part of ``_discretize_density`` that does not depend on the density.
 
     Returns (cell left edges, sub-shell midpoints, sub-shell volumes, pulled
-    directions, points, angular weight), all arrays read-only, so one layout
-    serves every endpoint of a family.  A split family's breaks move with x,
-    so a few recent layouts are kept, not all of them.
+    directions, points, angular weight), all arrays read-only, so the per-x
+    callers (``split_fraclap``, ``discretize_kernel``) share one layout.  A
+    split family's breaks move with x, so a few recent layouts are kept.
     """
     edges = grid.radial_edges(extra_breaks)
     dirs, ang_w = grid.directions(dim)
@@ -249,15 +251,11 @@ class LevyItoFamily:
     dim_out: int
 
 
-def _discretize(density: Callable[[np.ndarray], np.ndarray], dim: int, grid: AnnularGrid) -> DiscreteMeasure:
-    pos, w, _ = _discretize_density(density, dim, grid)
-    return DiscreteMeasure(dim, pos, w)
-
-
 def discretize_kernel(family: KernelFamily, x, grid: AnnularGrid) -> DiscreteMeasure:
     """Quadrature discretization of K(x, z) dz on the annular grid."""
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    return _discretize(lambda Z: family.density(x, Z), family.dim, grid)
+    pos, w, _ = _discretize_density(lambda Z: family.density(x, Z), family.dim, grid)
+    return DiscreteMeasure(family.dim, pos, w)
 
 
 def split_fraclap(
@@ -405,7 +403,8 @@ class FamilyRuntime:
     """A family bound to a grid: produces measures and truncation costs per x.
 
     The truncation cost at x is coef(x) times an x-free radial factor
-    ``radial(p)``; each runtime computes that factor at most once per p.
+    ``radial(p)``, computed at most once per runtime and p; a grid family's
+    measure at x is coef(x) times its unit measure (``_grid_runtime``).
     """
 
     def __init__(self, dim: int, make, coef, radial):
@@ -439,12 +438,21 @@ def _power_truncation(dim: int, sigma: float, p: float, grid: AnnularGrid) -> fl
     return len(dirs) * ang_w * val
 
 
-def _power_law(dim: int, sigma: float) -> Callable[[np.ndarray], np.ndarray]:
-    """The reference density |z|^{-dim-sigma}."""
-    if sigma <= 0.0:
-        raise ValueError("need sigma > 0 and a nonnegative envelope constant")
-    expo = -(dim + sigma)
-    return lambda Z: _radial_power(Z, expo)
+def _unit_power_law(dim: int, sigma: float, grid: AnnularGrid) -> DiscreteMeasure:
+    """|z|^{-dim-sigma} dz on the grid: a grid family's x-free factor, levyito's default base."""
+    if not sigma > 0.0:
+        raise ValueError(f"'sigma' must be positive, got {sigma!r}")
+    pos, w, _ = _discretize_density(lambda Z: _radial_power(Z, -(dim + sigma)), dim, grid)
+    return DiscreteMeasure(dim, pos, w)
+
+
+def _grid_runtime(dim: int, sigma: float, grid: AnnularGrid, coef, make=None) -> FamilyRuntime:
+    """coef(x) |z|^{-dim-sigma} on the grid: the unit power law, built once, weighted by
+    coef(x) at every x, unless ``make`` builds each measure itself (``split_hat``)."""
+    if make is None:
+        unit = _unit_power_law(dim, sigma, grid)
+        make = lambda x: DiscreteMeasure(dim, unit.positions, coef(x) * unit.weights)
+    return FamilyRuntime(dim, make=make, coef=coef, radial=lambda p: _power_truncation(dim, sigma, p, grid))
 
 
 def _section(config: dict, key: str) -> dict:
@@ -507,56 +515,30 @@ def _build_family(config: dict) -> FamilyRuntime:
         raise ValueError(f"annular grids support dimensions 1 to 3 only, got dim {dim}")
 
     if kind == "kernel":
-        sigma = _number(config, "sigma", 0.5)
         base = _number(params, "base", 1.0)
         amplitude = _number(params, "amplitude", 0.5)
         if not base - abs(amplitude) > 0.0:
             raise ValueError("kernel needs base - |amplitude| > 0, so the density stays positive")
-        lambda1 = _number(params, "lambda1", base + abs(amplitude))
-        expo = -(dim + sigma)
-
-        def coef(x):
-            return base + amplitude * math.sin(float(x[0]))
-
-        def density(x, Z):
-            return coef(x) * _radial_power(Z, expo)
-
-        family = KernelFamily(
-            density=density, sigma=sigma, lambda1=lambda1, dim=dim,
-            holder_gamma=None if config.get("gamma", 1.0) is None else _number(config, "gamma", 1.0),
-        )
-        return FamilyRuntime(
-            dim,
-            make=lambda x: discretize_kernel(family, x, grid),
-            coef=coef,
-            radial=lambda p: _power_truncation(dim, sigma, p, grid),
-        )
+        if _number(params, "lambda1", base + abs(amplitude)) < 0.0:  # lambda1, gamma: declarations (README)
+            raise ValueError("kernel 'lambda1' must be nonnegative")
+        if config.get("gamma") is not None:
+            _number(config, "gamma")
+        coef = lambda x: base + amplitude * math.sin(float(x[0]))
+        return _grid_runtime(dim, _number(config, "sigma", 0.5), grid, coef=coef)
 
     if kind == "fraclap":
         sigma = _number(config, "sigma", 1.5)
         a0 = _number(params, "a0", 0.5)
         a1 = _number(params, "a1", 0.25)
         part = params.get("part", "full")
+        if part not in ("full", "split_hat"):
+            raise ValueError(f"unknown fraclap part {part!r}")
         if not (a0 - abs(a1) > 0.0 and a0 + abs(a1) <= 1.0):
             raise ValueError("fraclap needs 0 < a0 - |a1| and a0 + |a1| <= 1, so a(x) lies in (0, 1]")
-
-        def a(x):
-            return (a0 + a1 * math.sin(float(x[0]))) ** sigma
-
+        a = lambda x: (a0 + a1 * math.sin(float(x[0]))) ** sigma
         family = FracLaplFamily(a=a, sigma=sigma, lipschitz_L=abs(a1), dim=dim)
-
-        if part == "split_hat":
-            make = lambda x: split_fraclap(family, x, grid)[0]
-        elif part == "full":
-            make = lambda x: _discretize(family.density_at(x), dim, grid)
-        else:
-            raise ValueError(f"unknown fraclap part {part!r}")
-        return FamilyRuntime(
-            dim,
-            make=make,
-            coef=family.coefficient,
-            radial=lambda p: _power_truncation(dim, sigma, p, grid),
-        )
+        make = (lambda x: split_fraclap(family, x, grid)[0]) if part == "split_hat" else None
+        return _grid_runtime(dim, sigma, grid, coef=family.coefficient, make=make)
 
     if kind == "levyito":
         base_cfg = config.get("base")
@@ -565,7 +547,7 @@ def _build_family(config: dict) -> FamilyRuntime:
             if base.dim != dim:
                 raise ValueError(f"base measure has dimension {base.dim}, family has {dim}")
         else:
-            base = _discretize(_power_law(dim, _number(config, "sigma", 0.5)), dim, grid)
+            base = _unit_power_law(dim, _number(config, "sigma", 0.5), grid)
         mkind = params.get("kind", "translation")
         if mkind == "translation":
             shift = _number(params, "shift", 0.1)
@@ -584,7 +566,7 @@ def _build_family(config: dict) -> FamilyRuntime:
             if a0 - abs(a1) <= 0.0:
                 raise ValueError("levyito scaling needs a0 > |a1|, so the scale stays positive")
             if not sigma > 0.0:
-                raise ValueError(f"levyito scaling needs sigma > 0, got {sigma!r}")
+                raise ValueError(f"'sigma' must be positive, got {sigma!r}")
             # Every point's scale lies in [lo, hi], so checking both ends here
             # keeps each pushed-forward measure valid.
             try:
@@ -608,13 +590,6 @@ def _build_family(config: dict) -> FamilyRuntime:
         return FamilyRuntime(dim, make=lambda x: pushforward(family, x), coef=lambda x: 0.0, radial=lambda p: 0.0)
 
     if kind == "constant":
-        sigma = _number(config, "sigma", 0.5)
-        fixed = _discretize(_power_law(dim, sigma), dim, grid)
-        return FamilyRuntime(
-            dim,
-            make=lambda x: fixed,
-            coef=lambda x: 1.0,
-            radial=lambda p: _power_truncation(dim, sigma, p, grid),
-        )
+        return _grid_runtime(dim, _number(config, "sigma", 0.5), grid, coef=lambda x: 1.0)
 
     raise ValueError(f"unknown family type {kind!r}")

@@ -57,6 +57,15 @@ def test_positive_part_examples():
         positive_part_dual_bound(nu, mu, 2.0)
 
 
+@pytest.mark.parametrize("p", [1.0, 1.5, 2.0])
+def test_positive_part_bound_against_nothing_is_the_p_moment(p):
+    # one p-th power of a radius (measures._pow) in every p-moment: at
+    # p = 1.5 a Python r**p differs from it in the last bit on this instance
+    rng = np.random.default_rng(8)
+    mu = DiscreteMeasure(2, rng.normal(size=(40, 2)), rng.uniform(0.1, 2.0, 40))
+    assert positive_part_dual_bound(mu, DiscreteMeasure.empty(2), p) == mu.p_moment(p)
+
+
 def test_restriction_bound_examples():
     mu = DiscreteMeasure(1, [[0.1], [0.5]], [1.0, 1.0])
     assert restriction_bound(mu, 0.05, 2.0) == 0.0

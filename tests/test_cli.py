@@ -271,18 +271,17 @@ def test_sweep_deterministic(tmp_path, capsys):
 
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
+GOLDEN_SWEEPS = [("kernel_p1", SWEEP_KERNEL, 7, 6, "1"), ("kernel_p2", SWEEP_KERNEL, 7, 6, "2"),
+                 ("heavy_p2", SWEEP_HEAVY, 2018, 3, "2")]
 
 
-@pytest.mark.parametrize(
-    "name, config, seed, pairs, p",
-    [("kernel_p1", SWEEP_KERNEL, 7, 6, "1"), ("kernel_p2", SWEEP_KERNEL, 7, 6, "2"),
-     ("heavy_p2", SWEEP_HEAVY, 2018, 3, "2")],
-)
+@pytest.mark.parametrize("name, config, seed, pairs, p", GOLDEN_SWEEPS)
 def test_sweep_json_matches_golden_bytes(name, config, seed, pairs, p, tmp_path, capsys):
-    # The golden files are `levyot sweep --json` output as regenerated by
-    # commit b7a7878, whose exact monotone merge moved the last bits of 13 of
-    # the 15 distances.  Heavy p = 1 is left out: p <= sigma there, so its
-    # truncation cost is not a cost (README).
+    # The golden files are `levyot sweep --json` output, regenerated when
+    # each grid family's measure at x became its unit power law times
+    # coef(x); every row is certified from the config alone by
+    # test_sweep_goldens_are_certified_from_the_config.  Heavy p = 1 is left
+    # out: p <= sigma there, so its truncation cost is not a cost (README).
     cfg = tmp_path / "family.json"
     cfg.write_text(json.dumps(config))
     rows = tmp_path / "rows.json"
@@ -294,6 +293,42 @@ def test_sweep_json_matches_golden_bytes(name, config, seed, pairs, p, tmp_path,
     assert out.encode("utf-8") == golden
     assert run_cli(argv + ["--out", str(rows)], capsys)[1] == ""
     assert rows.read_bytes() == golden
+
+
+@pytest.mark.parametrize("name, config, seed, pairs, p", GOLDEN_SWEEPS)
+def test_sweep_goldens_are_certified_from_the_config(name, config, seed, pairs, p):
+    # The hat parts at x and at y are one unit measure times two coefficients,
+    # on the same sites.  At p = 1 keeping the shared mass in place is then
+    # optimal, and its cost sum_i |w_x,i - w_y,i| |z_i| is summed exactly.  At
+    # p = 2 the radial lower bound R is the optimum, up to the ray path's
+    # certificate tolerance RAY_CERT_TOL * G.
+    from fractions import Fraction
+
+    import numpy as np
+
+    from levyot.bounds import radial_lower_bound
+    from levyot.families import build_family
+    from levyot.measures import _pow, decompose
+    from levyot.transport import RAY_CERT_TOL, CostSpec, solve
+
+    with open(os.path.join(GOLDEN, f"sweep_{name}.json")) as fh:
+        rows = json.load(fh)["rows"]
+    assert len(rows) == pairs
+    runtime, q = build_family(config), float(p)
+    for row in rows:
+        mu, nu = (decompose(runtime.make_measure(z)).hat for z in (row["x"], row["y"]))
+        assert np.array_equal(mu.positions, nu.positions)
+        if q == 1.0:
+            exact = float(sum(abs(Fraction(a) - Fraction(b)) * Fraction(r)
+                              for a, b, r in zip(mu.weights.tolist(), nu.weights.tolist(), mu.radii.tolist())))
+            assert abs(row["distance"] - exact) <= 2 * math.ulp(exact)
+        else:
+            plan = solve(mu, nu, CostSpec(q)).plan
+            # G: the plan's mass times (|x| + |y|)^p, the reservoir at radius 0
+            gross = math.fsum((plan.direct_vals * _pow(mu.radii[plan.direct_rows] + nu.radii[plan.direct_cols], q)).tolist()
+                              + (plan.to_reservoir * _pow(mu.radii, q)).tolist()
+                              + (plan.from_reservoir * _pow(nu.radii, q)).tolist())
+            assert abs(row["distance"] ** q - radial_lower_bound(mu, nu, q)) <= RAY_CERT_TOL * gross
 
 
 @pytest.mark.parametrize(
@@ -413,12 +448,18 @@ def test_sweep_infinite_truncation_cost_is_solver_failure(tmp_path, capsys):
         {"type": "levyito", "dim": 4},
         {"type": "kernel", "params": {"base": 0.1, "amplitude": 0.5}},
         {"type": "kernel", "params": {"base": 0.5, "amplitude": -0.5}},
+        {"type": "kernel", "sigma": 0},
+        {"type": "kernel", "params": {"lambda1": -1}},
+        {"type": "constant", "sigma": -1},
+        {"type": "kernel", "gamma": "x"},
+        {"type": "fraclap", "params": {"part": "bogus"}},
     ],
     ids=[
         "unknown-kind", "grid-field", "params-list", "grid-count", "fraclap-range", "scaling-range",
         "scaling-overflow", "scaling-radius", "scaling-underflow", "scaling-sigma-0",
         "sigma-huge", "dim-huge", "count-huge", "count-2^62",
         "kernel-dim4", "fraclap-dim4", "constant-dim5", "levyito-dim4", "kernel-negative", "kernel-zero",
+        "kernel-sigma-0", "kernel-lambda1", "constant-sigma", "kernel-gamma", "fraclap-part",
     ],
 )
 def test_sweep_config_error(config, tmp_path, capsys):

@@ -494,16 +494,16 @@ def test_sweep_runs_the_truncation_quadrature_once_per_runtime_and_p(case, monke
 
 @pytest.mark.parametrize("case", ["kernel-d1", "kernel-d2", "kernel-d3", "fraclap-full", "constant"])
 def test_grid_families_put_every_point_on_one_grid(case):
-    # The transport solver starts from the in-place plan on coincident atoms,
-    # so the atoms at x and at y must sit on the same sites.  Positions are
-    # the density-weighted cell centroids, whose rounding follows the
-    # coefficient at x: up to 6 ulps apart over these pairs.
+    # Grid pairs take solve's ray path, which labels atoms by their snapped
+    # directions (_ray_ids): the atoms at x and at y sit on the same sites,
+    # bit for bit, since only the weights depend on x.
     config = TRUNCATION_CASES[case][0]
     runtime = build_family(config)
     for x, y in sweep_pairs(8, config["dim"], seed=3):
         at_x, at_y = runtime.make_measure(x), runtime.make_measure(y)
         assert at_x.n_atoms == at_y.n_atoms > 0
-        np.testing.assert_array_max_ulp(at_x.positions, at_y.positions, maxulp=8)
+        assert np.array_equal(at_x.positions, at_y.positions)
+        assert np.array_equal(at_x.radii, at_y.radii)
 
 
 def _random_line_measure(rng) -> DiscreteMeasure:
