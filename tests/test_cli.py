@@ -277,10 +277,9 @@ GOLDEN_SWEEPS = [("kernel_p1", SWEEP_KERNEL, 7, 6, "1"), ("kernel_p2", SWEEP_KER
 
 @pytest.mark.parametrize("name, config, seed, pairs, p", GOLDEN_SWEEPS)
 def test_sweep_json_matches_golden_bytes(name, config, seed, pairs, p, tmp_path, capsys):
-    # The golden files are `levyot sweep --json` output, regenerated when
-    # each grid family's measure at x became its unit power law times
-    # coef(x); every row is certified from the config alone by
-    # test_sweep_goldens_are_certified_from_the_config.  Heavy p = 1 is left
+    # The golden files are `levyot sweep --json` output.  A regenerated file
+    # must still pass test_sweep_goldens_are_certified_from_the_config, which
+    # checks every row from the family config alone.  Heavy p = 1 is left
     # out: p <= sigma there, so its truncation cost is not a cost (README).
     cfg = tmp_path / "family.json"
     cfg.write_text(json.dumps(config))
@@ -298,10 +297,10 @@ def test_sweep_json_matches_golden_bytes(name, config, seed, pairs, p, tmp_path,
 @pytest.mark.parametrize("name, config, seed, pairs, p", GOLDEN_SWEEPS)
 def test_sweep_goldens_are_certified_from_the_config(name, config, seed, pairs, p):
     # The hat parts at x and at y are one unit measure times two coefficients,
-    # on the same sites.  At p = 1 keeping the shared mass in place is then
-    # optimal, and its cost sum_i |w_x,i - w_y,i| |z_i| is summed exactly.  At
-    # p = 2 the radial lower bound R is the optimum, up to the ray path's
-    # certificate tolerance RAY_CERT_TOL * G.
+    # on the same sites, so mu - nu has one sign.  At p = 1 keeping the shared
+    # mass in place is then optimal, and its cost sum_i |w_x,i - w_y,i| |z_i|
+    # is summed exactly.  At p = 2 the radial lower bound R is the optimum, up
+    # to the ray path's certificate tolerance RAY_CERT_TOL * G.
     from fractions import Fraction
 
     import numpy as np
