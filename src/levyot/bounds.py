@@ -143,8 +143,7 @@ def radial_lower_bound(mu: DiscreteMeasure, nu: DiscreteMeasure, p: float) -> fl
     delta_1 + delta_-2 against delta_-1 + delta_2 has R = 0 < distance.
     """
     cost = transport.CostSpec(p)
-    if mu.dim != nu.dim:
-        raise ValueError("measures must share the ambient dimension")
+    transport._check_pair(mu, nu)
     _, _, mass, seg_cost, _, _ = transport._radial_staircase(mu, nu, cost)
     return math.fsum((mass * seg_cost).tolist())
 

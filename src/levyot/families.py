@@ -15,7 +15,6 @@ profiles on shared rays, which ``solve`` couples exactly ray by ray.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
@@ -39,22 +38,6 @@ __all__ = [
     "sweep_pairs",
     "build_family",
 ]
-
-
-def _radial_power(Z: np.ndarray, expo: float) -> np.ndarray:
-    """|z|^expo for every row z of Z.
-
-    Up to d = 3 the squares are summed coordinate by coordinate, left to
-    right, which has the bits of ``np.linalg.norm(Z, axis=1)`` in a third of
-    its time or less; NumPy reduces a short axis row by row.
-    """
-    Z = np.atleast_2d(np.asarray(Z, dtype=float))
-    if Z.shape[1] > 3:
-        return np.linalg.norm(Z, axis=1) ** expo
-    sq = Z[:, 0] * Z[:, 0]
-    for k in range(1, Z.shape[1]):
-        sq += Z[:, k] * Z[:, k]
-    return np.sqrt(sq) ** expo
 
 
 @dataclass(frozen=True)
@@ -105,43 +88,6 @@ class AnnularGrid:
         raise ValueError("annular grids support dimensions 1 to 3 only")
 
 
-@functools.lru_cache(maxsize=8)
-def _grid_layout(
-    grid: AnnularGrid, dim: int, extra_breaks: tuple[float, ...]
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray, float]:
-    """The part of ``_discretize_density`` that does not depend on the density.
-
-    Returns (cell left edges, sub-shell midpoints, sub-shell volumes, pulled
-    directions, points, angular weight), all arrays read-only, so the per-x
-    callers (``split_fraclap``, ``discretize_kernel``) share one layout.  A
-    split family's breaks move with x, so a few recent layouts are kept.
-    """
-    edges = grid.radial_edges(extra_breaks)
-    dirs, ang_w = grid.directions(dim)
-
-    sub = grid.refine
-    # geometric subsamples within each shell, matched to power-law densities
-    ratio = (edges[1:] / edges[:-1])[:, None] ** (np.arange(sub + 1)[None, :] / sub)
-    sub_edges = edges[:-1, None] * ratio  # (n_cells, sub+1)
-    sub_mid = 0.5 * (sub_edges[:, :-1] + sub_edges[:, 1:])  # (n_cells, sub)
-    # exact volume of each radial sub-shell per unit solid angle
-    sub_vol = (sub_edges[:, 1:] ** dim - sub_edges[:, :-1] ** dim) / dim
-
-    if dim == 2:
-        # uniform-in-angle mass centroid of a sector sits slightly inside the ray
-        half = math.pi / grid.n_angular
-        angular_pull = math.sin(half) / half
-    else:
-        angular_pull = 1.0
-
-    # every point of the density call, laid out (direction, cell, subsample)
-    pts = (sub_mid.reshape(1, -1, 1) * dirs[:, None, :]).reshape(-1, dim)
-    layout = (edges[:-1], sub_mid, sub_vol, angular_pull * dirs, pts)
-    for arr in layout:
-        arr.flags.writeable = False
-    return (*layout, ang_w)
-
-
 def _discretize_density(
     density: Callable[[np.ndarray], np.ndarray],
     dim: int,
@@ -153,14 +99,24 @@ def _discretize_density(
     Returns (positions, weights, cell_left_edges) with zero-mass cells dropped.
     The weight is the midpoint-refined quadrature of the density against the
     exact shell volumes; the centroid averages the radial subsamples (with the
-    exact in-sector angular centroid factor in d = 2).  ``density`` gets a
-    read-only point array, shared by every call on the same grid.
+    exact in-sector angular centroid factor in d = 2).  ``density`` gets every
+    point of the grid in one (k, dim) array.
     """
-    left, sub_mid, sub_vol, dirs, pts, ang_w = _grid_layout(grid, dim, tuple(extra_breaks))
-    n_cells, sub = sub_mid.shape
+    edges = grid.radial_edges(extra_breaks)
+    dirs, ang_w = grid.directions(dim)
 
-    # one density call on every point; each cell still sums its own
-    # subsamples, so the result is direction-major
+    sub = grid.refine
+    # geometric subsamples within each shell, matched to power-law densities
+    ratio = (edges[1:] / edges[:-1])[:, None] ** (np.arange(sub + 1)[None, :] / sub)
+    sub_edges = edges[:-1, None] * ratio  # (n_cells, sub+1)
+    sub_mid = 0.5 * (sub_edges[:, :-1] + sub_edges[:, 1:])  # (n_cells, sub)
+    # exact volume of each radial sub-shell per unit solid angle
+    sub_vol = (sub_edges[:, 1:] ** dim - sub_edges[:, :-1] ** dim) / dim
+    n_cells = sub_mid.shape[0]
+
+    # one density call on every point, laid out (direction, cell, subsample);
+    # each cell still sums its own subsamples, so the result is direction-major
+    pts = (sub_mid.reshape(1, -1, 1) * dirs[:, None, :]).reshape(-1, dim)
     vals = np.asarray(density(pts), dtype=float).reshape(len(dirs), n_cells, sub)
     if np.any(~np.isfinite(vals)):
         raise ValueError("density returned a non-finite value")
@@ -170,9 +126,13 @@ def _discretize_density(
     moment = (vals * sub_vol * sub_mid).sum(axis=-1) * ang_w
     keep = cell_mass > 0.0
     r_centroid = moment[keep] / cell_mass[keep]
+    if dim == 2:
+        # uniform-in-angle mass centroid of a sector sits slightly inside the ray
+        half = math.pi / grid.n_angular
+        dirs = (math.sin(half) / half) * dirs
     direction = np.nonzero(keep)[0]
     positions = r_centroid[:, None] * dirs[direction]
-    lefts = np.broadcast_to(left, keep.shape)[keep]
+    lefts = np.broadcast_to(edges[:-1], keep.shape)[keep]
     return positions, cell_mass[keep], lefts
 
 
@@ -181,7 +141,7 @@ class KernelFamily:
     """Measures with densities K(x, z) dz under a power-law envelope.
 
     ``density(x, Z)`` evaluates K at one base point and a batch of jump
-    locations Z of shape (k, dim); Z is read-only.  ``lambda1`` declares
+    locations Z of shape (k, dim).  ``lambda1`` declares
     the envelope K(x, z) <= lambda1 |z|^{-(dim+sigma)} and
     ``holder_gamma``, when given, declares
     |K(x,z) - K(y,z)| <= |x-y|^gamma lambda1 |z|^{-(dim+sigma)}.  Both are
@@ -231,7 +191,7 @@ class FracLaplFamily:
     def density_at(self, x) -> Callable[[np.ndarray], np.ndarray]:
         coef = self.coefficient(x)
         expo = -(self.dim + self.sigma)
-        return lambda Z: coef * _radial_power(Z, expo)
+        return lambda Z: coef * np.linalg.norm(Z, axis=1) ** expo
 
 
 @dataclass(frozen=True)
@@ -442,16 +402,17 @@ def _unit_power_law(dim: int, sigma: float, grid: AnnularGrid) -> DiscreteMeasur
     """|z|^{-dim-sigma} dz on the grid: a grid family's x-free factor, levyito's default base."""
     if not sigma > 0.0:
         raise ValueError(f"'sigma' must be positive, got {sigma!r}")
-    pos, w, _ = _discretize_density(lambda Z: _radial_power(Z, -(dim + sigma)), dim, grid)
+    pos, w, _ = _discretize_density(lambda Z: np.linalg.norm(Z, axis=1) ** -(dim + sigma), dim, grid)
     return DiscreteMeasure(dim, pos, w)
 
 
 def _grid_runtime(dim: int, sigma: float, grid: AnnularGrid, coef, make=None) -> FamilyRuntime:
-    """coef(x) |z|^{-dim-sigma} on the grid: the unit power law, built once, weighted by
-    coef(x) at every x, unless ``make`` builds each measure itself (``split_hat``)."""
+    """coef(x) |z|^{-dim-sigma} on the grid: the unit power law, built and checked once,
+    keeps its sites at every x and takes coef(x) times its weights, unless ``make``
+    builds each measure itself (``split_hat``)."""
     if make is None:
         unit = _unit_power_law(dim, sigma, grid)
-        make = lambda x: DiscreteMeasure(dim, unit.positions, coef(x) * unit.weights)
+        make = lambda x: unit._restrict(weights=coef(x) * unit.weights)
     return FamilyRuntime(dim, make=make, coef=coef, radial=lambda p: _power_truncation(dim, sigma, p, grid))
 
 
@@ -542,13 +503,15 @@ def _build_family(config: dict) -> FamilyRuntime:
 
     if kind == "levyito":
         base_cfg = config.get("base")
+        mkind = params.get("kind", "translation")
+        # the default base and the scaling map read one sigma, so the push-forward is a(x)|z|^{-d-sigma}
+        sigma = _number(config, "sigma", 1.5 if mkind == "scaling" else 0.5)
         if base_cfg is not None:
             base = measure_from_dict(base_cfg)
             if base.dim != dim:
                 raise ValueError(f"base measure has dimension {base.dim}, family has {dim}")
         else:
-            base = _unit_power_law(dim, _number(config, "sigma", 0.5), grid)
-        mkind = params.get("kind", "translation")
+            base = _unit_power_law(dim, sigma, grid)
         if mkind == "translation":
             shift = _number(params, "shift", 0.1)
 
@@ -560,7 +523,6 @@ def _build_family(config: dict) -> FamilyRuntime:
             rho = lambda Z: 1.0 + np.linalg.norm(np.atleast_2d(Z), axis=1)
             C = max(1.0, abs(shift))
         elif mkind == "scaling":
-            sigma = _number(config, "sigma", 1.5)
             a0 = _number(params, "a0", 0.5)
             a1 = _number(params, "a1", 0.25)
             if a0 - abs(a1) <= 0.0:

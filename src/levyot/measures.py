@@ -71,6 +71,22 @@ def _merge_sites(pos: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray
     return first[order], total
 
 
+def _checked_weights(w: np.ndarray) -> np.ndarray:
+    """``w``, if its weights are positive and finite with a finite total; else a
+    ValueError naming the first offending atom.  The rule of every measure's weights."""
+    if not (np.all(np.isfinite(w)) and np.all(w > 0.0)):
+        k = int(np.argmin(np.isfinite(w) & (w > 0.0)))
+        raise ValueError(f"atom {k}: weight must be positive and finite, got {w[k]}")
+    # the total is at most n * max(w), so total_mass's fsum has to decide
+    # only near the top of the float range
+    if w.size and not float(w.max()) * w.size < 2.0 ** 1023:
+        try:
+            math.fsum(w.tolist())
+        except OverflowError:
+            raise ValueError("the total weight overflows the float range; rescale the weights") from None
+    return w
+
+
 # Bounds on what a measure may hold.  A site's |z| <= 2^510 (about 3.4e153)
 # keeps |z|^2 and every pair's |x - y|^2 <= (|x| + |y|)^2 <= 2^1022 finite.
 # The dimension bound keeps a site's bytes within what NumPy can view as one
@@ -124,18 +140,7 @@ class DiscreteMeasure:
         if not np.all(np.isfinite(pos)):
             k = int(np.argmin(np.isfinite(pos).all(axis=1)))
             raise ValueError(f"atom {k}: coordinates must be finite, got {pos[k].tolist()}")
-        if not (np.all(np.isfinite(w)) and np.all(w > 0.0)):
-            k = int(np.argmin(np.isfinite(w) & (w > 0.0)))
-            raise ValueError(f"atom {k}: weight must be positive and finite, got {w[k]}")
-        # the total is at most n * max(w), so total_mass's fsum has to decide
-        # only near the top of the float range
-        if w.size and not float(w.max()) * w.size < 2.0 ** 1023:
-            try:
-                math.fsum(w.tolist())
-            except OverflowError:
-                raise ValueError("the total weight overflows the float range; rescale the weights") from None
-
-        first, w = _merge_sites(pos, w)
+        first, w = _merge_sites(pos, _checked_weights(w))
         pos = pos[first]
         with np.errstate(over="ignore"):  # an overflowing |z| is rejected just below
             radii = np.linalg.norm(pos, axis=1)
@@ -184,17 +189,18 @@ class DiscreteMeasure:
         """Largest |z|; 0.0 for the zero measure, where an array max is undefined."""
         return float(self._radii.max()) if self.n_atoms else 0.0
 
-    def _restrict(self, mask: np.ndarray) -> "DiscreteMeasure":
-        """The sub-measure on the atoms where ``mask`` is true.
+    def _restrict(self, mask=slice(None), weights=None) -> "DiscreteMeasure":
+        """The sub-measure on the atoms where ``mask`` is true, with ``weights`` if given.
 
         Its atoms are a subset of this measure's validated, merged sites, so
-        it skips the constructor's checks and merge; it equals the measure
-        the constructor builds from the same rows, bit for bit.
+        it skips the constructor's site checks and merge; only new weights
+        are checked, by the constructor's rule.  It equals the measure the
+        constructor builds from the same rows and weights, bit for bit.
         """
+        w = self.weights[mask] if weights is None else _checked_weights(np.asarray(weights, dtype=float))
         sub = object.__new__(DiscreteMeasure)
         object.__setattr__(sub, "dim", self.dim)
-        for name in ("positions", "weights", "_radii"):
-            part = getattr(self, name)[mask]
+        for name, part in (("positions", self.positions[mask]), ("weights", w), ("_radii", self._radii[mask])):
             part.setflags(write=False)
             object.__setattr__(sub, name, part)
         return sub
@@ -263,7 +269,7 @@ def tv_distance(mu: DiscreteMeasure, nu: DiscreteMeasure) -> float:
 def weight_by_power(mu: DiscreteMeasure, p: float) -> DiscreteMeasure:
     """Reweight every atom by |z|^p, leaving positions unchanged."""
     p = _check_p(p)
-    return DiscreteMeasure(mu.dim, mu.positions, mu.weights * _pow(mu.radii, p))
+    return mu._restrict(weights=mu.weights * _pow(mu.radii, p))
 
 
 # ---------------------------------------------------------------------------

@@ -946,11 +946,24 @@ def solve(mu: DiscreteMeasure, nu: DiscreteMeasure, cost: CostSpec) -> SolveRepo
     ``families``; else the transportation simplex solves ("simplex").  The
     ray plan is a vertex: its support is a forest of at most m + n arcs, per
     ray a staircase path that touches at most one of the reservoir nodes.
+    A pair whose total masses sum beyond the float range is refused up front.
     """
-    if mu.dim != nu.dim:
-        raise ValueError("measures must share the ambient dimension")
+    _check_pair(mu, nu)
     report = _solve_line(mu, nu, cost) if mu.dim == 1 else _solve_rays(mu, nu, cost)
     return _solve_simplex(mu, nu, cost) if report is None else report
+
+
+def _check_pair(mu: DiscreteMeasure, nu: DiscreteMeasure) -> None:
+    """Refuse two dimensions, or total masses whose sum, which every path adds up, overflows."""
+    if mu.dim != nu.dim:
+        raise ValueError("measures must share the ambient dimension")
+    try:
+        math.fsum(mu.weights.tolist() + nu.weights.tolist())
+    except OverflowError:
+        raise ValueError(
+            f"the total masses {mu.total_mass()!r} and {nu.total_mass()!r} sum beyond the float range; "
+            "rescale the weights"
+        ) from None
 
 
 def _solve_simplex(mu: DiscreteMeasure, nu: DiscreteMeasure, cost: CostSpec) -> SolveReport:

@@ -222,6 +222,19 @@ def test_cost_overflow_is_solver_failure(command, dim, tmp_path, capsys):
     assert out == "" and err.startswith("solver failure: the transport cost overflows the float range")
 
 
+def test_sweep_refuses_a_combined_mass_beyond_the_float_range(tmp_path, capsys):
+    # each hat part's mass is finite, but the two add up past the float
+    # range: one solver failure that names both totals, with no NumPy warning
+    cfg = tmp_path / "family.json"
+    cfg.write_text(json.dumps({"type": "kernel", "dim": 1, "params": {"base": 1e306, "amplitude": 0},
+                               "grid": {"n_radial": 10}}))
+    code, _, err = run_cli(["sweep", "--config", str(cfg), "--p", "2", "--pairs", "1", "--seed", "7"], capsys)
+    assert code == 3
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("solver failure: the total masses ")
+    assert "nan" not in err and "sum beyond the float range" in err
+
+
 def test_dual_reports_strong_duality(measure_files, capsys):
     a, b = measure_files
     code, out, _ = run_cli(["dual", a, b, "--p", "1"], capsys)

@@ -1,6 +1,7 @@
 """Tests for measure families, discretization, splits, and sweeps."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -19,9 +20,11 @@ from levyot.families import (
     split_fraclap,
     sweep_pairs,
     _discretize_density,
+    _grid_runtime,
     _power_truncation,
-    _radial_power,
+    _unit_power_law,
 )
+from levyot import measures
 from levyot.measures import DiscreteMeasure, decompose
 from levyot.transport import RAY_CERT_TOL, CostSpec, _ray_ids, _solve_rays, _solve_simplex, distance, solve
 
@@ -133,23 +136,15 @@ def _skewed_kernel(dim: int, one_sided: bool) -> KernelFamily:
     return KernelFamily(density=density, sigma=0.5, lambda1=1.5, dim=dim)
 
 
-def test_discretization_reuses_a_read_only_grid_layout():
-    # two endpoints on one grid: one point array, read-only, and the bits of
-    # the per-direction reference at each endpoint
+def test_discretization_matches_the_reference_at_two_endpoints():
+    # two endpoints on one grid: the bits of the per-direction reference at each
     fam = _skewed_kernel(2, False)
     grid = AnnularGrid(r_min=1e-3, r_max=2.0, n_radial=30, n_angular=7, refine=5)
-    seen = []
     for x in (np.full(2, 0.7), np.full(2, -0.4)):
-
-        def density(Z):
-            seen.append(Z)
-            return fam.density(x, Z)
-
-        got = _discretize_density(density, 2, grid, (0.3, 1.0))
+        got = _discretize_density(lambda Z: fam.density(x, Z), 2, grid, (0.3, 1.0))
         want = _per_direction_discretization(lambda Z: fam.density(x, Z), 2, grid, (0.3, 1.0))
         for a, b in zip(got, want):
             assert a.shape == b.shape and a.tobytes() == b.tobytes()
-    assert seen[0] is seen[1] and not seen[0].flags.writeable
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3])
@@ -506,6 +501,60 @@ def test_grid_families_put_every_point_on_one_grid(case):
         assert np.array_equal(at_x.radii, at_y.radii)
 
 
+def test_grid_measure_keeps_the_unit_sites_and_scales_the_weights(monkeypatch):
+    # make_measure(x) is the constructor's measure on the unit measure's rows
+    # with coef(x) times its weights, bit for bit; it raises the constructor's
+    # error wherever that does, and it runs no site merge
+    merges = []
+    real_merge = measures._merge_sites
+    monkeypatch.setattr(measures, "_merge_sites", lambda *args: merges.append(1) or real_merge(*args))
+    grid = AnnularGrid(r_min=1e-3, n_radial=20, n_angular=8)
+    refused = []
+    for dim in (1, 2, 3):
+        unit = _unit_power_law(dim, 0.5, grid)
+        runtime = _grid_runtime(dim, 0.5, grid, coef=lambda x: float(x[0]))
+        # plain coefficients; weights that round to 0 (below 0.5); a largest
+        # weight of 2^1023 whose total overflows; inf, -1, 0 and nan
+        top = float(unit.weights.max())
+        for c in (0.7, 1.3, 5e-324, 2.0**1023 / top, math.inf, -1.0, 0.0, math.nan):
+            try:
+                want = DiscreteMeasure(dim, unit.positions, c * unit.weights)
+            except ValueError as exc:
+                want = exc
+            before = len(merges)
+            if isinstance(want, ValueError):
+                refused.append(str(want))
+                with pytest.raises(ValueError, match=f"^{re.escape(str(want))}$"):
+                    runtime.make_measure([c] * dim)
+            else:
+                got = runtime.make_measure([c] * dim)
+                for a, b in ((got.positions, want.positions), (got.weights, want.weights), (got.radii, want.radii)):
+                    assert a.shape == b.shape and a.tobytes() == b.tobytes() and not a.flags.writeable
+            assert len(merges) == before
+    for text in ("got 0.0", "got inf", "got -", "got nan", "the total weight overflows"):
+        assert any(text in message for message in refused)
+
+
+def test_levyito_scaling_reads_one_sigma():
+    # Without "sigma" a scaling family's default base and its map share the
+    # default 1.5, so mu_x is the unit power law scaled by a(x)^{1/sigma}:
+    # a(x) |z|^{-d-sigma}.  Translation keeps its default, 0.5.
+    grid = {"r_min": 1e-2, "n_radial": 20, "n_angular": 6}
+    cfg = {"type": "levyito", "dim": 2, "params": {"kind": "scaling"}, "grid": grid}
+    implicit, explicit = build_family(cfg), build_family({**cfg, "sigma": 1.5})
+    unit = _unit_power_law(2, 1.5, AnnularGrid(**grid))
+    for x in ([0.3, -0.1], [-1.2, 0.4]):
+        scale = (0.5 + 0.25 * math.sin(x[0])) ** (1.0 / 1.5)
+        want = explicit.make_measure(x)
+        assert want.positions.tobytes() == (scale * unit.positions).tobytes()
+        got = implicit.make_measure(x)
+        for a, b in ((got.positions, want.positions), (got.weights, want.weights), (got.radii, want.radii)):
+            assert a.tobytes() == b.tobytes()
+    cfg = {"type": "levyito", "dim": 1, "params": {"kind": "translation"}, "grid": grid}
+    got, want = build_family(cfg).make_measure([0.2]), build_family({**cfg, "sigma": 0.5}).make_measure([0.2])
+    assert got.positions.tobytes() == want.positions.tobytes() and got.weights.tobytes() == want.weights.tobytes()
+
+
 def _random_line_measure(rng) -> DiscreteMeasure:
     n = int(rng.integers(1, 60))
     radii = 10.0 ** rng.uniform(-3.0, 1.0, n)
@@ -529,18 +578,6 @@ def test_ray_ids_share_a_label_exactly_on_shared_rays():
             ids = np.concatenate(_ray_ids(mu, nu))
             distinct = np.unique(pool[drawn], axis=0, return_inverse=True)[1].reshape(-1)
             assert np.array_equal(ids[:, None] == ids[None, :], distinct[:, None] == distinct[None, :])
-
-
-@pytest.mark.parametrize("dim", [1, 2, 3, 4])
-def test_radial_power_has_the_bits_of_the_norm(dim):
-    # coordinates over twelve orders of magnitude, a scale per point, and a
-    # few near 1e100
-    rng = np.random.default_rng(dim)
-    Z = rng.normal(size=(20000, dim)) * 10.0 ** rng.uniform(-6, 6, (20000, 1))
-    Z[:10] *= 1e94
-    for expo in (1.0, -2.5, -(dim + 1.8)):
-        assert _radial_power(Z, expo).tobytes() == (np.linalg.norm(Z, axis=1) ** expo).tobytes()
-    assert _radial_power(Z[0], 1.0).tobytes() == np.linalg.norm(Z[:1], axis=1).tobytes()
 
 
 def test_ray_coupling_is_exact_in_one_dimension():

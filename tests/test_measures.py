@@ -2,14 +2,18 @@
 
 import json
 import math
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from levyot.bounds import RadialTestFunction, positive_part_dual_bound, restriction_bound
 from levyot.families import AnnularGrid, FracLaplFamily, LevyItoFamily, _discretize_density, pushforward, split_fraclap
 from levyot.measures import (
     DiscreteMeasure,
+    _merge_sites,
+    _signed_sites,
     SchemaError,
     decompose,
     measure_from_dict,
@@ -130,6 +134,62 @@ def test_site_merge_matches_dict_reference():
             else:
                 expected = math.fsum(v * radius[k] ** p for k, v in net.items())
                 assert positive_part_dual_bound(mu, other, p) == expected
+
+
+# Coordinates from a small set, so that rows repeat and 0.0 meets -0.0.
+_COORD = st.sampled_from([0.0, -0.0, 0.25, -0.25, 1e-7, 3.0, -1e150])
+
+
+@st.composite
+def _repeated_rows(draw, max_dim, sides):
+    """(dim, [(positions, weights)] * sides): rows drawn with repeats from a few shared sites."""
+    dim = draw(st.integers(1, max_dim))
+    sites = draw(st.lists(st.tuples(*[_COORD] * dim).filter(any), min_size=1, max_size=6, unique=True))
+    drawn = []
+    for _ in range(sides):
+        picks = draw(st.lists(st.integers(0, len(sites) - 1), max_size=30))
+        w = draw(st.lists(st.floats(1e-3, 1e12), min_size=len(picks), max_size=len(picks)))
+        drawn.append((np.array([sites[k] for k in picks], dtype=float).reshape(-1, dim), np.array(w, dtype=float)))
+    return dim, drawn
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=100)
+@given(_repeated_rows(max_dim=3, sides=2))
+def test_property_site_merge_matches_the_dict_reference(case):
+    # sums in input order and sites in order of first occurrence, bit for bit
+    dim, ((pos, w), (other_pos, other_w)) = case
+    index, total = _merge_sites(pos, w)
+    ref_pos, ref_w = _dict_merge(pos, w)
+    assert pos[index].tobytes() == ref_pos.tobytes() and total.tobytes() == ref_w.tobytes()
+    mu, nu = DiscreteMeasure(dim, pos, w), DiscreteMeasure(dim, other_pos, other_w)
+    index, net = _signed_sites(mu, nu)
+    ref_net, _ = _dict_net(mu, nu)
+    sites = np.concatenate([mu.positions, nu.positions])[index]
+    assert [row.tobytes() for row in sites] == list(ref_net)
+    assert net.tobytes() == np.array(list(ref_net.values()), dtype=float).reshape(-1).tobytes()
+    assert tv_distance(mu, nu) == math.fsum(abs(v) for v in ref_net.values())
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=100)
+@given(_repeated_rows(max_dim=9, sides=1), st.data())
+def test_property_restrict_with_new_weights_matches_the_constructor(case, data):
+    dim, ((pos, w),) = case
+    mu = DiscreteMeasure(dim, pos, w)
+    mask = np.array(data.draw(st.lists(st.booleans(), min_size=mu.n_atoms, max_size=mu.n_atoms)), dtype=bool)
+    kept = int(mask.sum())
+    new = np.array(data.draw(st.lists(st.floats(1e-300, 1e300), min_size=kept, max_size=kept)), dtype=float)
+    _assert_built_from_rows(mu._restrict(mask, new), dim, mu.positions[mask], new)
+    _assert_built_from_rows(mu._restrict(weights=mu.weights * 0.5), dim, mu.positions, mu.weights * 0.5)
+    # a weight that underflows to 0, and a total beyond the float range,
+    # raise the constructor's own message
+    bad = [new * 1e-300 * 1e-300 * 1e-300]
+    if kept > 1:
+        bad.append(np.full(kept, 1e308))
+    for weights in bad if kept else []:
+        with pytest.raises(ValueError) as want:
+            DiscreteMeasure(dim, mu.positions[mask], weights)
+        with pytest.raises(ValueError, match=f"^{re.escape(str(want.value))}$"):
+            mu._restrict(mask, weights)
 
 
 def test_measure_is_immutable():

@@ -1117,6 +1117,26 @@ def test_solve_rejects_overflowing_costs(nu_pos, nu_w):
         _cost_scale(np.array([0.0, 1.0, math.inf]))
 
 
+def test_solve_refuses_total_masses_whose_sum_overflows():
+    # Each measure's mass is finite, their sum is not: every path of solve,
+    # and the radial lower bound, refuse it by name before any merge.
+    from levyot.bounds import radial_lower_bound
+
+    heavy = 1e308
+    cases = [
+        (DiscreteMeasure(1, [[0.5]], [heavy]), DiscreteMeasure(1, [[0.7]], [heavy])),  # line
+        (DiscreteMeasure(2, [[0.5, 0.0]], [heavy]), DiscreteMeasure(2, [[0.7, 0.0]], [heavy])),  # rays
+        (DiscreteMeasure(2, [[0.5, 0.0]], [heavy]), DiscreteMeasure(2, [[0.0, 0.7]], [heavy])),  # simplex
+    ]
+    for mu, nu in cases:
+        for call in (lambda: solve(mu, nu, CostSpec(2.0)), lambda: radial_lower_bound(mu, nu, 2.0)):
+            with pytest.raises(ValueError, match=r"^the total masses 1e\+308 and 1e\+308 sum beyond the float range"):
+                call()
+    # at the edge the two masses still fit
+    half = DiscreteMeasure(1, [[0.5]], [0.5 * 1.7976931348623157e308])
+    assert math.isfinite(solve(half, half, CostSpec(1.0)).value)
+
+
 def test_sites_up_to_2_510_solve_to_finite_costs():
     # [1e154] against [-1e154] has a finite cost, but |x - y|^2 = 4e308
     # overflows, so the constructor rejects |z| > 2^510 before any solve
