@@ -22,6 +22,7 @@ import numpy as np
 from . import bounds, families, suites, transport, viscosity
 from .measures import (
     _MAX_RADIUS,
+    _MIN_RADIUS,
     DiscreteMeasure,
     SchemaError,
     _check_p,
@@ -332,12 +333,14 @@ def _tol_override(tok: str) -> tuple[str, float]:
 
 def _check_translation(center: float, shift: float) -> None:
     """``experiment``'s atom center + shift * sin(x) is a valid site for every
-    x: both numbers are finite, |center| > |shift| keeps it off the origin,
-    and |center| + |shift| <= 2^510 keeps it in range."""
+    x: both numbers are finite, |center| - |shift| >= 2^-511 keeps it off the
+    origin, and |center| + |shift| <= 2^510 keeps it in range."""
     if not (math.isfinite(center) and math.isfinite(shift)):
         raise ValueError(f"must be finite, got center {center!r} and shift {shift!r}")
-    if not abs(center) > abs(shift):
-        raise ValueError(f"|center| must exceed |shift| so the atom never reaches 0, got {center!r} and {shift!r}")
+    if not abs(center) - abs(shift) >= _MIN_RADIUS:
+        raise ValueError(
+            f"|center| - |shift| must be at least 2^-511 so the atom stays off the origin, got {center!r} and {shift!r}"
+        )
     if abs(center) + abs(shift) > _MAX_RADIUS:
         raise ValueError(f"|center| + |shift| must be at most 2^510, got {center!r} and {shift!r}")
 

@@ -21,7 +21,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .measures import _MAX_RADIUS, DiscreteMeasure, SchemaError, decompose, measure_from_dict, _check_p
+from .measures import _MAX_RADIUS, _MIN_RADIUS, DiscreteMeasure, SchemaError, decompose, measure_from_dict, _check_p
 from . import transport
 
 __all__ = [
@@ -245,7 +245,7 @@ def split_fraclap(
 
 
 def pushforward(family: LevyItoFamily, x) -> DiscreteMeasure:
-    """The image measure (T_x)_# base; mass mapped onto the origin is dropped."""
+    """The image measure (T_x)_# base; mass mapped exactly onto the origin is dropped."""
     if family.base.n_atoms == 0:  # reshape(0, -1) below cannot infer the image width
         return DiscreteMeasure.empty(family.dim_out)
     x = np.atleast_1d(np.asarray(x, dtype=float))
@@ -254,7 +254,7 @@ def pushforward(family: LevyItoFamily, x) -> DiscreteMeasure:
     )
     if img.shape[1] != family.dim_out:
         raise ValueError("map images disagree with the declared output dimension")
-    keep = np.linalg.norm(img, axis=1) > 0.0
+    keep = np.any(img != 0.0, axis=1)  # the constructor refuses, by name, an image near but not at 0
     return DiscreteMeasure(family.dim_out, img[keep], family.base.weights[keep])
 
 
@@ -432,7 +432,8 @@ def _number(section: dict, key: str, default: Optional[float] = None) -> float:
 
 
 # Counts size arrays (shells, directions, subsamples) and feed float
-# arithmetic, so a config may not ask for more than this.
+# arithmetic, so a config may not ask for more than this, nor for a grid of
+# more points (n_radial x directions x refine).
 _MAX_COUNT = 1 << 20
 
 
@@ -474,6 +475,9 @@ def _build_family(config: dict) -> FamilyRuntime:
     uses_grid = kind in ("kernel", "fraclap", "constant") or (kind == "levyito" and config.get("base") is None)
     if uses_grid and dim > 3:
         raise ValueError(f"annular grids support dimensions 1 to 3 only, got dim {dim}")
+    points = grid.n_radial * (2 if dim == 1 else grid.n_angular) * grid.refine  # d = 1 has two directions
+    if uses_grid and points > _MAX_COUNT:
+        raise ValueError(f"the grid has {points} points (n_radial x directions x refine), more than {_MAX_COUNT}")
 
     if kind == "kernel":
         base = _number(params, "base", 1.0)
@@ -535,9 +539,10 @@ def _build_family(config: dict) -> FamilyRuntime:
                 lo, hi = ((a0 + s * abs(a1)) ** (1.0 / sigma) for s in (-1.0, 1.0))
             except OverflowError:
                 raise ValueError("levyito scaling (a0 + |a1|) ** (1/sigma) overflows") from None
-            if not (lo > 0.0 and hi * base.max_radius() <= _MAX_RADIUS):
+            low = lo * np.min(base.radii, initial=math.inf)  # inf for an empty base
+            if not (low >= _MIN_RADIUS and hi * base.max_radius() <= _MAX_RADIUS):
                 raise ValueError(
-                    f"levyito scales {lo!r} to {hi!r} take the base atoms outside 0 < |z| <= 2^510"
+                    f"levyito scales {lo!r} to {hi!r} take the base atoms outside 2^-511 <= |z| <= 2^510"
                 )
 
             def maps(x):

@@ -88,10 +88,13 @@ def _checked_weights(w: np.ndarray) -> np.ndarray:
 
 
 # Bounds on what a measure may hold.  A site's |z| <= 2^510 (about 3.4e153)
-# keeps |z|^2 and every pair's |x - y|^2 <= (|x| + |y|)^2 <= 2^1022 finite.
+# keeps |z|^2 and every pair's |x - y|^2 <= (|x| + |y|)^2 <= 2^1022 finite;
+# |z| >= 2^-511 (about 1.5e-154) keeps |z|^2 >= 2^-1022 a normal float, so
+# no radius underflows to 0 or loses bits in subnormal squares.
 # The dimension bound keeps a site's bytes within what NumPy can view as one
 # record in ``_merge_sites``.
 _MAX_RADIUS = 2.0 ** 510
+_MIN_RADIUS = 2.0 ** -511
 _MAX_DIM = 1 << 16
 
 
@@ -107,7 +110,7 @@ class DiscreteMeasure:
     dim : int
         Ambient dimension, 1 <= d <= 65536.
     positions : array-like, shape (n, dim)
-        Atom coordinates; every row has 0 < |z| <= 2^510.  n = 0 is the zero
+        Atom coordinates; every row has 2^-511 <= |z| <= 2^510.  n = 0 is the zero
         measure, which every function in the package accepts.
     weights : array-like, shape (n,)
         Strictly positive masses with a finite total.
@@ -144,11 +147,18 @@ class DiscreteMeasure:
         pos = pos[first]
         with np.errstate(over="ignore"):  # an overflowing |z| is rejected just below
             radii = np.linalg.norm(pos, axis=1)
-        in_range = (radii > 0.0) & (radii <= _MAX_RADIUS)
+        in_range = (radii >= _MIN_RADIUS) & (radii <= _MAX_RADIUS)
         if not np.all(in_range):
             k = int(np.argmin(in_range))
-            if radii[k] == 0.0:
-                raise ValueError(f"atom {first[k]}: |z| = 0 is not allowed (the origin is the reservoir)")
+            if radii[k] < _MIN_RADIUS:
+                # the norm of the rescaled row does not underflow
+                big = float(np.max(np.abs(pos[k])))
+                if big == 0.0:
+                    raise ValueError(f"atom {first[k]}: |z| = 0 is not allowed (the origin is the reservoir)")
+                raise ValueError(
+                    f"atom {first[k]}: |z| = {big * float(np.linalg.norm(pos[k] / big))!r} is below 2^-511 "
+                    "(about 1.5e-154), where |z|^2 underflows; rescale the coordinates"
+                )
             raise ValueError(
                 f"atom {first[k]}: |z| = {float(radii[k])!r} exceeds 2^510 (about 3.4e153), "
                 "beyond which squared distances overflow; rescale the coordinates"

@@ -347,8 +347,10 @@ def test_sweep_goldens_are_certified_from_the_config(name, config, seed, pairs, 
     "config, certified",
     [(SWEEP_KERNEL, 4),
      ({"type": "levyito", "dim": 2, "sigma": 0.5, "params": {"kind": "translation", "shift": 0.1},
-       "grid": {"n_radial": 20, "n_angular": 6}}, 0)],
-    ids=["kernel", "levyito-translation"],
+       "grid": {"n_radial": 20, "n_angular": 6}}, 0),
+     # every atom outside the unit ball: both hats are empty, and the ray path certifies the empty plan
+     ({"type": "constant", "dim": 2, "grid": {"r_min": 1.5, "r_max": 3.0}}, 4)],
+    ids=["kernel", "levyito-translation", "empty-hats"],
 )
 def test_sweep_reports_its_certified_rows(config, certified, tmp_path, capsys):
     cfg = tmp_path / "family.json"
@@ -465,6 +467,12 @@ def test_sweep_infinite_truncation_cost_is_solver_failure(tmp_path, capsys):
         {"type": "constant", "sigma": -1},
         {"type": "kernel", "gamma": "x"},
         {"type": "fraclap", "params": {"part": "bogus"}},
+        {"type": "kernel", "dim": 2, "grid": {"n_radial": 1048576, "n_angular": 1048576}},
+        {"type": "constant", "dim": 2, "grid": {"n_radial": 1, "n_angular": 8, "refine": 131073}},
+        {"type": "levyito", "dim": 1, "sigma": 0.5, "params": {"kind": "scaling", "a0": 1e-150, "a1": 5e-151},
+         "grid": {"r_min": 1e-3, "n_radial": 10}},
+        {"type": "levyito", "dim": 2, "sigma": 1.0, "base": {"dim": 2, "atoms": [{"z": [1e-150, 0.0], "w": 1.0}]},
+         "params": {"kind": "scaling", "a0": 0.5, "a1": 0.499999}},
     ],
     ids=[
         "unknown-kind", "grid-field", "params-list", "grid-count", "fraclap-range", "scaling-range",
@@ -472,6 +480,7 @@ def test_sweep_infinite_truncation_cost_is_solver_failure(tmp_path, capsys):
         "sigma-huge", "dim-huge", "count-huge", "count-2^62",
         "kernel-dim4", "fraclap-dim4", "constant-dim5", "levyito-dim4", "kernel-negative", "kernel-zero",
         "kernel-sigma-0", "kernel-lambda1", "constant-sigma", "kernel-gamma", "fraclap-part",
+        "grid-points-2^40", "grid-points-cap", "scaling-below-2^-511", "scaling-base-below-2^-511",
     ],
 )
 def test_sweep_config_error(config, tmp_path, capsys):
@@ -552,8 +561,11 @@ def test_option_out_of_range_is_usage_error(argv, tmp_path, measure_files, capsy
         ["--center=-inf"],
         ["--center", "1e300"],
         ["--center", str(2.0**510), "--shift", "1e140"],
+        ["--center", "1e-160", "--shift", "0"],
+        ["--center", "1e-200", "--shift", "0"],
     ],
-    ids=["origin", "touches-origin", "shift-nan", "center-inf", "center-huge", "sum-above-2^510"],
+    ids=["origin", "touches-origin", "shift-nan", "center-inf", "center-huge", "sum-above-2^510",
+         "center-1e-160", "center-1e-200"],
 )
 def test_experiment_translation_out_of_range_is_usage_error(argv, capsys):
     code, out, err = run_cli(["experiment", "--nodes", "8", "--epsilons", "0.1", *argv], capsys)
@@ -562,7 +574,8 @@ def test_experiment_translation_out_of_range_is_usage_error(argv, capsys):
 
 
 def test_experiment_translation_edges_are_accepted(capsys):
-    for argv in (["--center", "-0.5", "--shift", "-0.1"], ["--center", str(2.0**510), "--shift", "0"]):
+    for argv in (["--center", "-0.5", "--shift", "-0.1"], ["--center", str(2.0**510), "--shift", "0"],
+                 [f"--center={-(2.0**-511)!r}", "--shift", "0"]):
         code, out, err = run_cli(["experiment", "--nodes", "8", "--epsilons", "0.1", *argv], capsys)
         assert code == 0 and err == "" and json.loads(out)["rows"]
 

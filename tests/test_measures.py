@@ -43,6 +43,10 @@ def test_measure_rejects_origin_and_merges_duplicates():
         ([[1.0], [1e154]], [1.0, 1.0], "atom 1: |z| = 1e+154 exceeds 2^510"),
         ([[1.0, 0.0], [1.0, 0.0], [1e160, 0.0]], [1.0] * 3, "atom 2: |z| = inf exceeds 2^510"),
         ([[3e153, 3e153]], [1.0], "atom 0: |z| = 4.24"),
+        # |z| >= 2^-511 keeps |z|^2 a normal float; a smaller |z| is named, not read as 0
+        ([[1.0], [1e-200]], [1.0, 1.0], "atom 1: |z| = 1e-200 is below 2^-511"),
+        ([[1e-200, 0.0]], [1.0], "atom 0: |z| = 1e-200 is below 2^-511"),
+        ([[1e-160]], [1.0], "atom 0: |z| = 1e-160 is below 2^-511"),
         # each weight is finite but their sum is not
         ([[1.0], [2.0]], [1e308, 1e308], "the total weight overflows the float range"),
         ([[1.0], [1.0]], [1e308, 1e308], "the total weight overflows the float range"),
@@ -55,6 +59,7 @@ def test_measure_rejects_origin_and_merges_duplicates():
     with pytest.raises(ValueError, match="dim must be at most 65536"):
         DiscreteMeasure(10**18, [], [])
     assert DiscreteMeasure(2, [[3.0, 4.0]], [2.0]).radii.tolist() == [5.0]
+    assert DiscreteMeasure(2, [[0.0, -(2.0**-511)]], [1.0]).radii.tolist() == [2.0**-511]
     mu = DiscreteMeasure(1, [[0.5], [0.5], [1.0]], [1.0, 2.0, 3.0])
     assert mu.n_atoms == 2
     assert mu.total_mass() == 6.0

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from levyot.families import build_family
 from levyot.measures import DiscreteMeasure, _pow, restrict_outside, tv_distance
@@ -961,8 +961,13 @@ def _cloud_pair(draw):
     return mu, nu, draw(st.sampled_from([1.0, 1.5, 2.0]))
 
 
+# a pair with one empty side shares no ray either, in both orders
 @settings(derandomize=True, database=None, deadline=None, max_examples=200)
 @given(_cloud_pair())
+@example((DiscreteMeasure(2, [[0.3, -1.2], [2.0, 0.5]], [1.0, 2.5]), DiscreteMeasure.empty(2), 1.0))
+@example((DiscreteMeasure.empty(2), DiscreteMeasure(2, [[0.3, -1.2], [2.0, 0.5]], [1.0, 2.5]), 2.0))
+@example((DiscreteMeasure(3, [[0.3, -1.2, 0.7]], [4.0]), DiscreteMeasure.empty(3), 1.5))
+@example((DiscreteMeasure.empty(3), DiscreteMeasure(3, [[0.3, -1.2, 0.7], [1e-3, 2.0, -5.0]], [4.0, 1e-2]), 2.0))
 def test_property_clouds_without_shared_rays_take_the_simplex(case):
     mu, nu, p = case
     assert not np.isin(*_ray_ids(mu, nu)).any()
