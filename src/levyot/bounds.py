@@ -193,15 +193,19 @@ def restricted_integral_bound(
     nu: DiscreteMeasure,
     psi: RadialTestFunction,
     p: float,
+    dist: float,
 ) -> tuple[float, float]:
     """Both sides of the Lipschitz test-function inequality.
 
     lhs = |integral of psi against mu - nu|;
-    rhs = (mu(spt psi) + nu(spt psi))^{(p-1)/p} * Lip(psi) * distance(mu, nu).
-    The test function must be supported in an annulus away from the origin and
-    inside the closed unit ball.
+    rhs = (mu(spt psi) + nu(spt psi))^{(p-1)/p} * Lip(psi) * dist, where
+    ``dist`` is ``transport.distance(mu, nu, p)``, which callers have solved
+    for already.  The test function must be supported in an annulus away
+    from the origin and inside the closed unit ball.
     """
     p = _check_p(p)
+    if not 0.0 <= dist < math.inf:
+        raise ValueError(f"dist must be a finite distance >= 0, got {dist!r}")
     a, b = psi.support
     if a <= 0.0:
         raise ValueError("test function support must stay away from the origin")
@@ -211,7 +215,6 @@ def restricted_integral_bound(
     _require_in_unit_ball(nu, "nu")
     lhs = abs(psi.integral(mu) - psi.integral(nu))
     mass = psi.support_mass(mu) + psi.support_mass(nu)
-    dist = transport.distance(mu, nu, p)
     rhs = mass ** ((p - 1.0) / p) * psi.lipschitz() * dist if mass > 0 else 0.0
     return lhs, rhs
 

@@ -14,6 +14,7 @@ import argparse
 import functools
 import json
 import math
+import re
 import sys
 from typing import Optional
 
@@ -142,7 +143,7 @@ def cmd_bounds(args) -> int:
     if in_ball:
         row("tv_power", dist, bounds.tv_power_bound(mu, nu, p))
         psi = bounds.RadialTestFunction.hat(0.2, 0.8)
-        lhs, rhs = bounds.restricted_integral_bound(mu, nu, psi, p)
+        lhs, rhs = bounds.restricted_integral_bound(mu, nu, psi, p, dist)
         row("restricted_integral", lhs, rhs)
     if bounds.is_ordered(mu, nu):
         row("positive_part_dual", dist**p, bounds.positive_part_dual_bound(mu, nu, p))
@@ -345,8 +346,22 @@ def _check_translation(center: float, shift: float) -> None:
         raise ValueError(f"|center| + |shift| must be at most 2^510, got {center!r} and {shift!r}")
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser that reads a token such as ``-5e-1`` as a negative number.
+
+    argparse takes a token that starts with '-' for an option unless it
+    matches its negative-number pattern, which knows ``-1`` and ``-.5`` but
+    not the exponent form.  Subparsers are built from the parser's own
+    class, so every subcommand reads negative numbers alike.
+    """
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?$")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="levyot",
         description="Reservoir optimal transport between discretized Levy measures.",
     )

@@ -74,17 +74,29 @@ def _merge_sites(pos: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray
 def _checked_weights(w: np.ndarray) -> np.ndarray:
     """``w``, if its weights are positive and finite with a finite total; else a
     ValueError naming the first offending atom.  The rule of every measure's weights."""
-    if not (np.all(np.isfinite(w)) and np.all(w > 0.0)):
+    if not w.size:
+        return w
+    # a NaN fails both comparisons: min and max propagate it
+    top = float(w.max())
+    if not (w.min() > 0.0 and top < math.inf):
         k = int(np.argmin(np.isfinite(w) & (w > 0.0)))
         raise ValueError(f"atom {k}: weight must be positive and finite, got {w[k]}")
     # the total is at most n * max(w), so total_mass's fsum has to decide
     # only near the top of the float range
-    if w.size and not float(w.max()) * w.size < 2.0 ** 1023:
+    if not top * w.size < 2.0 ** 1023:
         try:
             math.fsum(w.tolist())
         except OverflowError:
             raise ValueError("the total weight overflows the float range; rescale the weights") from None
     return w
+
+
+def _check_finite(pos: np.ndarray) -> None:
+    """A ValueError naming the first row of ``pos`` with a coordinate that is not finite, if any."""
+    finite = np.isfinite(pos).all(axis=1)
+    if not finite.all():
+        k = int(np.argmin(finite))
+        raise ValueError(f"atom {k}: coordinates must be finite, got {pos[k].tolist()}")
 
 
 # Bounds on what a measure may hold.  A site's |z| <= 2^510 (about 3.4e153)
@@ -139,16 +151,23 @@ class DiscreteMeasure:
             raise
         if pos.shape[0] != w.shape[0]:
             raise ValueError("positions and weights disagree in length")
-        # the vectorised checks run first; an atom index is found only on failure
-        if not np.all(np.isfinite(pos)):
-            k = int(np.argmin(np.isfinite(pos).all(axis=1)))
-            raise ValueError(f"atom {k}: coordinates must be finite, got {pos[k].tolist()}")
-        first, w = _merge_sites(pos, _checked_weights(w))
-        pos = pos[first]
+        # the vectorised checks run first; an atom index is found only on
+        # failure.  A coordinate that is not finite makes its |z| inf or NaN,
+        # which the range test refuses, so coordinates are tested for
+        # finiteness only where the weight or the range test fails; that
+        # error takes precedence over both.
+        try:
+            w = _checked_weights(w)
+        except ValueError:
+            _check_finite(pos)
+            raise
+        first, w = _merge_sites(pos, w)
+        raw, pos = pos, pos[first]
         with np.errstate(over="ignore"):  # an overflowing |z| is rejected just below
             radii = np.linalg.norm(pos, axis=1)
-        in_range = (radii >= _MIN_RADIUS) & (radii <= _MAX_RADIUS)
-        if not np.all(in_range):
+        if radii.size and not (radii.min() >= _MIN_RADIUS and radii.max() <= _MAX_RADIUS):
+            _check_finite(raw)
+            in_range = (radii >= _MIN_RADIUS) & (radii <= _MAX_RADIUS)
             k = int(np.argmin(in_range))
             if radii[k] < _MIN_RADIUS:
                 # the norm of the rescaled row does not underflow

@@ -235,7 +235,7 @@ def _check_bounds(seed: int, index: int, tols: dict) -> InstanceResult:
     a = float(rng.uniform(0.1, 0.4))
     b = float(rng.uniform(a + 0.2, 1.0))
     psi = bounds.RadialTestFunction.hat(a, b, height=float(rng.uniform(0.5, 2.0)))
-    lhs, rhs = bounds.restricted_integral_bound(mu, nu, psi, p)
+    lhs, rhs = bounds.restricted_integral_bound(mu, nu, psi, p, dist)
     if lhs > rhs + slack:
         problems.append(f"restricted_integral lhs {lhs:.6f} > rhs {rhs:.6f}")
 

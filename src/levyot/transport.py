@@ -321,10 +321,9 @@ class _Simplex:
     is held only when it fits in one block: ``costs`` computes it a row
     block at a time from the atom positions, for one initial pass (the cost
     scale and the warm pool's costs), for each full scan, the greedy start
-    and Bland's rule.  A pool
-    carries the cost of each of its arcs, and the tree the cost of each of
-    its arcs next to its flow, so pivots and tree potentials never look a
-    cost up.
+    and Bland's rule.  A pool carries the cost of each of its arcs, and the
+    tree the cost of each of its arcs next to its flow, so pivots and tree
+    potentials never look a cost up.
 
     The initial spanning tree hangs a forest of greedy atom-to-atom arcs
     under the reservoir, so that what the forest does not move goes through
@@ -341,20 +340,20 @@ class _Simplex:
     preorder, the positions and the node potentials live in ``array.array``
     buffers (``_order_a``, ``_pos_a``, ``_pot_a``), and ``order``, ``pos``,
     ``pot``, ``u`` and ``w`` are NumPy views of the same memory.  Scalar
-    reads and the preorder splice go through the buffers, which index to
-    plain Python numbers and move slices with a memmove; the vector work,
-    the potential shift, the ``pos`` rewrite and pool pricing, goes through
-    the views.  A copy (``copy.deepcopy``) rebuilds its views on its own
-    buffers.  Entering
-    arcs come first from a sparse nearest-neighbour warm-start pool, then
-    from candidate pools that a full scan fills with the eligible and the
-    near-eligible arcs.  A pool is priced in major and minor passes: a major
-    pass re-prices all of it and lists its eligible arcs, minor rounds enter
-    batches from that list and re-price only the list, and the next major
-    pass runs once the list has thinned out.  So an arc that turns eligible
-    is entered without another scan; a full scan is needed only when the
-    pool runs dry, and the last one, against freshly recomputed tree
-    potentials, certifies optimality.
+    reads go through the buffers, which index to plain Python numbers, and
+    the preorder splice through ``_order_v``, a memoryview that slices
+    without a copy and moves slices with a memmove; the vector work, the
+    potential shift, the ``pos`` rewrite and pool pricing, goes through the
+    views.  A copy (``copy.deepcopy``) rebuilds its views on its own
+    buffers.  Entering arcs come first from a sparse nearest-neighbour
+    warm-start pool, then from candidate pools that a full scan fills with
+    the eligible and the near-eligible arcs.  A pool is priced in major and
+    minor passes: a major pass re-prices all of it and lists its eligible
+    arcs, minor rounds enter batches from that list and re-price only the
+    list, and the next major pass runs once the list has thinned out.  So
+    an arc that turns eligible is entered without another scan; a full scan
+    is needed only when the pool runs dry, and the last one, against freshly
+    recomputed tree potentials, certifies optimality.
     """
 
     def __init__(self, costs: _ReservoirCost, supply: np.ndarray, demand: np.ndarray):
@@ -539,10 +538,12 @@ class _Simplex:
         self.pos[self.order] = np.arange(N)
         self._restore_potentials()
 
-    _VIEWS = ("order", "pos", "pot", "u", "w")
+    _VIEWS = ("order", "pos", "pot", "u", "w", "_order_v")
 
     def _bind_views(self) -> None:
-        """NumPy views ``order``, ``pos``, ``pot``, ``u`` and ``w`` of the buffers."""
+        """NumPy views ``order``, ``pos``, ``pot``, ``u`` and ``w`` of the
+        buffers, and ``_order_v``, a memoryview of ``_order_a``."""
+        self._order_v = memoryview(self._order_a)
         self.order = np.frombuffer(self._order_a, dtype=np.int64)
         self.pos = np.frombuffer(self._pos_a, dtype=np.int64)
         self.pot = np.frombuffer(self._pot_a, dtype=np.float64)
@@ -560,11 +561,24 @@ class _Simplex:
     # -- tree mechanics ----------------------------------------------------
 
     def _pivot(self, i: int, j: int, cost: float) -> None:
-        """Enter arc (i, j), of cost ``cost``, into the tree."""
+        """Enter arc (i, j), of cost ``cost``, into the tree, in one walk of its cycle.
+
+        The climbs from both endpoints to their lowest common ancestor give
+        the cycle as two chains, ``up_s`` and ``up_t``, each from an endpoint
+        up to just below that ancestor.  Every later step works on these
+        lists: the leaving arc, the flow change, the re-rooted chain and the
+        subtree sizes on both paths, which change by the detached size up to
+        the cycle top and not above it.  The re-rooted preorder segment is
+        one ``bytes.join`` of 2k + 1 slices of ``_order_v``, a memoryview of
+        the preorder buffer, for a re-rooted chain of k + 1 nodes; the nodes
+        between it and its new place shift over by one memmove, a slice
+        assignment of the view to itself.  Only the ``pos`` rewrite of the
+        moved range and the potential shift go through the NumPy views.
+        """
         s_node, t_node = i, self.m + j
         pot_a = self._pot_a
         delta = cost - pot_a[s_node] + pot_a[t_node]
-        m, pos_a, size, parent, flow = self.m, self._pos_a, self.size, self.parent, self.flow
+        m, pos_a, size, parent, flow, arc_cost = self.m, self._pos_a, self.size, self.parent, self.flow, self.arc_cost
 
         # Climb from each endpoint to the lowest common ancestor.
         up_s: list[int] = []
@@ -585,22 +599,19 @@ class _Simplex:
 
         # Pushing mass along the entering arc drains alternating tree arcs,
         # starting with the arc immediately above each endpoint.  The leaving
-        # arc is the lexicographically smallest (i, j) among the tightest.
-        theta = math.inf
-        best_arc = (-1, -1)
-        leave_chain: list[int] = up_s
-        leave_k = -1
+        # arc is the lexicographically smallest (i, j) among the tightest;
+        # arcs are built only to break a tie.
+        theta, leave_chain, leave_k = math.inf, up_s, -1
         for chain in (up_s, up_t):
             for k in range(0, len(chain), 2):
-                node = chain[k]
-                f = flow[node]
-                if f > theta:
-                    continue
-                arc = (node, parent[node] - m) if node < m else (parent[node], node - m)
-                if f < theta or arc < best_arc:
-                    theta, best_arc, leave_chain, leave_k = f, arc, chain, k
-
-        # Apply the flow change around the cycle.
+                f = flow[chain[k]]
+                if f < theta:
+                    theta, leave_chain, leave_k = f, chain, k
+                elif f == theta:
+                    node, best = chain[k], leave_chain[leave_k]
+                    arc = (node, parent[node] - m) if node < m else (parent[node], node - m)
+                    if arc < ((best, parent[best] - m) if best < m else (parent[best], best - m)):
+                        leave_chain, leave_k = chain, k
         for chain in (up_s, up_t):
             for k in range(0, len(chain), 2):
                 flow[chain[k]] -= theta
@@ -608,92 +619,69 @@ class _Simplex:
                 flow[chain[k]] += theta
 
         # The leaving arc splits off the subtree rooted at it; the entering
-        # arc re-roots that subtree at its inside endpoint.
+        # arc re-roots that subtree at its inside endpoint e_sub = chain[0]
+        # and hangs it under e_root.  The new preorder segment is chain[0]'s
+        # old one, then for t = 1..k the parts of chain[t]'s old segment
+        # before and after chain[t - 1]'s.
         if leave_chain is up_s:
-            e_sub, e_root = s_node, t_node
+            e_sub, e_root, other = s_node, t_node, up_t
         else:
-            e_sub, e_root = t_node, s_node
-        self._rehang(leave_chain[: leave_k + 1], e_root, theta, cost, lca)
-
-        # Dual update: every node potential in the detached subtree shifts by
-        # the entering arc's reduced cost, signed by the side of its root.
-        # When the detached side is the larger one, shift the complement the
-        # other way instead; reduced costs only see the difference.
-        a = pos_a[e_sub]
-        sz = size[e_sub]
-        du = delta if e_sub < m else -delta
-        order, pot = self.order, self.pot
-        if 2 * sz <= self.N:
-            pot[order[a : a + sz]] += du
-        else:
-            pot[order[:a]] -= du
-            pot[order[a + sz :]] -= du
-        self.iterations += 1
-
-    def _rehang(self, chain: list[int], e_root: int, theta: float, cost: float, lca: int) -> None:
-        """Re-root the detached subtree at chain[0] and attach it under e_root.
-
-        ``chain`` runs from the new subtree root up to the node whose parent
-        arc is leaving; the entering arc carries flow ``theta`` at ``cost``;
-        ``lca`` is the top of the pivot cycle.  Re-rooting reverses the chain;
-        the new preorder segment is built from contiguous slices of the old
-        one by appending ``array`` slices of ``_order_a``, and spliced in by
-        slice assignment to the buffer, a memmove; only the ``pos`` rewrite
-        of the moved range goes through the NumPy views.
-        """
-        order_a, pos_a, size, parent = self._order_a, self._pos_a, self.size, self.parent
-        flow, arc_cost = self.flow, self.arc_cost
-        k = len(chain) - 1
+            e_sub, e_root, other = t_node, s_node, up_s
+        chain, k = leave_chain[: leave_k + 1], leave_k
         starts = [pos_a[c] for c in chain]
         old_sz = [size[c] for c in chain]
-        ends = [starts[t] + old_sz[t] for t in range(k + 1)]
+        ends = [x + sz for x, sz in zip(starts, old_sz)]
+        ov = self._order_v
+        pieces = [ov[starts[0] : ends[0]]]
+        for t in range(1, k + 1):
+            pieces += ov[starts[t] : starts[t - 1]], ov[ends[t - 1] : ends[t]]
+        seg = memoryview(b"".join(pieces)).cast("q")
         a, b = starts[k], ends[k]
         total = b - a
-
-        seg = order_a[starts[0] : ends[0]]
-        for t in range(1, k + 1):
-            seg += order_a[starts[t] : starts[t - 1]]
-            seg += order_a[ends[t - 1] : ends[t]]
 
         # Chain bookkeeping: the arc between chain[t-1] and chain[t] now
         # hangs at chain[t]; its flow and cost were stored at chain[t-1].
         # Top down, each node is read before it is overwritten.
-        old_parent = parent[chain[k]]
         for t in range(k, 0, -1):
             node, below = chain[t], chain[t - 1]
             parent[node] = below
             flow[node] = flow[below]
             arc_cost[node] = arc_cost[below]
             size[node] = total - old_sz[t - 1]
-        parent[chain[0]] = e_root
-        flow[chain[0]] = theta
-        arc_cost[chain[0]] = cost
-        size[chain[0]] = total
-
-        # The subtree moves from below old_parent to below e_root; both paths
-        # meet at the cycle top, above which the sizes do not change.
-        node = old_parent
-        while node != lca:
+        parent[e_sub], flow[e_sub], arc_cost[e_sub], size[e_sub] = e_root, theta, cost, total
+        # The subtree leaves the path above it and joins the path above e_root.
+        for node in leave_chain[k + 1 :]:
             size[node] -= total
-            node = parent[node]
-        node = e_root
-        while node != lca:
+        for node in other:
             size[node] += total
-            node = parent[node]
 
-        # Buffer slice assignments of equal length; an empty one would raise
-        # BufferError while the views exist, so p + 1 == a skips the shift.
+        # The new segment goes right after e_root, which sits outside the
+        # detached one; the nodes in between shift over by its length, in
+        # one memmove.
         p = pos_a[e_root]
         if p >= b:
-            order_a[a : p + 1 - total] = order_a[b : p + 1]
-            order_a[p + 1 - total : p + 1] = seg
+            ov[a : p + 1 - total] = ov[b : p + 1]
+            ov[p + 1 - total : p + 1] = seg
             lo, hi = a, p + 1
-        else:  # p + 1 <= a (e_root cannot sit inside the detached segment)
-            if p + 1 < a:
-                order_a[p + 1 + total : b] = order_a[p + 1 : a]
-            order_a[p + 1 : p + 1 + total] = seg
+        else:
+            ov[p + 1 + total : b] = ov[p + 1 : a]
+            ov[p + 1 : p + 1 + total] = seg
             lo, hi = p + 1, b
         self.pos[self.order[lo:hi]] = self._arange[lo:hi]
+
+        # Dual update: every node potential in the detached subtree shifts by
+        # the entering arc's reduced cost, signed by the side of its root.
+        # When the detached side is the larger one, shift the complement the
+        # other way instead; reduced costs only see the difference.
+        a = pos_a[e_sub]
+        du = delta if e_sub < m else -delta
+        order, pot = self.order, self.pot
+        if 2 * total <= self.N:
+            pot[order[a : a + total]] += du
+        else:
+            pot[order[:a]] -= du
+            pot[order[a + total :]] -= du
+        self.iterations += 1
 
     # -- pricing -----------------------------------------------------------
 
@@ -1017,10 +1005,15 @@ def _solve_rays(mu: DiscreteMeasure, nu: DiscreteMeasure, cost: CostSpec) -> Opt
     mu and one of nu share a ray, or where both sides are empty.  Else U sends
     all mass through the reservoir: where both sides have atoms, R pairs mass
     at |a - b|^p < a^p + b^p, and where one side is empty, the simplex finds
-    that plan sooner.
+    that plan sooner.  Atoms on one ray share every key of ``_ray_keys``, so
+    a pair whose sides share no key in coordinate 0 is let go before the
+    ray labels are ranked; most clouds are.
     """
-    ray_x, ray_y = _ray_ids(mu, nu)
-    if (mu.n_atoms or nu.n_atoms) and set(ray_x.tolist()).isdisjoint(ray_y.tolist()):
+    key, m = _ray_keys(mu, nu), mu.n_atoms
+    if (m or nu.n_atoms) and set(key[0, :m].tolist()).isdisjoint(key[0, m:].tolist()):
+        return None
+    ray_x, ray_y = _ray_ids(key, m)  # labels 1 .. m + n: mu's atoms counted per label, read at nu's
+    if (m or nu.n_atoms) and not np.bincount(ray_x, minlength=m + nu.n_atoms + 1)[ray_y].any():
         return None
     _, ia, ib, mass = _monotone_merge(ray_x, mu.radii, mu.weights, ray_y, nu.radii, nu.weights)
     *_, phi, psi = _radial_staircase(mu, nu, cost)
@@ -1036,17 +1029,21 @@ def _solve_rays(mu: DiscreteMeasure, nu: DiscreteMeasure, cost: CostSpec) -> Opt
     return report if report.gap <= RAY_CERT_TOL * gross < math.inf else None
 
 
-def _ray_ids(mu: DiscreteMeasure, nu: DiscreteMeasure) -> tuple[np.ndarray, np.ndarray]:
-    """A ray label for every atom of mu and of nu, shared where the rays coincide.
+def _ray_keys(mu: DiscreteMeasure, nu: DiscreteMeasure) -> np.ndarray:
+    """The direction z / |z| of every atom, mu's then nu's, snapped to a 2^-32 grid.
 
-    Directions z / |z| are snapped to a 2^-32 grid.  The atoms of one grid
-    ray agree in direction to a few ulps, so they share a label unless a
+    One int64 row per coordinate, one column per atom.  The atoms of one
+    grid ray agree in direction to a few ulps, so they share a key unless a
     component sits within rounding of a grid midpoint; a ray split that way
     only makes the ray certificate miss.
     """
-    # one row per coordinate, one column per atom
     units = np.concatenate([mu.positions.T / mu.radii, nu.positions.T / nu.radii], axis=1)
-    key = np.rint(units * _RAY_GRID).astype(np.int64)
+    return np.rint(units * _RAY_GRID).astype(np.int64)
+
+
+def _ray_ids(key: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """A ray label for each column of ``key`` (``_ray_keys``), shared exactly
+    where the keys are: the first ``m`` labels, mu's, and the rest, nu's."""
     # label each atom by the rank of its key among the distinct keys; a
     # lexsort of the int64 rows is much cheaper than np.unique over records
     order = np.lexsort(key)
@@ -1055,7 +1052,7 @@ def _ray_ids(mu: DiscreteMeasure, nu: DiscreteMeasure) -> tuple[np.ndarray, np.n
     new_ray[1:] = np.any(ranked[:, 1:] != ranked[:, :-1], axis=0)
     ids = np.empty(key.shape[1], dtype=np.intp)
     ids[order] = np.cumsum(new_ray)
-    return ids[: mu.n_atoms], ids[mu.n_atoms :]
+    return ids[:m], ids[m:]
 
 
 def _radial_staircase(mu: DiscreteMeasure, nu: DiscreteMeasure, cost: CostSpec):
@@ -1298,18 +1295,20 @@ def brute_force_unit(mu: DiscreteMeasure, nu: DiscreteMeasure, p: float) -> floa
             raise ValueError("brute force oracle requires unit atom weights")
 
     cost = CostSpec(p)
-    res_mu = cost.reservoir_cost(mu)
-    res_nu = cost.reservoir_cost(nu)
-    pair = cost.pair_matrix(mu, nu)
-    base = math.fsum(res_mu.tolist()) + math.fsum(res_nu.tolist())
+    # Python floats: the loops below index them one at a time
+    res_mu = cost.reservoir_cost(mu).tolist()
+    res_nu = cost.reservoir_cost(nu).tolist()
+    pair = cost.pair_matrix(mu, nu).tolist()
+    base = math.fsum(res_mu) + math.fsum(res_nu)
 
     best = base
     for k in range(1, min(m, n) + 1):
         for rows in itertools.combinations(range(m), k):
-            row_gain = sum(res_mu[i] for i in rows)
+            row_gain = sum(map(res_mu.__getitem__, rows))
+            lines = [pair[i] for i in rows]
             for cols in itertools.permutations(range(n), k):
-                direct = sum(pair[i, j] for i, j in zip(rows, cols))
-                col_gain = sum(res_nu[j] for j in cols)
+                direct = sum(map(list.__getitem__, lines, cols))
+                col_gain = sum(map(res_nu.__getitem__, cols))
                 cand = base - row_gain - col_gain + direct
                 if cand < best:
                     best = cand

@@ -131,7 +131,8 @@ def test_criterion_05_bound_dominance():
 
         mu = random_measure(rng, dim, max_atoms=15, inner=0.05, outer=0.95)
         nu = random_measure(rng, dim, max_atoms=15, inner=0.05, outer=0.95)
-        assert bnd.tv_power_bound(mu, nu, p) >= tr.distance(mu, nu, p) - slack
+        dist = tr.distance(mu, nu, p)
+        assert bnd.tv_power_bound(mu, nu, p) >= dist - slack
         checked["tv"] += 1
 
         extra = random_measure(rng, dim, max_atoms=6, inner=0.05, outer=0.95)
@@ -178,7 +179,7 @@ def test_criterion_05_bound_dominance():
         a = float(rng.uniform(0.1, 0.4))
         b = float(rng.uniform(a + 0.2, 1.0))
         psi = bnd.RadialTestFunction.hat(a, b, height=float(rng.uniform(0.5, 2.0)))
-        lhs, rhs = bnd.restricted_integral_bound(mu, nu, psi, p)
+        lhs, rhs = bnd.restricted_integral_bound(mu, nu, psi, p, dist)
         assert lhs <= rhs + slack
         checked["integral"] += 1
     assert all(v == 100 for v in checked.values())

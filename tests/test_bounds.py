@@ -139,22 +139,39 @@ def test_radial_test_function_validation():
 def test_restricted_integral_examples(rng, make_measure):
     mu = make_measure(rng, 1, max_atoms=10, inner=0.05, outer=0.95, allow_empty=False)
     psi = RadialTestFunction.hat(0.2, 0.8)
-    lhs, _ = restricted_integral_bound(mu, mu, psi, 1.5)
+    lhs, _ = restricted_integral_bound(mu, mu, psi, 1.5, distance(mu, mu, 1.5))
     assert lhs == 0.0
     zero = RadialTestFunction(np.array([0.2, 0.5, 0.8]), np.zeros(3))
-    lhs, rhs = restricted_integral_bound(
-        mu, make_measure(rng, 1, max_atoms=5, inner=0.05, outer=0.95), zero, 1.5
-    )
+    other = make_measure(rng, 1, max_atoms=5, inner=0.05, outer=0.95)
+    lhs, rhs = restricted_integral_bound(mu, other, zero, 1.5, distance(mu, other, 1.5))
     assert (lhs, rhs) == (0.0, 0.0)
     for _ in range(15):
         a = make_measure(rng, 2, max_atoms=10, inner=0.05, outer=0.95)
         b = make_measure(rng, 2, max_atoms=10, inner=0.05, outer=0.95)
         p = float(rng.choice([1.0, 1.5, 2.0]))
-        lhs, rhs = restricted_integral_bound(a, b, psi, p)
+        lhs, rhs = restricted_integral_bound(a, b, psi, p, distance(a, b, p))
         assert lhs <= rhs + SLACK
     bad = RadialTestFunction(np.array([0.0, 0.4, 0.8]), np.array([0.0, 1.0, 0.0]))
     with pytest.raises(ValueError):
-        restricted_integral_bound(mu, mu, bad, 1.5)
+        restricted_integral_bound(mu, mu, bad, 1.5, 0.0)
+    for dist in (-1.0, math.inf, math.nan):
+        with pytest.raises(ValueError, match="dist must be a finite distance"):
+            restricted_integral_bound(mu, mu, psi, 1.5, dist)
+
+
+def test_bounds_suite_instance_solves_four_pairs(monkeypatch):
+    # the restricted-integral bound takes the (mu, nu) distance the instance
+    # has solved for the total-variation bound instead of solving it again
+    import levyot.transport as tr
+    from levyot import suites
+
+    calls = []
+    solve = tr.solve
+    monkeypatch.setattr(tr, "solve", lambda mu, nu, cost: calls.append(1) or solve(mu, nu, cost))
+    for seed in range(20):
+        calls.clear()
+        assert suites.run_suite("bounds", 1, seed).passed
+        assert len(calls) == 4
 
 
 def test_bound_dominance_random(rng, make_measure):

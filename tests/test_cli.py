@@ -255,6 +255,47 @@ def test_bounds_csv(measure_files, capsys):
     assert "tv_power" in names and "restriction" in names
 
 
+def test_bounds_solves_the_pair_once(measure_files, monkeypatch, capsys):
+    # restricted_integral_bound takes the distance that cmd_bounds solved
+    # for: on unit-ball input the pair is solved once, the restriction once
+    import levyot.transport as tr
+    from levyot.measures import load_measure
+
+    calls = []
+    solve = tr.solve
+    monkeypatch.setattr(tr, "solve", lambda mu, nu, cost: calls.append((mu, nu)) or solve(mu, nu, cost))
+    a, b = measure_files
+    code, out, _ = run_cli(["bounds", a, b, "--p", "1.5"], capsys)
+    assert code == 0 and "restricted_integral" in out
+    pair = (load_measure(a), load_measure(b))
+    assert len(calls) == 2 and sum(call == pair for call in calls) == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["--center", "-5e-1"], ["--center", "-.5"], ["--center=-5e-1"], ["--center", "-5E-1"]],
+    ids=["exponent", "leading-point", "equals", "capital-e"],
+)
+def test_negative_numbers_parse_in_every_form(argv, capsys):
+    from levyot.cli import build_parser
+
+    args = build_parser().parse_args(["experiment", *argv, "--shift", "-1e-1"])
+    assert (args.center, args.shift) == (-0.5, -0.1)
+    code, out, err = run_cli(["experiment", "--nodes", "8", "--epsilons", "0.1", *argv], capsys)
+    assert code == 0 and err == "" and json.loads(out)["rows"]
+
+
+def test_negative_exponent_forms_reach_every_subcommand(measure_files, capsys):
+    # the parser class carries the pattern, so a subcommand's own range check
+    # answers, not argparse's "expected one argument"
+    a, b = measure_files
+    for argv, name in ((["dist", a, b, "--p", "-1e0"], "--p"), (["sweep", "--config", a, "--pairs", "-1e0"], "--pairs"),
+                       (["convolve", a, "--delta", "-1e-2"], "--delta")):
+        code, out, err = run_cli(argv, capsys)
+        assert code == 2 and out == ""
+        assert f"argument {name}: " in err and "expected one argument" not in err
+
+
 def test_sweep_deterministic(tmp_path, capsys):
     cfg = tmp_path / "family.json"
     cfg.write_text(

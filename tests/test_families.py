@@ -27,7 +27,7 @@ from levyot.families import (
 )
 from levyot import measures
 from levyot.measures import DiscreteMeasure, decompose
-from levyot.transport import RAY_CERT_TOL, CostSpec, _ray_ids, _solve_rays, _solve_simplex, distance, solve
+from levyot.transport import RAY_CERT_TOL, CostSpec, _ray_ids, _ray_keys, _solve_rays, _solve_simplex, distance, solve
 
 
 def powerlaw_kernel(sigma: float, dim: int = 1, coef: float = 1.0) -> KernelFamily:
@@ -580,7 +580,7 @@ def test_ray_ids_share_a_label_exactly_on_shared_rays():
             pos = pool[drawn] * rng.uniform(0.01, 2.0, drawn.size)[:, None]
             mu = DiscreteMeasure(dim, pos[:n_mu].reshape(-1, dim), np.ones(n_mu))
             nu = DiscreteMeasure(dim, pos[n_mu:].reshape(-1, dim), np.ones(n_nu))
-            ids = np.concatenate(_ray_ids(mu, nu))
+            ids = np.concatenate(_ray_ids(_ray_keys(mu, nu), mu.n_atoms))
             distinct = np.unique(pool[drawn], axis=0, return_inverse=True)[1].reshape(-1)
             assert np.array_equal(ids[:, None] == ids[None, :], distinct[:, None] == distinct[None, :])
 
@@ -598,7 +598,7 @@ def test_ray_coupling_is_exact_in_one_dimension():
         report = solve(mu, nu, CostSpec(p))
         assert report.path == "line"
         assert report.value == pytest.approx(_solve_simplex(mu, nu, CostSpec(p)).value, rel=1e-12, abs=0.0)
-        ids = np.concatenate(_ray_ids(mu, nu))
+        ids = np.concatenate(_ray_ids(_ray_keys(mu, nu), mu.n_atoms))
         west = np.concatenate([mu.positions[:, 0], nu.positions[:, 0]]) < 0.0
         assert np.array_equal(ids[:, None] == ids[None, :], west[:, None] == west[None, :])
         east_mu, east_nu = (DiscreteMeasure(1, m.positions[m.positions[:, 0] > 0.0], m.weights[m.positions[:, 0] > 0.0])

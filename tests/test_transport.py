@@ -17,6 +17,7 @@ from levyot.transport import (
     _cost_scale,
     _monotone_merge,
     _ray_ids,
+    _ray_keys,
     _solve_rays,
     _solve_simplex,
     DualPotentials,
@@ -961,19 +962,82 @@ def _cloud_pair(draw):
     return mu, nu, draw(st.sampled_from([1.0, 1.5, 2.0]))
 
 
-# a pair with one empty side shares no ray either, in both orders
+# a pair with one empty side shares no ray either, in both orders; nor do
+# mirror images whose directions agree in coordinate 0 only
 @settings(derandomize=True, database=None, deadline=None, max_examples=200)
 @given(_cloud_pair())
+@example((DiscreteMeasure(2, [[0.6, 0.8]], [1.0]), DiscreteMeasure(2, [[0.6, -0.8]], [1.0]), 2.0))
+@example((DiscreteMeasure(3, [[0.6, 0.8, 0.0], [1.2, 1.6, 0.0]], [1.0, 2.0]),
+          DiscreteMeasure(3, [[0.6, 0.0, 0.8], [0.3, -0.4, 0.0]], [0.5, 1.5]), 1.0))
 @example((DiscreteMeasure(2, [[0.3, -1.2], [2.0, 0.5]], [1.0, 2.5]), DiscreteMeasure.empty(2), 1.0))
 @example((DiscreteMeasure.empty(2), DiscreteMeasure(2, [[0.3, -1.2], [2.0, 0.5]], [1.0, 2.5]), 2.0))
 @example((DiscreteMeasure(3, [[0.3, -1.2, 0.7]], [4.0]), DiscreteMeasure.empty(3), 1.5))
 @example((DiscreteMeasure.empty(3), DiscreteMeasure(3, [[0.3, -1.2, 0.7], [1e-3, 2.0, -5.0]], [4.0, 1e-2]), 2.0))
 def test_property_clouds_without_shared_rays_take_the_simplex(case):
     mu, nu, p = case
-    assert not np.isin(*_ray_ids(mu, nu)).any()
+    assert not np.isin(*_ray_ids(_ray_keys(mu, nu), mu.n_atoms)).any()
     report = solve(mu, nu, CostSpec(p))
     assert report.path == "simplex"
     assert report.to_dict() == _solve_simplex(mu, nu, CostSpec(p)).to_dict()
+
+
+@st.composite
+def _gate_pair(draw):
+    """(mu, nu, p) in d = 2 or 3: one to six atoms a side on a few random
+    rays and their mirror images in the last coordinate, which agree with
+    them in coordinate 0 only; each side draws its own set of rays, so the
+    sides share a ray, share only coordinate-0 keys, or share neither.  One
+    pair in seven has mu empty, one nu, one both."""
+    dim = draw(st.sampled_from([2, 3]))
+    axis = st.lists(st.floats(-1.0, 1.0), min_size=dim, max_size=dim).filter(lambda v: math.hypot(*v) > 0.1)
+    dirs = np.array(draw(st.lists(axis, min_size=1, max_size=3)))
+    dirs = np.concatenate([dirs, dirs * np.r_[np.ones(dim - 1), -1.0]])
+    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+
+    def side() -> DiscreteMeasure:
+        rays = sorted(draw(st.sets(st.integers(0, len(dirs) - 1), min_size=1)))
+        atoms = draw(st.lists(st.tuples(st.sampled_from(rays), _RADIUS, _UNIT_MASS), min_size=1, max_size=6))
+        ray, radius, weight = (np.array(col) for col in zip(*atoms))
+        return DiscreteMeasure(dim, radius[:, None] * dirs[ray], weight)
+
+    mu, nu = side(), side()
+    empty = draw(st.integers(0, 6))
+    if empty in (4, 6):
+        mu = DiscreteMeasure.empty(dim)
+    if empty in (5, 6):
+        nu = DiscreteMeasure.empty(dim)
+    return mu, nu, draw(st.sampled_from([1.0, 1.5, 2.0]))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(_gate_pair())
+@example((DiscreteMeasure(2, [[0.6, 0.8]], [1.0]), DiscreteMeasure(2, [[0.6, -0.8]], [1.0]), 2.0))
+@example((DiscreteMeasure(3, [[0.6, 0.8, 0.0]], [1.0]), DiscreteMeasure(3, [[0.6, 0.0, 0.8], [1.2, 1.6, 0.0]], [1.0, 2.0]), 1.5))
+@example((DiscreteMeasure(2, [[0.6, 0.8], [1.2, 1.6]], [1.0, 2.0]), DiscreteMeasure(2, [[0.3, 0.4]], [3.0]), 1.0))
+@example((DiscreteMeasure(3, [[0.6, 0.8, 0.0]], [1.0]), DiscreteMeasure.empty(3), 2.0))
+@example((DiscreteMeasure.empty(2), DiscreteMeasure.empty(2), 1.0))
+@example((DiscreteMeasure(2, [[1.0, 0.0]], [1.0]), DiscreteMeasure(2, [[0.0, 0.5]], [2.0]), 1.5))
+def test_property_ray_gate_never_changes_solve(case):
+    # The gate may stop only a pair whose sides share no ray label, so the
+    # labels are ranked for every other pair; and solve's report is the
+    # ungated rule's, which ranks the labels of every pair: a key row that
+    # all atoms share, put first, lets every pair with atoms on both sides
+    # past the coordinate-0 test and leaves the labels as they are.
+    import levyot.transport as tr
+
+    mu, nu, p = case
+    ray_x, ray_y = _ray_ids(_ray_keys(mu, nu), mu.n_atoms)
+    shared = np.isin(ray_x, ray_y).any() or not (mu.n_atoms or nu.n_atoms)
+    ranked = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(tr, "_ray_ids", lambda *args: ranked.append(args) or _ray_ids(*args))
+        gated = solve(mu, nu, CostSpec(p))
+    assert bool(ranked) or not shared
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(tr, "_ray_keys", lambda a, b: np.vstack([np.zeros((1, a.n_atoms + b.n_atoms), np.int64), _ray_keys(a, b)]))
+        ungated = solve(mu, nu, CostSpec(p))
+    assert gated.path == ungated.path
+    assert gated.to_dict() == ungated.to_dict()
 
 
 def test_solve_single_pair_direct():
