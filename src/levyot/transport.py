@@ -989,8 +989,8 @@ def _solve_line(mu: DiscreteMeasure, nu: DiscreteMeasure, cost: CostSpec) -> Sol
     No optimal arc crosses the origin, since (|x| + |y|)^p >= |x|^p + |y|^p.
     """
     z_mu, z_nu = mu.positions[:, 0], nu.positions[:, 0]
-    ia, ib, mass, seg_cost, phi, psi = _staircase(z_mu < 0.0, z_mu, mu.weights, z_nu < 0.0, z_nu, nu.weights, cost)
-    return _report(mu, nu, ia, ib, mass, seg_cost, DualPotentials(phi=phi, psi=psi, p=cost.p), 0, "line")
+    ia, ib, mass, price, phi, psi = _staircase(z_mu < 0, abs(z_mu), mu.weights, z_nu < 0, abs(z_nu), nu.weights, cost)
+    return _report(mu, nu, ia, ib, mass, price, DualPotentials(phi=phi, psi=psi, p=cost.p), 0, "line")
 
 
 def _solve_rays(mu: DiscreteMeasure, nu: DiscreteMeasure, cost: CostSpec) -> Optional[SolveReport]:
@@ -1006,22 +1006,26 @@ def _solve_rays(mu: DiscreteMeasure, nu: DiscreteMeasure, cost: CostSpec) -> Opt
     all mass through the reservoir: where both sides have atoms, R pairs mass
     at |a - b|^p < a^p + b^p, and where one side is empty, the simplex finds
     that plan sooner.  Atoms on one ray share every key of ``_ray_keys``, so
-    a pair whose sides share no key in coordinate 0 is let go before the
-    ray labels are ranked; most clouds are.
+    a set test lets go a pair whose sides share no key in coordinate 0 (most
+    clouds) before the sort that ranks the labels; it is skipped where the
+    first atoms share that key, as on one grid.
     """
-    key, m = _ray_keys(mu, nu), mu.n_atoms
-    if (m or nu.n_atoms) and set(key[0, :m].tolist()).isdisjoint(key[0, m:].tolist()):
+    key, m, n = _ray_keys(mu, nu), mu.n_atoms, nu.n_atoms
+    axis0 = key[0]
+    if (m or n) and not (m and n and axis0[0] == axis0[m]) and set(axis0[:m].tolist()).isdisjoint(axis0[m:].tolist()):
         return None
     ray_x, ray_y = _ray_ids(key, m)  # labels 1 .. m + n: mu's atoms counted per label, read at nu's
-    if (m or nu.n_atoms) and not np.bincount(ray_x, minlength=m + nu.n_atoms + 1)[ray_y].any():
+    if (m or n) and not np.bincount(ray_x, minlength=m + n + 1)[ray_y].any():
         return None
     _, ia, ib, mass = _monotone_merge(ray_x, mu.radii, mu.weights, ray_y, nu.radii, nu.weights)
     *_, phi, psi = _radial_staircase(mu, nu, cost)
-    price = np.append(cost.reservoir_cost(mu), 0.0)[ia] + np.append(cost.reservoir_cost(nu), 0.0)[ib]
+    # |x|^p and |y|^p of each segment's atoms, 0 at the reservoir; a direct arc pays |x - y|^p
+    ra, rb = np.append(mu.radii, 0.0)[ia], np.append(nu.radii, 0.0)[ib]
+    price = _pow(ra, cost.p) + _pow(rb, cost.p)
     direct = np.minimum(ia, ib) >= 0
-    price[direct] = cost.pairwise(mu.positions[ia[direct]], nu.positions[ib[direct]])
+    price[direct] = cost.pairwise(np.take(mu.positions, ia[direct], axis=0), np.take(nu.positions, ib[direct], axis=0))
     with np.errstate(over="ignore"):  # G only scales the allowance, so a dot product does; inf certifies nothing
-        gross = float(mass @ _pow(np.append(mu.radii, 0.0)[ia] + np.append(nu.radii, 0.0)[ib], cost.p))
+        gross = float(mass @ _pow(ra + rb, cost.p))
     try:
         report = _report(mu, nu, ia, ib, mass, price, DualPotentials(phi=phi, psi=psi, p=cost.p), 0, "rays")
     except ValueError:  # U leaves the float range; the optimum need not
@@ -1032,56 +1036,61 @@ def _solve_rays(mu: DiscreteMeasure, nu: DiscreteMeasure, cost: CostSpec) -> Opt
 def _ray_keys(mu: DiscreteMeasure, nu: DiscreteMeasure) -> np.ndarray:
     """The direction z / |z| of every atom, mu's then nu's, snapped to a 2^-32 grid.
 
-    One int64 row per coordinate, one column per atom.  The atoms of one
-    grid ray agree in direction to a few ulps, so they share a key unless a
-    component sits within rounding of a grid midpoint; a ray split that way
-    only makes the ray certificate miss.
+    One row per coordinate, one column per atom, each an integer held
+    exactly in a float.  The atoms of one grid ray agree in direction to a
+    few ulps, so they share a key unless a component sits within rounding
+    of a grid midpoint; a ray split that way only makes the ray certificate
+    miss.
     """
-    units = np.concatenate([mu.positions.T / mu.radii, nu.positions.T / nu.radii], axis=1)
-    return np.rint(units * _RAY_GRID).astype(np.int64)
+    # z / (|z| 2^-32) is 2^32 (z / |z|) rounded once, as |z| >= 2^-511
+    units = np.concatenate([mu.positions.T, nu.positions.T], axis=1)
+    return np.rint(units / (np.concatenate([mu.radii, nu.radii]) / _RAY_GRID))
 
 
 def _ray_ids(key: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
     """A ray label for each column of ``key`` (``_ray_keys``), shared exactly
-    where the keys are: the first ``m`` labels, mu's, and the rest, nu's."""
-    # label each atom by the rank of its key among the distinct keys; a
-    # lexsort of the int64 rows is much cheaper than np.unique over records
-    order = np.lexsort(key)
-    ranked = key[:, order]
-    new_ray = np.ones(key.shape[1], dtype=bool)
-    new_ray[1:] = np.any(ranked[:, 1:] != ranked[:, :-1], axis=0)
-    ids = np.empty(key.shape[1], dtype=np.intp)
+    where the keys are: the first ``m`` labels, mu's, and the rest, nu's.
+
+    A label ranks its key among the distinct keys, last coordinate first.
+    Complex numbers sort by (real, imag), so the coordinates rank in pairs
+    from the last, one stable sort a pair (one in d = 2, two in d = 3).
+    """
+    d = key.shape[0]
+    cols = [*key[: d % 2], *(key[d % 2 + 1 :: 2] + 1j * key[d % 2 :: 2])]  # least significant first
+    order = np.lexsort(cols)
+    new_ray = np.ones(order.size, dtype=bool)
+    new_ray[1:] = np.any([(ranked := col[order])[1:] != ranked[:-1] for col in cols], axis=0)
+    ids = np.empty(order.size, dtype=np.intp)
     ids[order] = np.cumsum(new_ray)
     return ids[:m], ids[m:]
 
 
 def _radial_staircase(mu: DiscreteMeasure, nu: DiscreteMeasure, cost: CostSpec):
     """``_staircase`` between |z|_# mu and |z|_# nu: every atom on one ray, at its radius."""
-    one = np.zeros(mu.n_atoms + nu.n_atoms, dtype=np.intp)
-    return _staircase(one[: mu.n_atoms], mu.radii, mu.weights, one[mu.n_atoms :], nu.radii, nu.weights, cost)
+    return _staircase(0, mu.radii, mu.weights, 0, nu.radii, nu.weights, cost)
 
 
-def _staircase(ray_a, za, wa, ray_b, zb, wb, cost: CostSpec):
+def _staircase(ray_a, ra, wa, ray_b, rb, wb, cost: CostSpec):
     """The monotone coupling of two measures on half-lines, and its staircase duals.
 
-    Atom k of side a sits on ray ``ray_a[k]`` at coordinate ``za[k]`` (|za[k]|
-    from the origin) with mass ``wa[k]``; likewise for b.  Returns the
-    ``_monotone_merge`` segments (ia, ib, mass), their costs |za - zb|^p
-    (|z|^p at the reservoir, -1), and the staircase basis potentials phi, psi.
+    Atom k of side a sits on ray ``ray_a[k]`` at radius ``ra[k]`` with mass
+    ``wa[k]``; likewise for b.  Returns the ``_monotone_merge`` segments (ia,
+    ib, mass), their costs |ra - rb|^p (r^p at the reservoir, -1), and the
+    staircase basis potentials phi, psi.
     Walked from the origin outwards, an atom's potential is its arc's cost
     minus the potential of the atom last brought in on the other side of its
     ray (the reservoir's 0 before any).  The basis is a staircase, so these
     are feasible: the cost matrix of a sorted half-line is Monge.
     """
-    ray, ia, ib, mass = _monotone_merge(ray_a, np.abs(za), wa, ray_b, np.abs(zb), wb)
+    ray, ia, ib, mass = _monotone_merge(ray_a, ra, wa, ray_b, rb, wb)
     # each segment's successor on its ray; -1, the reservoir, past the last
     same = ray[1:] == ray[:-1]
     next_a = np.concatenate([np.where(same, ia[1:], -1), [-1]])
     next_b = np.concatenate([np.where(same, ib[1:], -1), [-1]])
-    # segment and link costs in one call, the reservoir (-1) at the origin: there they are |z|^p, bit for bit
-    x, y = np.append(za, 0.0)[:, None], np.append(zb, 0.0)[:, None]
+    # segment and link costs in one call, the reservoir (-1) at the origin: there they are r^p, bit for bit
+    x, y = np.append(ra, 0.0)[:, None], np.append(rb, 0.0)[:, None]
     k = ia.size
-    both = cost.pairwise(x[np.concatenate([ia, ia])], y[np.concatenate([ib, next_b])])
+    both = cost.pairwise(np.take(x, np.concatenate([ia, ia]), axis=0), np.take(y, np.concatenate([ib, next_b]), axis=0))
     # walk order: row r is segment k - 1 - r; an event is an atom it has and the one inside lacks, a first
     new = np.empty((k, 2), dtype=bool)
     new[::-1, 0] = (ia >= 0) & (ia != next_a)
@@ -1089,20 +1098,21 @@ def _staircase(ray_a, za, wa, ray_b, zb, wb, cost: CostSpec):
     event = np.flatnonzero(new)
     row, on_b = event >> 1, event & 1
     seg = k - 1 - row
-    price = both[seg + k * (new[row, 1] > on_b)]  # with a b atom, an a atom takes the zero-flow link arc
+    price = both[seg + k * (new[:, 1][row] > on_b)]  # with a b atom, an a atom takes the zero-flow link arc
     # a run of events on one side of a ray hangs on the last event of the run before, and the ends of
     # a ray's runs form the chain end_r = price_r - end_(r-1): a signed cumsum has its bits
     key = 2 * ray[seg] + on_b
-    last = np.diff(key, append=key[-1:] + 1) != 0  # the events that end a run
+    last = np.ones(key.size, dtype=bool)  # the events that end a run
+    last[:-1] = key[1:] != key[:-1]
     end = np.flatnonzero(last)
     sign = 1.0 - 2.0 * (np.arange(end.size) & 1)
-    chain, parent = sign * price[end], np.zeros(end.size)
-    cuts = np.flatnonzero(np.diff(key[end] >> 1)) + 1
+    chain, parent, end_ray = sign * price[end], np.zeros(end.size), ray[seg[end]]
+    cuts = np.flatnonzero(end_ray[1:] != end_ray[:-1]) + 1
     for lo, hi in zip([0, *cuts], [*cuts, end.size]):
         parent[lo + 1 : hi] = sign[lo : hi - 1] * np.cumsum(chain[lo : hi - 1])
-    pot = np.empty(za.size + zb.size)
-    pot[np.where(on_b, ib[seg] + za.size, ia[seg])] = price - parent[np.cumsum(last) - last]
-    return ia, ib, mass, both[:k], pot[: za.size], pot[za.size :]
+    pot = np.empty(ra.size + rb.size)
+    pot[np.where(on_b, ib[seg] + ra.size, ia[seg])] = price - parent[np.cumsum(last) - last]
+    return ia, ib, mass, both[:k], pot[: ra.size], pot[ra.size :]
 
 
 def _two_sum(a, b):
@@ -1116,69 +1126,69 @@ def _monotone_merge(ray_a, ra, wa, ray_b, rb, wb):
     """The monotone (quantile) coupling, ray by ray, of two measures with a reservoir.
 
     Atom k of side a has radius ``ra[k]``, mass ``wa[k]`` and ray label
-    ``ray_a[k]`` (a nonnegative integer); likewise for b.  On each ray, a
-    plus b's mass there at the origin is coupled with b plus a's: both
-    sides' quantile breakpoints, from the far end inwards, are merged, and
-    each segment between two pairs the atoms that hold it.  A ray one side
-    does not use merges against nothing, so its atoms meet the reservoir.
-    On a half-line this coupling is optimal for every p >= 1.
+    ``ray_a[k]``, an integer in [0, 2^48), or one such label for all;
+    likewise for b.  On each ray, a plus b's mass there at the origin is
+    coupled with b plus a's: both sides' quantile breakpoints, from the far
+    end inwards, are merged, and each segment between two pairs the atoms
+    that hold it.  A ray one side does not use merges against nothing, so
+    its atoms meet the reservoir.  On a half-line this coupling is optimal
+    for every p >= 1.
 
     Returns (ray, ia, ib, mass) per segment, by ray label and far end
-    first: the ray, the a and b atoms (-1: the reservoir) and the mass.  The
-    free reservoir-to-reservoir segment is left out.  Breakpoints are
-    compared as normalised (hi, lo) pairs, so equal cumulative sums meet,
-    and each mass is a difference of two, rounded once.
+    first: the ray (a float), the a and b atoms (-1: the reservoir) and the
+    mass.  The free reservoir-to-reservoir segment is left out.  Breakpoints
+    are compared as normalised (hi, lo) pairs, so equal cumulative sums
+    meet, and each mass is a difference of two, rounded once.
     """
-    na = ra.size
-    # both sides in one array, b's labels shifted past every label: each
-    # side's rays in label order, each ray one run of atoms, far end first
-    ray = np.concatenate([ray_a, ray_b])
-    shift = ray.max() + 1 if ray.size else 0
-    key = np.concatenate([ray_a, ray_b + shift])
-    # a complex key sorts by (real, imag) in one pass: here by (key, -radius)
-    order = np.argsort(key - 1j * np.concatenate([ra, rb]), kind="stable")
-    ray, key, w = ray[order], key[order], np.concatenate([wa, wb])[order]
+    na, n, shift = ra.size, ra.size + rb.size, 2.0**48
+    # a complex key sorts by (real, imag) in one pass: here by label, b's
+    # shifted past a's, then -radius: each side's rays in label order, each
+    # ray one run of atoms, far end first
+    key = np.empty(n, dtype=complex)
+    key.real[:na], key.real[na:], key.imag[:na], key.imag[na:] = ray_a, ray_b + shift, -ra, -rb
+    order = np.argsort(key, kind="stable")
+    lab = np.append(key.real[order], -1.0)  # a sentinel past the end
+    w = np.concatenate([wa, wb])[order]
     # the mass of each run from its far end through each atom, as a
     # normalised double-double (hi, lo): a cumsum plus the sum of its exact
     # TwoSum errors, less the run's base by TwoSum, then normalised
     c = np.concatenate(([0.0], np.cumsum(w)))
     v = c[1:] - c[:-1]
     err = np.concatenate(([0.0], np.cumsum((c[:-1] - (c[1:] - v)) + (w - v))))
-    base = np.searchsorted(key, key)  # the first atom of each atom's run
+    base = np.searchsorted(lab[:-1], lab[:-1])  # the first atom of each atom's run
     hi, lo = _two_sum(c[1:], -c[base])
     hi, lo = _two_sum(hi, lo + (err[1:] - err[base]))
-
-    point = hi + 1j * lo  # the breakpoint, ordered as (hi, lo)
-    merged = np.lexsort((point, ray))
-    ray, point = ray[merged], point[merged]
-    # a and b breakpoints below each one: where each side's next atom sits in ``key``
-    from_a = merged < na
-    ka = np.add.accumulate(from_a, dtype=np.intp) - from_a
-    kb = np.arange(na, na + ray.size) - ka
-    keep = np.ones(ray.size, dtype=bool)
-    keep[1:] = (ray[1:] != ray[:-1]) | (point[1:] != point[:-1])
-    ray, point, ka, kb = ray[keep], point[keep], ka[keep], kb[keep]
-    # the segment ending at a breakpoint lies in that atom of each side, when it is on the same ray
-    key, order = np.concatenate([key, [-1]]), np.concatenate([order, [-1]])
-    ia = np.where(key[ka] == ray, order[ka], -1)
-    ib = np.where(key[kb] == ray + shift, order[kb] - na, -1)
+    # the breakpoints by (ray, hi), a's first; lo orders those that share both
+    point = np.empty(n, dtype=complex)
+    point.real, point.imag = lab[:-1], hi
+    point.real[na:] -= shift
+    merged = np.argsort(point, kind="stable")
+    point, low, at = point[merged], lo[merged], np.arange(na, na + n)
+    tie = point[1:] == point[:-1]
+    if tie.any():  # equal breakpoints meet, the first kept
+        if (tie & (low[1:] < low[:-1])).any():  # within a run of equal (ray, hi), lo orders them
+            fix = np.argsort(np.concatenate(([0], np.cumsum(~tie))) + 1j * low, kind="stable")
+            merged, point, low = merged[fix], point[fix], low[fix]
+        keep = np.ones(n, dtype=bool)
+        keep[1:] = ~tie | (low[1:] != low[:-1])
+        merged, point, low, at = merged[keep], point[keep], low[keep], at[keep]
+    ray, hi = point.real, point.imag
+    # where each side's next atom sits in ``lab``: for the breakpoint's own
+    # side its index t there, for the other na + rank - t; a's is the smaller
+    at -= merged
+    ka, kb = np.minimum(merged, at), np.maximum(merged, at)
+    order = np.append(order, -1)
+    ia = np.where(lab[ka] == ray, order[ka], -1)
+    ib = np.where(lab[kb] == ray + shift, order[kb] - na, -1)
     # each segment starts at the breakpoint before it on its ray, or at 0
-    start = np.concatenate(([0.0], point[:-1] * (ray[1:] == ray[:-1])))
-    d, t = _two_sum(point.real, -start.real)
-    return ray, ia, ib, d + (t + (point.imag - start.imag))
+    same = ray[1:] == ray[:-1]
+    start_hi, start_lo = np.concatenate(([0.0], hi[:-1] * same)), np.concatenate(([0.0], low[:-1] * same))
+    d, t = _two_sum(hi, -start_hi)
+    return ray, ia, ib, d + (t + (low - start_lo))
 
 
-def _report(
-    mu: DiscreteMeasure,
-    nu: DiscreteMeasure,
-    ia: np.ndarray,
-    ib: np.ndarray,
-    flow: np.ndarray,
-    price: np.ndarray,
-    duals: DualPotentials,
-    iterations: int,
-    path: str,
-) -> SolveReport:
+def _report(mu: DiscreteMeasure, nu: DiscreteMeasure, ia: np.ndarray, ib: np.ndarray, flow: np.ndarray,
+            price: np.ndarray, duals: DualPotentials, iterations: int, path: str) -> SolveReport:
     """The report of an optimal plan and its duals: plan, value, dual value and gap.
 
     Arc k moves ``flow[k]`` at ``price[k]`` per unit from atom ``ia[k]`` of
@@ -1238,13 +1248,8 @@ def verify_plan(
     return out
 
 
-def k_support_check(
-    plan: TransportPlan,
-    mu: DiscreteMeasure,
-    nu: DiscreteMeasure,
-    p: float,
-    tol: float = 1e-9,
-) -> list[tuple[int, int, float]]:
+def k_support_check(plan: TransportPlan, mu: DiscreteMeasure, nu: DiscreteMeasure, p: float,
+                    tol: float = 1e-9) -> list[tuple[int, int, float]]:
     """Arcs of the plan that leave the cheap set {|x-y|^p <= |x|^p + |y|^p}.
 
     Optimal plans never charge such arcs (rerouting through the reservoir
@@ -1254,13 +1259,10 @@ def k_support_check(
     cost = CostSpec(p)
     keep = plan.direct_vals > 1e-12
     rows, cols = plan.direct_rows[keep], plan.direct_cols[keep]
-    direct = cost.pairwise(mu.positions[rows], nu.positions[cols])
+    direct = cost.pairwise(np.take(mu.positions, rows, axis=0), np.take(nu.positions, cols, axis=0))
     through = cost.reservoir_cost(mu)[rows] + cost.reservoir_cost(nu)[cols]
     bad = direct > through + tol
-    return [
-        (int(i), int(j), float(e))
-        for i, j, e in zip(rows[bad], cols[bad], (direct - through)[bad])
-    ]
+    return [(int(i), int(j), float(e)) for i, j, e in zip(rows[bad], cols[bad], (direct - through)[bad])]
 
 
 def dual_value(duals: DualPotentials, mu: DiscreteMeasure, nu: DiscreteMeasure) -> float:
@@ -1271,9 +1273,7 @@ def dual_value(duals: DualPotentials, mu: DiscreteMeasure, nu: DiscreteMeasure) 
     bad = duals.violations(mu, nu)
     if bad:
         raise ValueError("infeasible dual potentials: " + bad[0])
-    return math.fsum((mu.weights * duals.phi).tolist()) + math.fsum(
-        (nu.weights * duals.psi).tolist()
-    )
+    return math.fsum((mu.weights * duals.phi).tolist()) + math.fsum((nu.weights * duals.psi).tolist())
 
 
 def brute_force_unit(mu: DiscreteMeasure, nu: DiscreteMeasure, p: float) -> float:

@@ -1,16 +1,18 @@
 """Tests for the reservoir transport solver, duals, and oracles."""
 
 import dataclasses
+import hashlib
 import itertools
+import json
 import math
-from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from levyot.families import build_family
-from levyot.measures import DiscreteMeasure, _pow, restrict_outside, tv_distance
+from levyot.measures import DiscreteMeasure, _pow, decompose, restrict_outside, tv_distance
 from levyot.transport import (
     TransportPlan,
     CostSpec,
@@ -861,20 +863,29 @@ def test_line_solve_dilates_exactly(p):
             assert np.array_equal(rep.duals.psi, t**p * base.duals.psi)
 
 
-def _fraction_merge(ray_a, ra, wa, ray_b, rb, wb):
-    """The monotone merge in exact rational arithmetic: (ray, ia, ib, mass) per segment."""
+def _exact_merge(ray_a, ra, wa, ray_b, rb, wb):
+    """The monotone merge in exact arithmetic: (ray, ia, ib, mass) per segment,
+    and the unit 2^k that makes every mass an integer.
+
+    A float is an integer over a power of two, so over the largest of these
+    denominators every mass, sum and difference is a Python integer: exact,
+    with no gcd per operation as with Fraction.
+    """
+    ratios = [w.as_integer_ratio() for w in wa.tolist() + wb.tolist()]
+    unit = max((den for _, den in ratios), default=1)
+    scaled = [num * (unit // den) for num, den in ratios]
     segments = []
     for ray in sorted(set(ray_a.tolist()) | set(ray_b.tolist())):
         held = []  # per side: its atoms on the ray, far end first, and their cumulative masses
-        for labels, r, w in ((ray_a, ra, wa), (ray_b, rb, wb)):
+        for labels, r, w in ((ray_a, ra, scaled[: wa.size]), (ray_b, rb, scaled[wa.size :])):
             atoms = sorted(np.flatnonzero(labels == ray).tolist(), key=lambda k: -r[k])
-            held.append((atoms, list(itertools.accumulate(Fraction(float(w[k])) for k in atoms))))
-        start = Fraction(0)
+            held.append((atoms, list(itertools.accumulate(w[k] for k in atoms))))
+        start = 0
         for end in sorted(set(held[0][1]) | set(held[1][1])):
             ia, ib = (next((k for k, e in zip(atoms, sums) if e >= end), -1) for atoms, sums in held)
             segments.append((ray, ia, ib, end - start))
             start = end
-    return segments
+    return segments, unit
 
 
 # unit-lattice masses, whose cumulative sums meet, and masses from 1e-2 to 1e11
@@ -890,14 +901,32 @@ def _ray_side(draw):
     return np.array(rays, dtype=np.intp), np.array(radii, dtype=float), np.array(masses, dtype=float)
 
 
+def _assert_merge_is_exact(a, b):
+    ray, ia, ib, mass = _monotone_merge(*a, *b)
+    want, unit = _exact_merge(*a, *b)
+    assert list(zip(ray.tolist(), ia.tolist(), ib.tolist())) == [seg[:3] for seg in want]
+    for got, (*_, exact) in zip(mass.tolist(), want):
+        # |got - exact / unit| <= ulp(exact / unit), cross-multiplied over integers
+        num, den = got.as_integer_ratio()
+        ulp_num, ulp_den = math.ulp(exact / unit).as_integer_ratio()
+        assert abs(num * unit - exact * den) * ulp_den <= ulp_num * unit * den
+
+
 @settings(derandomize=True, database=None, deadline=None, max_examples=300)
 @given(_ray_side(), _ray_side())
 def test_property_monotone_merge_matches_exact_fractions(a, b):
-    ray, ia, ib, mass = _monotone_merge(*a, *b)
-    want = _fraction_merge(*a, *b)
-    assert list(zip(ray.tolist(), ia.tolist(), ib.tolist())) == [seg[:3] for seg in want]
-    for got, (*_, exact) in zip(mass.tolist(), want):
-        assert abs(Fraction(got) - exact) <= math.ulp(float(exact))
+    _assert_merge_is_exact(a, b)
+
+
+@pytest.mark.parametrize("b_masses", [[2.0**53, 0.5], [2.0**53, 0.25, 0.25], [2.0**53 - 1.0, 1.5]])
+def test_monotone_merge_orders_breakpoints_that_round_alike(b_masses):
+    # a's sums 2^53 and 2^53 + 1 and b's sums below 2^53 + 1 all round to
+    # 2^53, so only the low parts of the breakpoints order them, and some
+    # of b's come before a's last; ray 1 is shared too, without such ties
+    a = (np.array([0, 0, 1]), np.array([3.0, 2.0, 1.0]), np.array([2.0**53, 1.0, 3.0]))
+    radii = np.linspace(2.0, 1.0, len(b_masses))
+    b = (np.array([0] * len(b_masses) + [1]), np.r_[radii, 0.5], np.array([*b_masses, 2.0]))
+    _assert_merge_is_exact(a, b)
 
 
 _UNIT_MASS = st.integers(1, 4).map(float) | st.floats(0.1, 3.0)
@@ -1017,6 +1046,16 @@ def _gate_pair(draw):
 @example((DiscreteMeasure(3, [[0.6, 0.8, 0.0]], [1.0]), DiscreteMeasure.empty(3), 2.0))
 @example((DiscreteMeasure.empty(2), DiscreteMeasure.empty(2), 1.0))
 @example((DiscreteMeasure(2, [[1.0, 0.0]], [1.0]), DiscreteMeasure(2, [[0.0, 0.5]], [2.0]), 1.5))
+# first atoms that differ in coordinate 0 while later ones share a ray, and
+# first atoms that agree in coordinate 0 only, in d = 2 and 3, both orders
+@example((DiscreteMeasure(2, [[1.0, 0.0], [0.6, 0.8]], [1.0, 2.0]), DiscreteMeasure(2, [[0.0, 1.0], [1.2, 1.6]], [3.0, 1.0]), 2.0))
+@example((DiscreteMeasure(2, [[0.0, 1.0], [1.2, 1.6]], [3.0, 1.0]), DiscreteMeasure(2, [[1.0, 0.0], [0.6, 0.8]], [1.0, 2.0]), 1.0))
+@example((DiscreteMeasure(3, [[0.6, 0.0, 0.8], [0.0, 0.6, 0.8]], [1.0, 2.0]),
+          DiscreteMeasure(3, [[0.6, 0.8, 0.0], [0.0, 1.2, 1.6]], [0.5, 1.5]), 1.5))
+@example((DiscreteMeasure(3, [[0.6, 0.8, 0.0], [0.0, 1.2, 1.6]], [0.5, 1.5]),
+          DiscreteMeasure(3, [[0.6, 0.0, 0.8], [0.0, 0.6, 0.8]], [1.0, 2.0]), 2.0))
+@example((DiscreteMeasure(3, [[0.6, 0.0, -0.8], [1.0, 0.0, 0.0]], [1.0, 2.0]), DiscreteMeasure(3, [[0.6, 0.8, 0.0]], [0.5]), 1.0))
+@example((DiscreteMeasure(3, [[0.6, 0.8, 0.0]], [0.5]), DiscreteMeasure(3, [[0.6, 0.0, -0.8], [1.0, 0.0, 0.0]], [1.0, 2.0]), 2.0))
 def test_property_ray_gate_never_changes_solve(case):
     # The gate may stop only a pair whose sides share no ray label, so the
     # labels are ranked for every other pair; and solve's report is the
@@ -1038,6 +1077,58 @@ def test_property_ray_gate_never_changes_solve(case):
         ungated = solve(mu, nu, CostSpec(p))
     assert gated.path == ungated.path
     assert gated.to_dict() == ungated.to_dict()
+
+
+REPORT_GOLDEN = Path(__file__).parent / "golden" / "report_digests.json"
+
+
+def _golden_pairs():
+    """(name, mu, nu) pairs of the report-digest golden: seeded line pairs in
+    d = 1, empty sides included; grid-family pairs in d = 2 and 3, which take
+    the ray path: two endpoints' hat parts, a measure against itself, and a
+    measure against itself outside a ball, in both orders; and seeded normal
+    clouds in d = 2 and 3, which share no ray and take the simplex."""
+    rng = np.random.default_rng(2029)
+    line = [(_random_line_measure(rng), _random_line_measure(rng)) for _ in range(6)]
+    mu, empty = line[0][0], DiscreteMeasure.empty(1)
+    line += [(mu, empty), (empty, mu), (empty, empty)]
+    for k, pair in enumerate(line):
+        yield f"line-{k}", *pair
+    for kind in ("kernel", "fraclap"):
+        for dim in (2, 3):
+            config = {"type": kind, "dim": dim, "sigma": 0.5 if kind == "kernel" else 1.5,
+                      "grid": {"r_min": 1e-3, "r_max": 2.0, "n_radial": 5, "n_angular": 6}}
+            runtime = build_family(config)
+            hat_x, hat_y = (decompose(runtime.make_measure(np.array(x))).hat for x in ([0.1] * dim, [0.4] * dim))
+            whole = runtime.make_measure(np.array([0.7] * dim))
+            outside = restrict_outside(whole, 0.05)
+            for name, pair in (("hats", (hat_x, hat_y)), ("self", (whole, whole)),
+                               ("outside", (whole, outside)), ("inside", (outside, whole))):
+                yield f"{kind}-d{dim}-{name}", *pair
+    for dim in (2, 3):
+        yield f"cloud-d{dim}", *(DiscreteMeasure(dim, rng.normal(size=(8, dim)), rng.uniform(0.1, 3.0, 8)) for _ in "ab")
+
+
+def _report_digests() -> dict[str, str]:
+    """sha256 of each golden pair's path and ``SolveReport.to_dict()`` at p = 1, 1.5 and 2."""
+    digests = {}
+    for name, mu, nu in _golden_pairs():
+        for p in (1.0, 1.5, 2.0):
+            report = solve(mu, nu, CostSpec(p))
+            doc = json.dumps({"path": report.path, **report.to_dict()})
+            digests[f"{name}-p{p}"] = hashlib.sha256(doc.encode()).hexdigest()
+    return digests
+
+
+def test_reports_match_the_digest_golden():
+    # The golden holds ``_report_digests()`` of a trusted commit; json.dumps
+    # writes each float in full, so any changed bit of a report changes its
+    # digest.  A change that may move output regenerates the file with
+    # ``json.dump(_report_digests(), fh, indent=1)`` and says why.
+    golden = json.loads(REPORT_GOLDEN.read_text())
+    digests = _report_digests()
+    assert sorted(digests) == sorted(golden)
+    assert [name for name in golden if digests[name] != golden[name]] == []
 
 
 def test_solve_single_pair_direct():
