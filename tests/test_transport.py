@@ -920,9 +920,9 @@ def test_property_monotone_merge_matches_exact_fractions(a, b):
 
 @pytest.mark.parametrize("b_masses", [[2.0**53, 0.5], [2.0**53, 0.25, 0.25], [2.0**53 - 1.0, 1.5]])
 def test_monotone_merge_orders_breakpoints_that_round_alike(b_masses):
-    # a's sums 2^53 and 2^53 + 1 and b's sums below 2^53 + 1 all round to
-    # 2^53, so only the low parts of the breakpoints order them, and some
-    # of b's come before a's last; ray 1 is shared too, without such ties
+    # a's breakpoints 2^53 and 2^53 + 1 and b's near them share the high
+    # part 2^53, so only the low parts order them, and some of b's fall
+    # between a's; ray 1 is shared too, without such ties
     a = (np.array([0, 0, 1]), np.array([3.0, 2.0, 1.0]), np.array([2.0**53, 1.0, 3.0]))
     radii = np.linspace(2.0, 1.0, len(b_masses))
     b = (np.array([0] * len(b_masses) + [1]), np.r_[radii, 0.5], np.array([*b_masses, 2.0]))
@@ -1048,14 +1048,18 @@ def _gate_pair(draw):
 @example((DiscreteMeasure(2, [[1.0, 0.0]], [1.0]), DiscreteMeasure(2, [[0.0, 0.5]], [2.0]), 1.5))
 # first atoms that differ in coordinate 0 while later ones share a ray, and
 # first atoms that agree in coordinate 0 only, in d = 2 and 3, both orders
-@example((DiscreteMeasure(2, [[1.0, 0.0], [0.6, 0.8]], [1.0, 2.0]), DiscreteMeasure(2, [[0.0, 1.0], [1.2, 1.6]], [3.0, 1.0]), 2.0))
-@example((DiscreteMeasure(2, [[0.0, 1.0], [1.2, 1.6]], [3.0, 1.0]), DiscreteMeasure(2, [[1.0, 0.0], [0.6, 0.8]], [1.0, 2.0]), 1.0))
+@example((DiscreteMeasure(2, [[1.0, 0.0], [0.6, 0.8]], [1.0, 2.0]),
+          DiscreteMeasure(2, [[0.0, 1.0], [1.2, 1.6]], [3.0, 1.0]), 2.0))
+@example((DiscreteMeasure(2, [[0.0, 1.0], [1.2, 1.6]], [3.0, 1.0]),
+          DiscreteMeasure(2, [[1.0, 0.0], [0.6, 0.8]], [1.0, 2.0]), 1.0))
 @example((DiscreteMeasure(3, [[0.6, 0.0, 0.8], [0.0, 0.6, 0.8]], [1.0, 2.0]),
           DiscreteMeasure(3, [[0.6, 0.8, 0.0], [0.0, 1.2, 1.6]], [0.5, 1.5]), 1.5))
 @example((DiscreteMeasure(3, [[0.6, 0.8, 0.0], [0.0, 1.2, 1.6]], [0.5, 1.5]),
           DiscreteMeasure(3, [[0.6, 0.0, 0.8], [0.0, 0.6, 0.8]], [1.0, 2.0]), 2.0))
-@example((DiscreteMeasure(3, [[0.6, 0.0, -0.8], [1.0, 0.0, 0.0]], [1.0, 2.0]), DiscreteMeasure(3, [[0.6, 0.8, 0.0]], [0.5]), 1.0))
-@example((DiscreteMeasure(3, [[0.6, 0.8, 0.0]], [0.5]), DiscreteMeasure(3, [[0.6, 0.0, -0.8], [1.0, 0.0, 0.0]], [1.0, 2.0]), 2.0))
+@example((DiscreteMeasure(3, [[0.6, 0.0, -0.8], [1.0, 0.0, 0.0]], [1.0, 2.0]),
+          DiscreteMeasure(3, [[0.6, 0.8, 0.0]], [0.5]), 1.0))
+@example((DiscreteMeasure(3, [[0.6, 0.8, 0.0]], [0.5]),
+          DiscreteMeasure(3, [[0.6, 0.0, -0.8], [1.0, 0.0, 0.0]], [1.0, 2.0]), 2.0))
 def test_property_ray_gate_never_changes_solve(case):
     # The gate may stop only a pair whose sides share no ray label, so the
     # labels are ranked for every other pair; and solve's report is the
@@ -1106,7 +1110,8 @@ def _golden_pairs():
                                ("outside", (whole, outside)), ("inside", (outside, whole))):
                 yield f"{kind}-d{dim}-{name}", *pair
     for dim in (2, 3):
-        yield f"cloud-d{dim}", *(DiscreteMeasure(dim, rng.normal(size=(8, dim)), rng.uniform(0.1, 3.0, 8)) for _ in "ab")
+        yield f"cloud-d{dim}", *(DiscreteMeasure(dim, rng.normal(size=(8, dim)), rng.uniform(0.1, 3.0, 8))
+                                 for _ in "ab")
 
 
 def _report_digests() -> dict[str, str]:
