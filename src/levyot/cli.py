@@ -233,11 +233,8 @@ def cmd_experiment(args) -> int:
 
     eq = viscosity.EquationSpec(
         lam=args.lam,
-        lam1=args.lam,
-        c=lambda x: args.lam,
         f=lambda x: math.sin(x) + 0.3 * math.cos(2.0 * x),
         measures=measures,
-        lipschitz_C=shift,
     )
     report = viscosity.basic_idea_experiment(eq, n_nodes=args.nodes, epsilons=args.epsilons)
     doc = {
@@ -422,7 +419,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("experiment", help="linear-equation doubling experiment on a periodic line")
     p.add_argument("--nodes", type=_at_least(2), default=512)
     p.add_argument("--epsilons", type=_list_of(_ruled(viscosity._check_epsilon)), default="1e-1,1e-2,1e-3,1e-4")
-    p.add_argument("--lam", type=_ruled(lambda lam: viscosity._check_lam(lam, lam)), default=1.0)
+    p.add_argument("--lam", type=_ruled(viscosity._check_lam), default=1.0)
     p.add_argument("--shift", type=float, default=0.1, help="translation amplitude of the family")
     p.add_argument("--center", type=float, default=0.5, help="base position of the single atom")
     p.add_argument("--csv", action="store_true", help="emit per-epsilon CSV instead of JSON")

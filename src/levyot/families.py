@@ -138,46 +138,30 @@ def _discretize_density(
 
 @dataclass(frozen=True)
 class KernelFamily:
-    """Measures with densities K(x, z) dz under a power-law envelope.
+    """Measures with densities K(x, z) dz.
 
     ``density(x, Z)`` evaluates K at one base point and a batch of jump
-    locations Z of shape (k, dim).  ``lambda1`` declares
-    the envelope K(x, z) <= lambda1 |z|^{-(dim+sigma)} and
-    ``holder_gamma``, when given, declares
-    |K(x,z) - K(y,z)| <= |x-y|^gamma lambda1 |z|^{-(dim+sigma)}.  Both are
-    declarations: nothing here checks them, and the discretization does not
-    use them.
+    locations Z of shape (k, dim).
     """
 
     density: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    sigma: float
-    lambda1: float
     dim: int = 1
-    holder_gamma: Optional[float] = None
-
-    def __post_init__(self) -> None:
-        if self.sigma <= 0.0 or self.lambda1 < 0.0:
-            raise ValueError("need sigma > 0 and a nonnegative envelope constant")
 
 
 @dataclass(frozen=True)
 class FracLaplFamily:
     """Densities a(x) |z|^{-dim-sigma} with order sigma strictly inside (1, 2).
 
-    ``lipschitz_L`` declares the Lipschitz constant of x -> a(x)^{1/sigma},
-    which also fixes the splitting radius r_x = a(x)^{1/sigma}.
+    The splitting radius is r_x = a(x)^{1/sigma}.
     """
 
     a: Callable[[np.ndarray], float]
     sigma: float
-    lipschitz_L: float
     dim: int = 1
 
     def __post_init__(self) -> None:
         if not 1.0 < self.sigma < 2.0:
             raise ValueError("sigma must lie strictly between 1 and 2")
-        if self.lipschitz_L < 0.0:
-            raise ValueError("Lipschitz constant must be nonnegative")
 
     def coefficient(self, x) -> float:
         val = float(self.a(np.atleast_1d(np.asarray(x, dtype=float))))
@@ -198,16 +182,11 @@ class FracLaplFamily:
 class LevyItoFamily:
     """Push-forwards mu_x = (T_x)_# base of a fixed reference measure.
 
-    ``maps(x)`` returns the vectorised transport map z -> T_x(z); ``rho``
-    evaluates the declared growth profile on base atoms, with |T_x(z)| <=
-    bound_C rho(z) and |T_x(z) - T_y(z)| <= bound_C rho(z) |x - y|.  These
-    bounds are declarations, which nothing here checks.
+    ``maps(x)`` returns the vectorised transport map z -> T_x(z).
     """
 
     base: DiscreteMeasure
     maps: Callable[[np.ndarray], Callable[[np.ndarray], np.ndarray]]
-    rho: Callable[[np.ndarray], np.ndarray]
-    bound_C: float
     dim_out: int
 
 
@@ -501,7 +480,7 @@ def _build_family(config: dict) -> FamilyRuntime:
         if not (a0 - abs(a1) > 0.0 and a0 + abs(a1) <= 1.0):
             raise ValueError("fraclap needs 0 < a0 - |a1| and a0 + |a1| <= 1, so a(x) lies in (0, 1]")
         a = lambda x: (a0 + a1 * math.sin(float(x[0]))) ** sigma
-        family = FracLaplFamily(a=a, sigma=sigma, lipschitz_L=abs(a1), dim=dim)
+        family = FracLaplFamily(a=a, sigma=sigma, dim=dim)
         make = (lambda x: split_fraclap(family, x, grid)[0]) if part == "split_hat" else None
         return _grid_runtime(dim, sigma, grid, coef=family.coefficient, make=make)
 
@@ -523,9 +502,6 @@ def _build_family(config: dict) -> FamilyRuntime:
                 offset = np.zeros(dim)
                 offset[0] = shift * math.sin(float(x[0]))
                 return lambda Z: np.atleast_2d(Z) + offset[None, :]
-
-            rho = lambda Z: 1.0 + np.linalg.norm(np.atleast_2d(Z), axis=1)
-            C = max(1.0, abs(shift))
         elif mkind == "scaling":
             a0 = _number(params, "a0", 0.5)
             a1 = _number(params, "a1", 0.25)
@@ -548,12 +524,9 @@ def _build_family(config: dict) -> FamilyRuntime:
             def maps(x):
                 scale = (a0 + a1 * math.sin(float(x[0]))) ** (1.0 / sigma)
                 return lambda Z: scale * np.atleast_2d(Z)
-
-            rho = lambda Z: np.linalg.norm(np.atleast_2d(Z), axis=1)
-            C = 1.0
         else:
             raise ValueError(f"unknown levyito map kind {mkind!r}")
-        family = LevyItoFamily(base=base, maps=maps, rho=rho, bound_C=C, dim_out=dim)
+        family = LevyItoFamily(base=base, maps=maps, dim_out=dim)
         return FamilyRuntime(dim, make=lambda x: pushforward(family, x), coef=lambda x: 0.0, radial=lambda p: 0.0)
 
     if kind == "constant":

@@ -162,7 +162,7 @@ class DiscreteMeasure:
             _check_finite(pos)
             raise
         first, w = _merge_sites(pos, w)
-        raw, pos = pos, pos[first]
+        raw, pos = pos, np.take(pos, first, axis=0)
         with np.errstate(over="ignore"):  # an overflowing |z| is rejected just below
             radii = np.linalg.norm(pos, axis=1)
         if radii.size and not (radii.min() >= _MIN_RADIUS and radii.max() <= _MAX_RADIUS):

@@ -192,10 +192,7 @@ def test_criterion_06_kernel_sweep_below_quadrature_bound():
     family = fam.KernelFamily(
         density=lambda x, Z: (1.0 + 0.5 * math.sin(float(x[0])))
         * np.linalg.norm(np.atleast_2d(Z), axis=1) ** (-1.0 - sigma),
-        sigma=sigma,
-        lambda1=1.5,
         dim=1,
-        holder_gamma=1.0,
     )
     grid = fam.AnnularGrid(r_min=1e-3, r_max=1.0, n_radial=250)
     make = lambda x: fam.discretize_kernel(family, x, grid)
@@ -224,7 +221,6 @@ def test_criterion_07_fraclap_estimates():
     family = fam.FracLaplFamily(
         a=lambda x: (0.5 + 0.25 * math.sin(float(x[0]))) ** sigma,
         sigma=sigma,
-        lipschitz_L=lipschitz,
         dim=1,
     )
     # The small-ball parts are scaled copies of one reference measure; the
@@ -234,8 +230,6 @@ def test_criterion_07_fraclap_estimates():
     reference = fam.discretize_kernel(
         fam.KernelFamily(
             density=lambda x, Z: np.linalg.norm(np.atleast_2d(Z), axis=1) ** (-1.0 - sigma),
-            sigma=sigma,
-            lambda1=1.0,
             dim=1,
         ),
         [0.0],
@@ -246,8 +240,6 @@ def test_criterion_07_fraclap_estimates():
         maps=lambda x: (
             lambda Z, s=family.split_radius(x): s * np.atleast_2d(Z)
         ),
-        rho=lambda Z: np.linalg.norm(np.atleast_2d(Z), axis=1),
-        bound_C=1.0,
         dim_out=1,
     )
     make = lambda x: fam.pushforward(scaled, x)
@@ -346,11 +338,8 @@ def test_criterion_10_basic_idea_experiment():
     start = time.perf_counter()
     eq = vis.EquationSpec(
         lam=1.0,
-        lam1=1.0,
-        c=lambda x: 1.0,
         f=lambda x: math.sin(x) + 0.3 * math.cos(2.0 * x),
         measures=lambda x: DiscreteMeasure(1, [[0.5 + 0.1 * math.sin(x)]], [1.0]),
-        lipschitz_C=0.1,
     )
     report = vis.basic_idea_experiment(eq, n_nodes=512, epsilons=(1e-1, 1e-2, 1e-3, 1e-4))
     assert report.u_leq_v

@@ -278,7 +278,6 @@ def test_mutilde_checks_closed_form():
     fam = FracLaplFamily(
         a=lambda x: 0.25 if float(x[0]) < 0.5 else 0.36,
         sigma=1.5,
-        lipschitz_L=1.0,
         dim=1,
     )
     mass, ratio = mutilde_checks(fam, [0.0], [1.0])
@@ -292,10 +291,10 @@ def test_mutilde_checks_closed_form():
 
 
 def test_mutilde_checks_degenerate_cases():
-    fam = FracLaplFamily(a=lambda x: 0.5, sigma=1.5, lipschitz_L=0.0, dim=1)
+    fam = FracLaplFamily(a=lambda x: 0.5, sigma=1.5, dim=1)
     mass, ratio = mutilde_checks(fam, [0.0], [2.0])
     assert ratio == 0.0
-    full = FracLaplFamily(a=lambda x: 1.0, sigma=1.5, lipschitz_L=0.0, dim=1)
+    full = FracLaplFamily(a=lambda x: 1.0, sigma=1.5, dim=1)
     mass, _ = mutilde_checks(full, [0.0], [1.0])
     assert mass == pytest.approx(0.0, abs=1e-12)
 

@@ -34,8 +34,6 @@ def powerlaw_kernel(sigma: float, dim: int = 1, coef: float = 1.0) -> KernelFami
     expo = -(dim + sigma)
     return KernelFamily(
         density=lambda x, Z: coef * np.linalg.norm(np.atleast_2d(Z), axis=1) ** expo,
-        sigma=sigma,
-        lambda1=coef,
         dim=dim,
     )
 
@@ -54,8 +52,6 @@ def test_grid_validation():
 def test_discretize_zero_density_gives_empty():
     fam = KernelFamily(
         density=lambda x, Z: np.zeros(np.atleast_2d(Z).shape[0]),
-        sigma=0.5,
-        lambda1=1.0,
         dim=1,
     )
     grid = AnnularGrid(r_min=1e-2, r_max=1.0, n_radial=20)
@@ -134,7 +130,7 @@ def _skewed_kernel(dim: int, one_sided: bool) -> KernelFamily:
         tilt = np.maximum(Z[:, 0], 0.0) / r if one_sided else 1.0 + 0.5 * np.sin(x[0] + 3.0 * Z[:, -1] / r)
         return tilt * r**expo
 
-    return KernelFamily(density=density, sigma=0.5, lambda1=1.5, dim=dim)
+    return KernelFamily(density=density, dim=dim)
 
 
 def test_discretization_matches_the_reference_at_two_endpoints():
@@ -175,18 +171,18 @@ def test_batched_discretization_matches_per_direction_reference(dim):
 def test_discretization_rejects_negative_and_non_finite_densities(dim):
     # each fault sits only on directions with z_0 < 0, none of them the first one
     grid = AnnularGrid(r_min=1e-2, n_radial=10, n_angular=4)
-    negative = KernelFamily(density=lambda x, Z: np.where(Z[:, 0] < 0.0, -1.0, 1.0), sigma=0.5, lambda1=1.0, dim=dim)
+    negative = KernelFamily(density=lambda x, Z: np.where(Z[:, 0] < 0.0, -1.0, 1.0), dim=dim)
     with pytest.raises(ValueError, match="^density must be nonnegative$"):
         discretize_kernel(negative, np.zeros(dim), grid)
     for bad in (np.inf, np.nan):
-        broken = KernelFamily(density=lambda x, Z: np.where(Z[:, 0] < 0.0, bad, 1.0), sigma=0.5, lambda1=1.0, dim=dim)
+        broken = KernelFamily(density=lambda x, Z: np.where(Z[:, 0] < 0.0, bad, 1.0), dim=dim)
         with pytest.raises(ValueError, match="^density returned a non-finite value$"):
             discretize_kernel(broken, np.zeros(dim), grid)
 
 
 def test_split_fraclap_supports_and_masses():
     sigma = 1.5
-    fam = FracLaplFamily(a=lambda x: 0.25, sigma=sigma, lipschitz_L=0.0, dim=1)
+    fam = FracLaplFamily(a=lambda x: 0.25, sigma=sigma, dim=1)
     grid = AnnularGrid(r_min=1e-3, r_max=2.0, n_radial=300)
     hat, tilde, check = split_fraclap(fam, [0.0], grid)
     rx = 0.25 ** (1.0 / sigma)
@@ -204,7 +200,7 @@ def test_split_fraclap_supports_and_masses():
 
 def test_split_fraclap_union_mass_matches_refined_discretization():
     sigma = 1.5
-    fam = FracLaplFamily(a=lambda x: 0.4, sigma=sigma, lipschitz_L=0.0, dim=1)
+    fam = FracLaplFamily(a=lambda x: 0.4, sigma=sigma, dim=1)
     grid = AnnularGrid(r_min=1e-2, r_max=2.0, n_radial=120)
     hat, tilde, check = split_fraclap(fam, [0.0], grid)
     union_mass = hat.total_mass() + tilde.total_mass() + check.total_mass()
@@ -214,16 +210,16 @@ def test_split_fraclap_union_mass_matches_refined_discretization():
 
 def test_split_fraclap_degenerate_coefficients():
     grid = AnnularGrid(r_min=1e-3, r_max=2.0, n_radial=100)
-    full = FracLaplFamily(a=lambda x: 1.0, sigma=1.5, lipschitz_L=0.0, dim=1)
+    full = FracLaplFamily(a=lambda x: 1.0, sigma=1.5, dim=1)
     hat, tilde, check = split_fraclap(full, [0.0], grid)
     assert tilde.n_atoms == 0  # split radius reaches the unit sphere
-    tiny = FracLaplFamily(a=lambda x: 1e-12, sigma=1.5, lipschitz_L=0.0, dim=1)
+    tiny = FracLaplFamily(a=lambda x: 1e-12, sigma=1.5, dim=1)
     hat, tilde, check = split_fraclap(tiny, [0.0], grid)
     assert hat.total_mass() <= 1e-9
     with pytest.raises(ValueError):
-        FracLaplFamily(a=lambda x: 0.5, sigma=1.0, lipschitz_L=0.0, dim=1)
+        FracLaplFamily(a=lambda x: 0.5, sigma=1.0, dim=1)
     with pytest.raises(ValueError):
-        FracLaplFamily(a=lambda x: 0.5, sigma=2.0, lipschitz_L=0.0, dim=1)
+        FracLaplFamily(a=lambda x: 0.5, sigma=2.0, dim=1)
 
 
 def test_pushforward_examples():
@@ -231,8 +227,6 @@ def test_pushforward_examples():
     fam = LevyItoFamily(
         base=base,
         maps=lambda x: (lambda Z: 2.0 * np.atleast_2d(Z)),
-        rho=lambda Z: np.linalg.norm(np.atleast_2d(Z), axis=1),
-        bound_C=2.0,
         dim_out=1,
     )
     out = pushforward(fam, [0.0])
@@ -240,8 +234,6 @@ def test_pushforward_examples():
     ident = LevyItoFamily(
         base=base,
         maps=lambda x: (lambda Z: np.atleast_2d(Z)),
-        rho=lambda Z: np.linalg.norm(np.atleast_2d(Z), axis=1),
-        bound_C=1.0,
         dim_out=1,
     )
     unchanged = pushforward(ident, [3.0])
@@ -249,8 +241,6 @@ def test_pushforward_examples():
     killer = LevyItoFamily(
         base=base,
         maps=lambda x: (lambda Z: np.zeros_like(np.atleast_2d(Z))),
-        rho=lambda Z: np.ones(np.atleast_2d(Z).shape[0]),
-        bound_C=1.0,
         dim_out=1,
     )
     assert pushforward(killer, [0.0]).n_atoms == 0
@@ -272,8 +262,6 @@ def test_pushforward_respects_coupling_bound(rng):
     fam = LevyItoFamily(
         base=base,
         maps=map_at,
-        rho=lambda Z: 1.0 + np.linalg.norm(np.atleast_2d(Z), axis=1),
-        bound_C=1.0,
         dim_out=2,
     )
     for p in (1.0, 1.5, 2.0):
@@ -367,8 +355,6 @@ def test_fraclap_pushforward_sweep_bounded_at_small_separations():
     fam = LevyItoFamily(
         base=reference,
         maps=lambda x: (lambda Z, s=split_radius(x): s * np.atleast_2d(Z)),
-        rho=lambda Z: np.linalg.norm(np.atleast_2d(Z), axis=1),
-        bound_C=1.0,
         dim_out=1,
     )
     pairs = sweep_pairs(8, 1, seed=17)

@@ -297,7 +297,7 @@ def test_sub_measures_equal_constructor_built_parts(rng, make_measure):
 
 @pytest.mark.parametrize("dim", [1, 2, 3])
 def test_split_fraclap_parts_equal_constructor_built_parts(dim):
-    fam = FracLaplFamily(a=lambda x: (0.5 + 0.25 * math.sin(x[0])) ** 1.5, sigma=1.5, lipschitz_L=0.25, dim=dim)
+    fam = FracLaplFamily(a=lambda x: (0.5 + 0.25 * math.sin(x[0])) ** 1.5, sigma=1.5, dim=dim)
     for grid in (AnnularGrid(r_min=1e-3, r_max=2.0, n_radial=40, n_angular=6), AnnularGrid(n_radial=30)):
         for x in (0.0, 1.3, -0.7):
             x = [x] * dim
@@ -318,7 +318,7 @@ def test_split_fraclap_merges_shared_centroids_only_within_a_part(monkeypatch):
     w = np.array([1.0, 2.0, 3.0, 4.0, 5.0])
     lefts = np.array([0.05, rx / 2, rx / 2, rx, 1.0])
     monkeypatch.setattr("levyot.families._discretize_density", lambda *args, **kwargs: (pos, w, lefts))
-    fam = FracLaplFamily(a=lambda x: 0.5, sigma=1.5, lipschitz_L=0.0, dim=1)
+    fam = FracLaplFamily(a=lambda x: 0.5, sigma=1.5, dim=1)
     hat, tilde, check = split_fraclap(fam, [0.0], AnnularGrid())
     _assert_built_from_rows(hat, 1, [[0.1], [0.6]], [1.0, 5.0])
     _assert_built_from_rows(tilde, 1, [[0.6]], [4.0])
@@ -424,7 +424,7 @@ def test_zero_atom_measure_takes_the_general_path(dim):
     # finite), so the discretization has no atoms and all three pieces are empty
     r_min = 1e140 if dim == 1 else 1e100
     grid = AnnularGrid(r_min=r_min, r_max=2.0 * r_min, n_radial=4, n_angular=3)
-    family = FracLaplFamily(a=lambda x: 0.5, sigma=1.5, lipschitz_L=0.0, dim=dim)
+    family = FracLaplFamily(a=lambda x: 0.5, sigma=1.5, dim=dim)
     assert family.split_radius([0.0]) < r_min
     for piece in split_fraclap(family, [0.0], grid):
         assert piece.dim == dim and piece.n_atoms == 0
@@ -432,8 +432,6 @@ def test_zero_atom_measure_takes_the_general_path(dim):
     collapse = LevyItoFamily(
         base=far,
         maps=lambda x: (lambda Z: np.zeros_like(np.atleast_2d(Z))),
-        rho=lambda Z: np.ones(np.atleast_2d(Z).shape[0]),
-        bound_C=1.0,
         dim_out=dim,
     )
     image = pushforward(collapse, np.zeros(dim))

@@ -31,6 +31,7 @@ from levyot.transport import (
     verify_plan,
 )
 
+from levyot.suites import random_measure
 from test_families import _random_line_measure
 
 
@@ -80,6 +81,50 @@ def test_empty_side_matches_closed_form(dim, p):
             assert np.array_equal(flows, full.weights)
             assert np.array_equal(duals, res)
             assert rep.value == value and rep.gap == 0.0
+
+
+def _reservoir_lp(mu, nu, p):
+    """The reservoir LP solved by HiGHS, as an oracle independent of ``solve``.
+
+    Variables are the arcs x_i -> y_j, x_i -> 0 and 0 -> y_j; each atom's
+    arcs carry its weight, and mass at the origin is free.
+    """
+    from scipy.optimize import linprog
+
+    m, n = mu.n_atoms, nu.n_atoms
+    diff = mu.positions[:, None, :] - nu.positions[None, :, :]
+    cost = np.concatenate([np.linalg.norm(diff, axis=2).ravel() ** p, mu.radii**p, nu.radii**p])
+    arcs = np.arange(m * n)
+    A = np.zeros((m + n, m * n + m + n))
+    A[arcs // n, arcs] = A[m + arcs % n, arcs] = 1.0
+    A[np.arange(m + n), m * n + np.arange(m + n)] = 1.0
+    res = linprog(cost, A_eq=A, b_eq=np.concatenate([mu.weights, nu.weights]), bounds=(0, None), method="highs")
+    assert res.status == 0, res.message
+    return res.fun
+
+
+def _weighted_pairs():
+    """40 seeded random pairs (d 1-3, p 1, 1.5, 2), then kernel-grid hat pairs that take the ray path."""
+    rng = np.random.default_rng(6060)
+    for k in range(40):
+        dim, p = 1 + k % 3, (1.0, 1.5, 2.0)[k // 3 % 3]
+        mu, nu = (random_measure(rng, dim, allow_empty=False) for _ in "ab")
+        yield mu, nu, p, None
+    for dim in (2, 3):
+        runtime = build_family({"type": "kernel", "dim": dim, "sigma": 0.5,
+                                "grid": {"r_min": 1e-3, "r_max": 2.0, "n_radial": 5, "n_angular": 6}})
+        for x, y in (([0.1], [0.4]), ([1.0], [2.5]), ([-0.7], [0.2])):
+            mu, nu = (decompose(runtime.make_measure(np.array(z * dim))).hat for z in (x, y))
+            for p in (1.0, 1.5, 2.0):
+                yield mu, nu, p, "rays"
+
+
+def test_weighted_instances_match_the_lp():
+    for mu, nu, p, path in _weighted_pairs():
+        lp = _reservoir_lp(mu, nu, p)
+        rep = solve(mu, nu, CostSpec(p))
+        assert path is None or rep.path == path
+        assert abs(rep.value - lp) <= 1e-9 * max(1.0, abs(lp)), (mu, nu, p, rep.value, lp)
 
 
 def _plan_loop(sx, m, n):

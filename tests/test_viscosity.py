@@ -23,7 +23,9 @@ from levyot.viscosity import (
     psi_kappa,
     psi_kappa_grad,
     sup_convolution,
+    _assemble_periodic_operator,
 )
+from levyot.transport import distance
 
 
 def test_penalization_spec_validation():
@@ -213,10 +215,8 @@ def test_convolutions_match_dense_scan(case, delta):
     assert np.max(np.abs(conv.values.reshape(-1) - best)) <= 1e-13
     assert np.max(np.abs(at - best)) <= 1e-13
     # inf-convolution: the dense min of u(y) + |x - y|^2 / delta
-    low, low_ach = inf_convolution(u, delta, with_achievers=True)
-    neg_best, neg_at = _dense_sup_convolution(u.with_values(-u.values), delta, low_ach)
-    assert np.max(np.abs(low.values.reshape(-1) + neg_best)) <= 1e-13
-    assert np.max(np.abs(neg_at - neg_best)) <= 1e-13
+    neg_best, _ = _dense_sup_convolution(u.with_values(-u.values), delta, ach)
+    assert np.max(np.abs(inf_convolution(u, delta).values.reshape(-1) + neg_best)) <= 1e-13
 
 
 def _dense_doubling(u, v, spec):
@@ -460,41 +460,99 @@ def test_coupling_full_measure_variant(rng, make_grid_function, make_measure):
         np.concatenate([inner.weights, far_nu.weights]),
     )
     spec = PenalizationSpec(epsilon=0.1, kappa=1e-3, p=1.5)
-    with pytest.raises(ValueError):
-        coupling_inequality_check(u, v, spec, mu, nu)
-    chk = coupling_inequality_check(u, v, spec, mu, nu, full_measure=True)
+    chk = coupling_inequality_check(u, v, spec, mu, nu)
     assert chk.tv_term == pytest.approx(2.0 * v.sup_norm() * 1.1)
     assert chk.passed
 
 
-def _translation_equation(lam: float = 1.0) -> EquationSpec:
+@pytest.mark.parametrize("p", [1.0, 1.5, 2.0])
+def test_coupling_in_the_unit_ball_has_no_tv_term(p, make_grid_function, make_measure):
+    # inside the unit ball the bound is the transport term alone, bit for bit
+    rng = np.random.default_rng(4242)
+    for _ in range(6):
+        u = make_grid_function(rng, 1, 96, box=2.0)
+        v = make_grid_function(rng, 1, 96, box=2.0)
+        eps = float(rng.uniform(0.05, 0.5))
+        spec = PenalizationSpec(epsilon=eps, kappa=0.1, p=p)
+        mu, nu = (make_measure(rng, 1, max_atoms=8, inner=0.05, outer=0.95, allow_empty=False) for _ in range(2))
+        chk = coupling_inequality_check(u, v, spec, mu, nu)
+        assert chk.tv_term == 0.0
+        assert chk.rhs == pointwise_power_constant(p) * (1.0 / eps) * distance(mu, nu, p) ** p
+
+
+def _translation_equation(lam: float = 1.0, center: float = 0.5, shift: float = 0.1) -> EquationSpec:
     return EquationSpec(
         lam=lam,
-        lam1=lam,
-        c=lambda x: lam,
         f=lambda x: math.sin(x) + 0.3 * math.cos(2.0 * x),
-        measures=lambda x: DiscreteMeasure(1, [[0.5 + 0.1 * math.sin(x)]], [1.0]),
-        lipschitz_C=0.1,
+        measures=lambda x: DiscreteMeasure(1, [[center + shift * math.sin(x)]], [1.0]),
     )
 
 
 def test_equation_spec_validation():
-    with pytest.raises(ValueError):
-        EquationSpec(lam=0.0, lam1=1.0, c=lambda x: 1.0, f=lambda x: 0.0,
-                     measures=lambda x: DiscreteMeasure.empty(1))
-    # an infinite lam1 would let c(x) = inf through, and the gap read -inf
-    for lam, lam1 in ((2.0, 1.0), (1.0, math.inf), (math.inf, math.inf), (math.nan, 1.0)):
+    # an infinite lam would make the gap read -inf
+    for lam in (0.0, -1.0, math.inf, math.nan):
         with pytest.raises(ValueError, match="lam"):
-            EquationSpec(lam=lam, lam1=lam1, c=lambda x: 1.0, f=lambda x: 0.0,
-                         measures=lambda x: DiscreteMeasure.empty(1))
-    eq = _translation_equation()
-    assert eq.validate([0.0, 1.0, 2.0]) == []
+            EquationSpec(lam=lam, f=lambda x: 0.0, measures=lambda x: DiscreteMeasure.empty(1))
+    assert _translation_equation(2.5).lam == 2.5
+
+
+def _loop_operator(eq: EquationSpec, nodes: np.ndarray, length: float) -> np.ndarray:
+    """The operator summed node by node and atom by atom: the reference for the assembly."""
+    n = nodes.size
+    h = length / n
+    A = np.zeros((n, n))
+    for i, xi in enumerate(nodes):
+        A[i, i] += eq.lam
+        mu = eq.measures(float(xi))
+        for z, w in zip(mu.positions[:, 0], mu.weights):
+            t = (xi + z - nodes[0]) / h
+            k0 = int(math.floor(t)) % n
+            frac = t - math.floor(t)
+            A[i, k0] -= w * (1.0 - frac)
+            A[i, (k0 + 1) % n] -= w * frac
+            A[i, i] += w
+            if abs(z) < 1.0:
+                A[i, (i + 1) % n] += w * z / (2.0 * h)
+                A[i, (i - 1) % n] -= w * z / (2.0 * h)
+    return A
+
+
+def _spread_family(x: float) -> DiscreteMeasure:
+    """Negative atoms, an atom on the unit sphere, one beyond it, and no atoms where sin x < -0.5."""
+    if math.sin(x) < -0.5:
+        return DiscreteMeasure.empty(1)
+    pos = [[-0.3 - 0.1 * math.sin(x)], [0.05], [1.0], [-2.5 + 0.2 * math.cos(x)], [7.0 + math.sin(3.0 * x)]]
+    return DiscreteMeasure(1, pos, [0.7, 2.0, 1.3, 0.4, 0.25])
+
+
+@pytest.mark.parametrize(
+    "eq, n_nodes",
+    [
+        (_translation_equation(), 8),
+        (_translation_equation(), 64),
+        (_translation_equation(), 512),
+        (EquationSpec(lam=1.0, f=math.sin, measures=_spread_family), 8),
+        (EquationSpec(lam=0.1 * math.pi, f=math.sin, measures=_spread_family), 97),
+        (_translation_equation(1.0, -0.5, -0.1), 8),
+        (_translation_equation(1.0, 2.0**510, 0.0), 8),
+        (_translation_equation(1.0, -(2.0**510), 0.0), 8),
+        (_translation_equation(1.0, -(2.0**-511), 0.0), 8),
+        (EquationSpec(lam=1.0, f=math.sin, measures=lambda x: DiscreteMeasure.empty(1)), 8),
+    ],
+    ids=["one-atom-8", "one-atom-64", "one-atom-512", "spread-8", "spread-97", "negative-center",
+         "center-2^510", "center--2^510", "center--2^-511", "empty"],
+)
+def test_operator_assembly_matches_the_loop_bit_for_bit(eq, n_nodes):
+    # summed in another order, some diagonal entries of the spread cases take
+    # other bits, so these cases pin the order down
+    length = 2.0 * math.pi
+    nodes = np.linspace(0.0, length, n_nodes, endpoint=False)
+    A = _assemble_periodic_operator(eq, nodes, length)
+    assert A.tobytes() == _loop_operator(eq, nodes, length).tobytes()
 
 
 def test_translation_family_distance_is_exactly_lipschitz():
     eq = _translation_equation()
-    from levyot.transport import distance
-
     for x, y in ((0.0, 0.5), (1.0, 1.3), (2.0, 2.001)):
         d = distance(eq.measures(x), eq.measures(y), 2.0)
         assert d == pytest.approx(abs(0.1 * (math.sin(x) - math.sin(y))), abs=1e-12)
@@ -502,11 +560,7 @@ def test_translation_family_distance_is_exactly_lipschitz():
 
 
 def test_basic_idea_experiment_zero_forcing():
-    eq = EquationSpec(
-        lam=1.0, lam1=1.0, c=lambda x: 1.0, f=lambda x: 0.0,
-        measures=lambda x: DiscreteMeasure(1, [[0.5 + 0.1 * math.sin(x)]], [1.0]),
-        lipschitz_C=0.1,
-    )
+    eq = EquationSpec(lam=1.0, f=lambda x: 0.0, measures=_translation_equation().measures)
     report = basic_idea_experiment(eq, n_nodes=128)
     assert report.u.sup_norm() == 0.0
     assert report.u_leq_v
