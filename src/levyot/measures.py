@@ -62,7 +62,7 @@ def _merge_sites(pos: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray
     """
     n, dim = pos.shape
     rows = np.ascontiguousarray(pos).view(np.dtype((np.void, pos.itemsize * dim))).reshape(n)
-    if np.unique(rows).size == n:  # no duplicates, the common case
+    if n < 2 or np.unique(rows).size == n:  # no duplicates, the common case
         return np.arange(n), w.copy()
     _, first, inverse = np.unique(rows, return_index=True, return_inverse=True)
     order = np.argsort(first)

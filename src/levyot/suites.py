@@ -94,15 +94,15 @@ def random_grid_function(
     rng: np.random.Generator, dim: int, n_nodes: int, box: float = 1.0
 ) -> viscosity.GridFunction:
     """Random smooth sample of five trigonometric modes on a box grid, sup-norm one."""
-    axes = [np.linspace(-box, box, n_nodes) for _ in range(dim)]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    vals = np.zeros_like(mesh[0])
+    axis = np.linspace(-box, box, n_nodes)
+    vals = np.zeros((n_nodes,) * dim)
     for k in range(1, 6):
         coef = rng.normal() / k
         phase = rng.uniform(0, 2 * math.pi, size=dim)
+        # a product of per-axis cosines, each taken on its axis and broadcast
         wave = np.ones_like(vals)
         for ax in range(dim):
-            wave = wave * np.cos(k * math.pi * mesh[ax] / box + phase[ax])
+            wave = wave * viscosity._along(np.cos(k * math.pi * axis / box + phase[ax]), ax, dim)
         vals += coef * wave
     peak = np.max(np.abs(vals))
     if peak > 0:

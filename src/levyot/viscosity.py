@@ -17,6 +17,7 @@ from functools import lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .measures import DiscreteMeasure, SchemaError, decompose, tv_distance, _check_p
 from . import transport
@@ -205,28 +206,69 @@ def pointwise_power_constant(p: float) -> float:
     return worst * 1.05
 
 
+def _window_width(a: np.ndarray, w: np.ndarray, delta: float) -> int:
+    """Width B of the window a sup-convolution pass along axis ``a`` scores.
+
+    With O = max w - min w and M = max |w|, the float penalty P of a pair is
+    set against T = max((O + eta M)(1 + eta), 2^-1000), eta = 2^-44.  A pair
+    with P >= T scores w(y) - P <= w(x) - eta M / 2 exactly, which is at
+    least two units in the last place of w(x) below it (or 2^-1001 below it
+    where M is tiny), so its float score is below w(x).  The reach is
+    R = sqrt(max(delta T, 2^-1000)) (1 + eta) and half = floor(R / g) for
+    the smallest gap g between adjacent nodes; a node more than half places
+    from x lies farther than R from it.  Each of the dozen roundings on the
+    way, in R, half, g and in the pair's own difference, square and
+    quotient, costs a factor of at most 1 - 2^-53, which eta covers, and the
+    floors keep every quantity normal, so such a pair has P >= T.  B = n
+    where g is not positive or half is not below n: an infinite R (O or
+    delta T overflows) or a zero gap scans the whole axis.
+    """
+    n, eta, tiny = a.size, 2.0 ** -44, 2.0 ** -1000
+    top, bottom = float(w.max()), float(w.min())
+    drop = max((top - bottom + eta * max(top, -bottom)) * (1.0 + eta), tiny)
+    reach = math.sqrt(max(delta * drop, tiny)) * (1.0 + eta)
+    gap = float(np.min(a[1:] - a[:-1]))
+    half = reach / gap if gap > 0.0 else math.inf
+    return min(n, 2 * math.floor(half) + 1) if half < n else n
+
+
 def sup_convolution(
     u: GridFunction, delta: float, with_achievers: bool = False
 ):
     """Discrete sup-convolution: max over nodes y of u(y) - |x - y|^2 / delta.
 
     The penalty is a sum over axes, so the maximum over the whole node set is
-    exact as one 1-d max pass per axis: O(N sum_k n_k) work for N nodes with
-    n_k per axis.  The achieving node always lies within distance
-    sqrt(2 delta ||u||_inf) of x, so nothing is lost by the finite box.  With
-    ``with_achievers`` the flat index of the achieving node per evaluation
-    node is returned alongside.  Ties resolve to the lowest index on the last
-    axis, then, among those, on the axis before it, and so on to the first.
+    exact as one 1-d max pass per axis.  The achieving node always lies within
+    distance sqrt(2 delta ||u||_inf) of x, so nothing is lost by the finite
+    box.  With ``with_achievers`` the flat index of the achieving node per
+    evaluation node is returned alongside.  Ties resolve to the lowest index
+    on the last axis, then, among those, on the axis before it, and so on to
+    the first.
+
+    Each pass scores node x only against a window of B = min(n, 2 half + 1)
+    of the axis's n nodes, starting at clip(x - half, 0, n - B), for
+    O(N sum_k B_k) work over N nodes.  A node y farther than the reach
+    R = sqrt(delta (max w - min w)) from x, where w is the pass's input,
+    scores below w(x), which is x's own score.  half = floor(R / g) for the
+    smallest gap g between the axis's nodes, with R widened by a rounding
+    allowance (``_window_width``) so that every node outside the window
+    scores strictly below w(x) in floats too.  Each scored pair keeps the expression
+    w(y) - (x - y)^2 / delta, so values and achievers are those of scoring
+    every node, bit for bit.  Where R or half is not finite, B = n.
     """
     delta = _check_delta(delta)
     w = u.values
     args = []
     for k, a in enumerate(u.axes()):
-        # cand[..., x_k, y_k]: the running maximum moved to y_k, penalised.
-        cand = np.moveaxis(w, k, -1)[..., None, :] - (a[:, None] - a[None, :]) ** 2 / delta
+        n, width = a.size, _window_width(a, w, delta)
+        start = np.clip(np.arange(n) - (width - 1) // 2, 0, n - width)
+        # cand[..., x_k, j]: the running maximum at y_k = start[x_k] + j, penalised.
+        ay = sliding_window_view(a, width)[start]
+        wy = sliding_window_view(np.moveaxis(w, k, -1), width, axis=-1)[..., start, :]
+        cand = wy - (a[:, None] - ay) ** 2 / delta
         arg = np.argmax(cand, axis=-1)
         w = np.moveaxis(np.take_along_axis(cand, arg[..., None], axis=-1)[..., 0], -1, k)
-        args.append(np.moveaxis(arg, -1, k))
+        args.append(np.moveaxis(start + arg, -1, k))
     result = u.with_values(w)
     if not with_achievers:
         return result

@@ -24,6 +24,7 @@ from levyot.viscosity import (
     psi_kappa_grad,
     sup_convolution,
     _assemble_periodic_operator,
+    _window_width,
 )
 from levyot.transport import distance
 
@@ -205,6 +206,30 @@ def _reference_grid(case):
     return random_grid_function(rng, dim, n_nodes)
 
 
+def _meshgrid_random_grid_function(rng, dim, n_nodes, box):
+    """random_grid_function's values with every mode evaluated on the full
+    meshgrid, kept as the reference for the per-axis evaluation."""
+    mesh = np.meshgrid(*[np.linspace(-box, box, n_nodes)] * dim, indexing="ij")
+    vals = np.zeros_like(mesh[0])
+    for k in range(1, 6):
+        coef = rng.normal() / k
+        phase = rng.uniform(0, 2 * math.pi, size=dim)
+        wave = np.ones_like(vals)
+        for ax in range(dim):
+            wave = wave * np.cos(k * math.pi * mesh[ax] / box + phase[ax])
+        vals += coef * wave
+    return vals / np.max(np.abs(vals))
+
+
+def test_random_grid_function_matches_the_meshgrid_formula():
+    for seed in range(10):
+        for dim, n_nodes in ((1, 2), (1, 512), (2, 7), (2, 48), (3, 16), (4, 5)):
+            for box in (1.0, 2.0, 0.3):
+                got = random_grid_function(np.random.default_rng(seed), dim, n_nodes, box=box)
+                want = _meshgrid_random_grid_function(np.random.default_rng(seed), dim, n_nodes, box)
+                assert got.values.tobytes() == want.tobytes()
+
+
 @pytest.mark.parametrize("delta", [1e-1, 1e-2, 1e-3])
 @pytest.mark.parametrize("case", ["1d-512", "2d-64x64", "2d-30x17-box", "3d-16^3"])
 def test_convolutions_match_dense_scan(case, delta):
@@ -350,6 +375,106 @@ def test_sup_convolution_tie_rule():
     conv, ach = sup_convolution(u, 1.0, with_achievers=True)
     assert ach.reshape(3, 3).tolist() == [[6, 2, 2], [6, 6, 2], [6, 6, 6]]
     assert conv.values[1, 1] == -1.0 and conv.values[0, 0] == -3.0
+
+
+def _full_pass_sup_convolution(u, delta):
+    """Each 1-d pass scoring every node against every node, kept as the
+    reference for the windowed pass: (values, flat achievers)."""
+    w, args = u.values, []
+    for k, a in enumerate(u.axes()):
+        cand = np.moveaxis(w, k, -1)[..., None, :] - (a[:, None] - a[None, :]) ** 2 / delta
+        arg = np.argmax(cand, axis=-1)
+        w = np.moveaxis(np.take_along_axis(cand, arg[..., None], axis=-1)[..., 0], -1, k)
+        args.append(np.moveaxis(arg, -1, k))
+    idx = list(np.indices(w.shape))
+    for k in reversed(range(u.dim)):
+        idx[k] = args[k][tuple(idx)]
+    return w, np.ravel_multi_index(idx, w.shape).reshape(-1)
+
+
+def _assert_window_is_exact(u, delta):
+    conv, ach = sup_convolution(u, delta, with_achievers=True)
+    values, achievers = _full_pass_sup_convolution(u, delta)
+    assert conv.values.tobytes() == values.tobytes()
+    assert np.array_equal(ach, achievers)
+
+
+def _window_grid(case):
+    rng = np.random.default_rng(1805)
+    if case == "quantised-1d-512":  # ties, see test_sup_convolution_window_width
+        return GridFunction(np.array([-1.0]), np.array([1.0]), rng.integers(-8, 9, 512) / 4)
+    if case == "constant-2d":
+        return GridFunction(np.array([0.0, -3.0]), np.array([1.0, 5.0]), np.full((9, 12), -7.5))
+    if case == "near-1e308":  # max - min overflows
+        return GridFunction(np.array([-1.0]), np.array([1.0]), rng.choice([-1.0, 1.0], 64) * rng.uniform(1e307, 1.7e308, 64))
+    if case == "subnormal-nodes":  # adjacent nodes about 3 subnormal steps apart
+        return GridFunction(np.array([0.0]), np.array([1e-321]), rng.normal(size=64))
+    if case == "zeros-on-subnormal-nodes":  # every off-node penalty underflows to 0: all tie
+        return GridFunction(np.array([0.0]), np.array([1e-321]), np.zeros(64))
+    if case == "equal-nodes":  # 64 nodes over 10 subnormal steps: adjacent nodes coincide
+        return GridFunction(np.array([0.0]), np.array([5e-323]), rng.normal(size=64))
+    if case == "2d-30x17-box":
+        return GridFunction(np.array([-0.4, 0.3]), np.array([1.1, 0.8]), rng.normal(size=(30, 17)))
+    if case == "3d-9x7x11":
+        return GridFunction(np.array([-1.0, 0.0, 2.0]), np.array([1.0, 0.5, 9.0]), rng.normal(size=(9, 7, 11)))
+    if case == "two-nodes":
+        return GridFunction(np.array([0.0]), np.array([1.0]), np.array([0.3, -0.2]))
+    return GridFunction(np.array([0.0, 0.0]), np.array([1.0, 2.0]), np.array([[1.0, 0.0], [0.0, 1.0]]))  # 2x2
+
+
+@pytest.mark.parametrize("delta", [1e-12, 1e-6, 1e-3, 1e-1, 10.0, 1e6])
+@pytest.mark.parametrize(
+    "case",
+    ["quantised-1d-512", "constant-2d", "near-1e308", "subnormal-nodes", "zeros-on-subnormal-nodes", "equal-nodes",
+     "2d-30x17-box", "3d-9x7x11", "two-nodes", "2x2"],
+)
+def test_sup_convolution_window_matches_the_full_pass(case, delta):
+    _assert_window_is_exact(_window_grid(case), delta)
+
+
+def test_sup_convolution_window_width():
+    # quantised values at delta 1e-3: the window is narrower than the axis,
+    # and some nodes have tied maxima inside it
+    u = _window_grid("quantised-1d-512")
+    (a,) = u.axes()
+    assert _window_width(a, u.values, 1e-3) < a.size
+    cand = u.values[None, :] - (a[:, None] - a[None, :]) ** 2 / 1e-3
+    assert ((cand == cand.max(axis=1, keepdims=True)).sum(axis=1) > 1).any()
+    # an overflowing max - min and coinciding nodes scan the whole axis
+    for case in ("near-1e308", "equal-nodes"):
+        u = _window_grid(case)
+        (a,) = u.axes()
+        assert _window_width(a, u.values, 1e-3) == a.size
+
+
+@st.composite
+def _window_cases(draw):
+    """A grid in d in 1..3 (up to 512, 40 and 10 nodes per axis), values
+    drawn, quantised or constant at scales up to 1e308, a box from 1e-321 to
+    1e3 wide, and delta from 1e-12 to 1e6.  The numbers come from a drawn
+    seed."""
+    dim = draw(st.integers(1, 3))
+    top = {1: 512, 2: 40, 3: 10}[dim]
+    shape = tuple(draw(st.lists(st.integers(2, top), min_size=dim, max_size=dim)))
+    scale = 10.0 ** draw(st.integers(-300, 308))
+    kind = draw(st.sampled_from(["normal", "quantised", "constant"]))
+    delta = 10.0 ** draw(st.floats(-12.0, 6.0))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    vals = {
+        "normal": lambda: rng.uniform(-1.0, 1.0, shape),
+        "quantised": lambda: rng.integers(-4, 5, shape) / 4,
+        "constant": lambda: np.full(shape, rng.uniform(-1.0, 1.0)),
+    }[kind]() * scale
+    width = 10.0 ** rng.uniform(-321.0, 3.0, dim)
+    lo = np.where(rng.random(dim) < 0.5, 0.0, rng.uniform(-100.0, 100.0, dim))
+    lo = np.where(lo + width > lo, lo, 0.0)
+    return GridFunction(lo, lo + width, vals), delta
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(_window_cases())
+def test_property_sup_convolution_window_matches_the_full_pass(case):
+    _assert_window_is_exact(*case)
 
 
 def test_levy_op_affine_compensation_exact():
