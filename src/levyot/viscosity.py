@@ -252,9 +252,10 @@ def sup_convolution(
     scores below w(x), which is x's own score.  half = floor(R / g) for the
     smallest gap g between the axis's nodes, with R widened by a rounding
     allowance (``_window_width``) so that every node outside the window
-    scores strictly below w(x) in floats too.  Each scored pair keeps the expression
-    w(y) - (x - y)^2 / delta, so values and achievers are those of scoring
-    every node, bit for bit.  Where R or half is not finite, B = n.
+    scores strictly below w(x) in floats too.  Each scored pair keeps the
+    expression w(y) - (x - y)^2 / delta, so values and achievers are those
+    of scoring every node, bit for bit.  Where R or half is not finite,
+    B = n.
     """
     delta = _check_delta(delta)
     w = u.values

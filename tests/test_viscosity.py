@@ -406,7 +406,8 @@ def _window_grid(case):
     if case == "constant-2d":
         return GridFunction(np.array([0.0, -3.0]), np.array([1.0, 5.0]), np.full((9, 12), -7.5))
     if case == "near-1e308":  # max - min overflows
-        return GridFunction(np.array([-1.0]), np.array([1.0]), rng.choice([-1.0, 1.0], 64) * rng.uniform(1e307, 1.7e308, 64))
+        vals = rng.choice([-1.0, 1.0], 64) * rng.uniform(1e307, 1.7e308, 64)
+        return GridFunction(np.array([-1.0]), np.array([1.0]), vals)
     if case == "subnormal-nodes":  # adjacent nodes about 3 subnormal steps apart
         return GridFunction(np.array([0.0]), np.array([1e-321]), rng.normal(size=64))
     if case == "zeros-on-subnormal-nodes":  # every off-node penalty underflows to 0: all tie
@@ -416,7 +417,8 @@ def _window_grid(case):
     if case == "2d-30x17-box":
         return GridFunction(np.array([-0.4, 0.3]), np.array([1.1, 0.8]), rng.normal(size=(30, 17)))
     if case == "3d-9x7x11":
-        return GridFunction(np.array([-1.0, 0.0, 2.0]), np.array([1.0, 0.5, 9.0]), rng.normal(size=(9, 7, 11)))
+        lo, hi = np.array([-1.0, 0.0, 2.0]), np.array([1.0, 0.5, 9.0])
+        return GridFunction(lo, hi, rng.normal(size=(9, 7, 11)))
     if case == "two-nodes":
         return GridFunction(np.array([0.0]), np.array([1.0]), np.array([0.3, -0.2]))
     return GridFunction(np.array([0.0, 0.0]), np.array([1.0, 2.0]), np.array([[1.0, 0.0], [0.0, 1.0]]))  # 2x2
@@ -425,8 +427,8 @@ def _window_grid(case):
 @pytest.mark.parametrize("delta", [1e-12, 1e-6, 1e-3, 1e-1, 10.0, 1e6])
 @pytest.mark.parametrize(
     "case",
-    ["quantised-1d-512", "constant-2d", "near-1e308", "subnormal-nodes", "zeros-on-subnormal-nodes", "equal-nodes",
-     "2d-30x17-box", "3d-9x7x11", "two-nodes", "2x2"],
+    ["quantised-1d-512", "constant-2d", "near-1e308", "subnormal-nodes", "zeros-on-subnormal-nodes",
+     "equal-nodes", "2d-30x17-box", "3d-9x7x11", "two-nodes", "2x2"],
 )
 def test_sup_convolution_window_matches_the_full_pass(case, delta):
     _assert_window_is_exact(_window_grid(case), delta)
