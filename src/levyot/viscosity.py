@@ -49,7 +49,8 @@ class GridFunction:
     Evaluation anywhere uses multilinear interpolation of the node values;
     queries outside the box are clamped to the boundary first, so the
     extension is the constant continuation of the boundary values and the
-    function stays bounded and uniformly continuous on all of R^d.
+    function stays bounded and uniformly continuous on all of R^d.  The node
+    coordinates along each axis are built once, as read-only arrays.
     """
 
     lo: np.ndarray
@@ -71,6 +72,10 @@ class GridFunction:
         object.__setattr__(self, "lo", lo)
         object.__setattr__(self, "hi", hi)
         object.__setattr__(self, "values", vals)
+        axes = tuple(np.linspace(lo[k], hi[k], n) for k, n in enumerate(vals.shape))
+        for a in axes:
+            a.flags.writeable = False
+        object.__setattr__(self, "_axes", axes)
 
     @property
     def dim(self) -> int:
@@ -81,10 +86,7 @@ class GridFunction:
         return (self.hi - self.lo) / (np.array(self.values.shape) - 1)
 
     def axes(self) -> tuple[np.ndarray, ...]:
-        return tuple(
-            np.linspace(self.lo[k], self.hi[k], self.values.shape[k])
-            for k in range(self.dim)
-        )
+        return self._axes
 
     def nodes(self) -> np.ndarray:
         """All grid nodes as a (n_nodes, dim) array in row-major node order."""
@@ -300,8 +302,9 @@ def levy_op_eval(
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
     grad = np.atleast_1d(np.asarray(grad_u_at_x, dtype=float))
-    shifted = u(x[None, :] + mu.positions)
-    ux = u(x)
+    # u at x and at every x + z_i in one call; each point is interpolated alone
+    at = u(np.vstack([x, x[None, :] + mu.positions]))
+    ux, shifted = at[0], at[1:]
     comp = np.where(mu.radii < 1.0, mu.positions @ grad, 0.0)
     terms = mu.weights * (shifted - ux - comp)
     return math.fsum(terms.tolist())
@@ -318,6 +321,8 @@ class DoublingResult:
 # Nodes per axis in one tile of u nodes; each tile is scored against the
 # v nodes close enough to beat the lower bound.
 _TILE = 8
+# Node pairs a block of tiles may score, which bounds the memory of a call.
+_BLOCK = 1 << 19
 
 
 def _along(a: np.ndarray, axis: int, ndim: int) -> np.ndarray:
@@ -350,23 +355,36 @@ def doubling_maximize(u: GridFunction, v: GridFunction, spec: PenalizationSpec) 
     score some pair attains are skipped:
 
     - each u node against its nearest v node gives the lower bound L;
-    - u is cut into tiles of ``_TILE`` nodes per axis.  A pair from tile T
-      scores at most max_T u - min v - (1/eps) psi_kappa(x - y), so a tile
-      with max_T u - min v < L is skipped, and the others are scored only
-      against the v sub-box within distance R of the tile, where
-      (1/eps) psi_kappa(R) = max_T u - min v - L (psi_kappa grows with |h|);
+    - u is cut into tiles of ``_TILE`` nodes per axis.  A pair (x, y) with x
+      in tile T scores at most b - (1/eps) psi_kappa(x - y) for any bound
+      b >= u(x) - v(y), so it can reach L only if |x - y| <= R(b), where
+      (1/eps) psi_kappa(R(b)) = b - L (psi_kappa grows with |h|).  With the
+      global bound b = max_T u - min v, a tile with b < L is skipped, and
+      each other tile gets the v sub-box within R of it along every axis;
+    - each (tile T, v node y in its sub-box) pair is then tested with its
+      own bound b = max_T u - v(y), and kept only when b >= L and the
+      distance from y to T's bounding box is at most R(b);
     - rounding margin: a float score differs from the exact score of the
       same node coordinates by less than (d + 28) 2^-53 times
       |u(x)| + |v(y)| + (1/eps)(kappa + |x - y|^2)^{p/2}, allowing pow four
-      units in the last place.  With eta = (d + 64) 2^-50, the bound gets
+      units in the last place.  With eta = (d + 64) 2^-50, every bound gets
       eta (max|u| + max|v| + |L| + kappa^{p/2}/eps) added and is scaled by
       1 + eta; R^2 gets eta (kappa + R^2) added, R is scaled by 1 + eta and
       gets eta times the largest |coordinate| added.  This covers that error
-      and the rounding in the bound and in R, so every pair whose float score
-      can reach L is scored.
+      and the rounding in the bound and in R.  The distance is compared
+      squared, as the sum over axes of the squared gaps against R^2, and
+      its half dozen roundings stay inside R's relative widening.  So every
+      pair whose float score can reach L is scored.  The margins are
+      relative: they take kappa and the scale of the grid values to lie far
+      above the subnormal range.
 
-    Work is about the number of pairs within R of their tile, plus one
-    nearest-node pass.  u(x) - v(y) must not overflow.
+    The live tiles go in blocks of whole tiles with about
+    ``_BLOCK`` / _TILE^d (tile, v node) pairs in all.  A block's kept pairs,
+    each against every u node of its tile, are scored in one array, so a
+    call holds about ``_BLOCK`` scores at once, or one tile's, if more.  Work
+    is _TILE^d scores per kept (tile, v node) pair, one bound per pair of a
+    tile's sub-box and the nearest-node pass.  u(x) - v(y) must not
+    overflow; a penalty that does scores -inf, as in the dense scan.
     """
     if u.dim != v.dim:
         raise ValueError("grids must share the ambient dimension")
@@ -375,64 +393,101 @@ def doubling_maximize(u: GridFunction, v: GridFunction, spec: PenalizationSpec) 
         raise ValueError("u(x) - v(y) overflows; rescale the grid values")
     dim, alpha = u.dim, 1.0 / spec.epsilon
     ax_u, ax_v = u.axes(), v.axes()
+    # an overflowing penalty scores -inf, and an infinite bound only means scoring more pairs
+    with np.errstate(over="ignore"):
+        # L: every u node against its nearest v node, found axis by axis
+        near = []
+        for a, b in zip(ax_u, ax_v):
+            j = np.clip(np.searchsorted(b, a), 1, b.size - 1)
+            near.append(j - (a - b[j - 1] <= b[j] - a))
+        sq_near = [_along((a - b[j]) ** 2, k, dim) for k, (a, b, j) in enumerate(zip(ax_u, ax_v, near))]
+        lower = float(_scores(u.values, v.values[np.ix_(*near)], sq_near, alpha, spec).max())
 
-    # L: every u node against its nearest v node, found axis by axis
-    near = []
-    for a, b in zip(ax_u, ax_v):
-        j = np.clip(np.searchsorted(b, a), 1, b.size - 1)
-        near.append(j - (a - b[j - 1] <= b[j] - a))
-    sq_near = [_along((a - b[j]) ** 2, k, dim) for k, (a, b, j) in enumerate(zip(ax_u, ax_v, near))]
-    lower = float(_scores(u.values, v.values[np.ix_(*near)], sq_near, alpha, spec).max())
-
-    # per tile: the widened bound on the penalty a pair can carry, and R
-    eta = (dim + 64) * 2.0 ** -50
-    kpow = spec.kappa ** (spec.p / 2.0)
-    starts = [np.arange(0, n, _TILE) for n in u.values.shape]
-    tile_max = u.values
-    for k, s in enumerate(starts):
-        tile_max = np.maximum.reduceat(tile_max, s, axis=k)
-    scale = np.abs(np.concatenate([u.lo, u.hi, v.lo, v.hi])).max()
-    with np.errstate(over="ignore"):  # an infinite bound only means scoring every pair
+        eta = (dim + 64) * 2.0 ** -50
+        kpow = spec.kappa ** (spec.p / 2.0)
+        scale = np.abs(np.concatenate([u.lo, u.hi, v.lo, v.hi])).max()
         slack = eta * (np.abs(u.values).max() + np.abs(v.values).max() + abs(lower) + alpha * kpow)
-        reach = (tile_max - v_min - lower + slack) * (1.0 + eta)
-        r2 = (np.maximum(reach, 0.0) / alpha + kpow) ** (2.0 / spec.p) - spec.kappa
-        radius = np.sqrt(np.maximum(r2 + eta * (spec.kappa + np.abs(r2)), 0.0)) * (1.0 + eta) + eta * scale
-    live = reach >= 0.0
-    box = []  # per axis: the v index range [lo, hi) within R of each tile
-    for k, (a, b, s) in enumerate(zip(ax_u, ax_v, starts)):
-        first = _along(a[s], k, dim)
-        last = _along(a[np.minimum(s + _TILE, a.size) - 1], k, dim)
-        lo = np.searchsorted(b, first - radius, "left")
-        hi = np.searchsorted(b, last + radius, "right")
-        live &= hi > lo
-        box.append((lo, hi))
 
-    found = []  # per tile: (its best score, x multi-index, y multi-index)
-    for tile in zip(*np.nonzero(live)):
-        ui = tuple(slice(t * _TILE, (t + 1) * _TILE) for t in tile)
-        vj = tuple(slice(lo[tile], hi[tile]) for lo, hi in box)
-        # pairs laid out as (x axes..., y axes...)
-        sq = [
-            (_along(a[i], k, 2 * dim) - _along(b[j], dim + k, 2 * dim)) ** 2
-            for k, (a, b, i, j) in enumerate(zip(ax_u, ax_v, ui, vj))
-        ]
-        uu = u.values[ui]
-        w = _scores(uu.reshape(uu.shape + (1,) * dim), v.values[vj], sq, alpha, spec)
-        at = np.unravel_index(int(np.argmax(w)), w.shape)
-        found.append((
-            float(w[at]),
-            tuple(s.start + int(a) for s, a in zip(ui, at[:dim])),
-            tuple(s.start + int(a) for s, a in zip(vj, at[dim:])),
-        ))
-    value = max(f[0] for f in found)
-    # row-major order is lexicographic in the multi-index, so this is the
-    # lexicographically smallest flat (x, y) pair among the maxima
-    _, xi, yj = min(f for f in found if f[0] == value)
+        def widened(bound):
+            """The widened bound minus L, and the radius R a pair under it can reach L within."""
+            reach = (bound - lower + slack) * (1.0 + eta)
+            r2 = (np.maximum(reach, 0.0) / alpha + kpow) ** (2.0 / spec.p) - spec.kappa
+            return reach, np.sqrt(np.maximum(r2 + eta * (spec.kappa + np.abs(r2)), 0.0)) * (1.0 + eta) + eta * scale
+
+        # u's node coordinates and values cut into tiles, (tile, offset) per
+        # axis; past the grid's end a tile repeats its last node
+        n_tiles = [-(-n // _TILE) for n in u.values.shape]
+        cut = [np.minimum(np.arange(m * _TILE), n - 1) for m, n in zip(n_tiles, u.values.shape)]
+        x_tiles = [a[c].reshape(m, _TILE) for a, c, m in zip(ax_u, cut, n_tiles)]
+        u_tiles = u.values[np.ix_(*cut)].reshape([m for n in n_tiles for m in (n, _TILE)])
+        u_tiles = np.ascontiguousarray(u_tiles.transpose([*range(0, 2 * dim, 2), *range(1, 2 * dim, 2)]))
+        tile_max = u_tiles.max(axis=tuple(range(dim, 2 * dim)))
+
+        # per tile: the global bound, and the v index range [lo, hi) within R of it along each axis
+        reach, radius = widened(tile_max - v_min)
+        live = reach >= 0.0
+        box = []
+        for k, (x, b) in enumerate(zip(x_tiles, ax_v)):
+            lo = np.searchsorted(b, _along(x[:, 0], k, dim) - radius, "left")
+            hi = np.searchsorted(b, _along(x[:, -1], k, dim) + radius, "right")
+            live &= hi > lo
+            box.append((lo, hi))
+
+        # (live tile, v node in its sub-box) pairs, in blocks of whole tiles
+        # of about _BLOCK / _TILE^d pairs each
+        tiles = np.nonzero(live)
+        first_y = [lo[tiles] for lo, _ in box]
+        count = [hi[tiles] - lo[tiles] for lo, hi in box]
+        size = math.prod(count)
+        block = (np.cumsum(size) - size) // max(1, _BLOCK // _TILE ** dim)
+        found = []  # per block: (minus its best score, x flat index, y flat index)
+        for part in np.split(np.arange(size.size), np.flatnonzero(np.diff(block)) + 1):
+            # each pair: its tile t and its v node yj, per axis
+            pick = np.repeat(part, size[part])
+            rank = np.arange(pick.size) - np.repeat(np.cumsum(size[part]) - size[part], size[part])
+            yj = [None] * dim
+            for k in reversed(range(dim)):
+                yj[k] = first_y[k][pick] + rank % count[k][pick]
+                rank = rank // count[k][pick]
+            t = [tk[pick] for tk in tiles]
+
+            # keep a pair when y lies within R(max_T u - v(y)) of the tile's bounding box
+            reach, radius = widened(tile_max[tuple(t)] - v.values[tuple(yj)])
+            gap_sq = 0.0
+            for x, b, tk, y in zip(x_tiles, ax_v, t, yj):
+                gap_sq = gap_sq + np.maximum(np.maximum(x[tk, 0] - b[y], b[y] - x[tk, -1]), 0.0) ** 2
+            kept = np.flatnonzero((reach >= 0.0) & (gap_sq <= radius ** 2))
+            if not kept.size:
+                continue
+            t, yj = [tk[kept] for tk in t], [y[kept] for y in yj]
+
+            # each kept pair against the _TILE^d u nodes of its tile, laid out
+            # as (pair, offset per axis); a copy of a tile's last node never
+            # comes before the node itself
+            sq = [
+                (x[tk].reshape((-1,) + (1,) * k + (_TILE,) + (1,) * (dim - k - 1)) - _along(b[y], 0, dim + 1)) ** 2
+                for k, (x, b, tk, y) in enumerate(zip(x_tiles, ax_v, t, yj))
+            ]
+            w = _scores(u_tiles[tuple(t)], _along(v.values[tuple(yj)], 0, dim + 1), sq, alpha, spec)
+            w = w.reshape(kept.size, -1)
+            # per pair its first maximum, the smallest x; then the lexicographically
+            # smallest flat (x, y) among the pairs that reach the block's best
+            arg = np.argmax(w, axis=1)
+            top = w[np.arange(kept.size), arg]
+            tie = np.flatnonzero(top == top.max())
+            offset = np.unravel_index(arg[tie], (_TILE,) * dim)
+            x_flat = np.ravel_multi_index([_TILE * tk[tie] + o for tk, o in zip(t, offset)], u.values.shape)
+            y_flat = np.ravel_multi_index([y[tie] for y in yj], v.values.shape)
+            j = np.lexsort((y_flat, x_flat))[0]
+            found.append((-float(top[tie[j]]), int(x_flat[j]), int(y_flat[j])))
+
+    neg_value, x_flat, y_flat = min(found)
+    xi, yi = np.unravel_index(x_flat, u.values.shape), np.unravel_index(y_flat, v.values.shape)
     return DoublingResult(
         x_star=np.array([a[i] for a, i in zip(ax_u, xi)]),
-        y_star=np.array([b[j] for b, j in zip(ax_v, yj)]),
-        value=value,
-        index=(int(np.ravel_multi_index(xi, u.values.shape)), int(np.ravel_multi_index(yj, v.values.shape))),
+        y_star=np.array([b[j] for b, j in zip(ax_v, yi)]),
+        value=-neg_value,
+        index=(x_flat, y_flat),
     )
 
 

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.spatial.distance import cdist
 
+from levyot import viscosity
 from levyot.measures import DiscreteMeasure
 from levyot.suites import random_grid_function
 from levyot.viscosity import (
@@ -323,6 +324,42 @@ def test_doubling_tie_rule():
     assert doubling_maximize(u, v, spec).index == (8, 8) == _dense_doubling(u, v, spec)[1]
 
 
+def _crossed_tie_grids():
+    """Two maxima whose x and y flat indices order them oppositely, in two
+    different tiles: (x, y) = ((0, 9), (1, 9)), flat (9, 25), and
+    ((1, 0), (0, 0)), flat (16, 0).  At eps = 1, p = 2 both score
+    1 - 0 - 1 = 0; every other pair scores below -8."""
+    u_vals, v_vals = np.full((16, 16), -10.0), np.full((16, 16), 10.0)
+    u_vals[0, 9] = u_vals[1, 0] = 1.0
+    v_vals[1, 9] = v_vals[0, 0] = 0.0
+    square = (np.array([0.0, 0.0]), np.array([15.0, 15.0]))
+    return GridFunction(*square, u_vals), GridFunction(*square, v_vals)
+
+
+def test_doubling_tie_rule_orders_x_before_y():
+    # the smaller x wins, though its y is the larger
+    u, v = _crossed_tie_grids()
+    spec = PenalizationSpec(epsilon=1.0, kappa=0.5, p=2.0)
+    res = doubling_maximize(u, v, spec)
+    assert (res.value, res.index) == _dense_doubling(u, v, spec) == (0.0, (9, 25))
+
+
+@pytest.mark.parametrize("case", ["1d-mismatched", "2d-mismatched", "2d-30x17-box", "tie"])
+def test_doubling_blocks_change_no_bit(case, monkeypatch):
+    # with a one-pair block size every live tile is a block of its own, so
+    # the best pair is merged across blocks; in "tie" the two tied maxima lie
+    # in different tiles
+    if case == "tie":
+        cases = [(*_crossed_tie_grids(), PenalizationSpec(epsilon=1.0, kappa=0.5, p=2.0))]
+    else:
+        u, v = _doubling_grids(case)
+        cases = [(*g, PenalizationSpec(epsilon=eps, kappa=0.1, p=1.5)) for g in ((u, v), (v, u)) for eps in (0.05, 0.5)]
+    monkeypatch.setattr(viscosity, "_BLOCK", 1)
+    for u, v, spec in cases:
+        res = doubling_maximize(u, v, spec)
+        assert (res.value, res.index) == _dense_doubling(u, v, spec)
+
+
 @pytest.mark.parametrize("p", [1.0, 1.5, 2.0])
 @pytest.mark.parametrize("dim", [1, 2])
 def test_doubling_near_tie_needs_the_rounding_margin(dim, p):
@@ -353,6 +390,99 @@ def test_doubling_maximiser_on_the_pruning_radius():
     res = doubling_maximize(u, v, spec)
     assert (res.value, res.index) == _dense_doubling(u, v, spec) == (1.0, (0, 2))
     assert res.x_star.tolist() == [0.0] and res.y_star.tolist() == [-2.0]
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_doubling_maximiser_on_the_per_node_radius(dim):
+    # u on the integer nodes 0..7 per axis (one tile), v on -4..13, all
+    # integers, p = 2 and eps = 1, so every score is exact.  The maximum 1 is
+    # attained at x = y = 5 (per axis), the nearest-node pair behind L = 1,
+    # and at x = 0 against y* = -2 in 1-d or (-1, -2) in 2-d, which the tie
+    # rule picks.  v(y*) = 1 - |y*|^2, so the tile's bound through v(y*),
+    # max u - v(y*) - L = |y*|^2 = psi(R), puts y* exactly at distance R from
+    # the tile.  min v = -30 at the far corner 13 lies far below v(y*); the
+    # tile's global bound 2 + 30 - 1 = 31 reaches past y*.
+    y_star = (-2,) if dim == 1 else (-1, -2)
+    near = sum(c * c for c in y_star)
+    u_vals = np.zeros((8,) * dim)
+    u_vals[(0,) * dim], u_vals[(5,) * dim] = 2.0, 1.0
+    v_vals = np.zeros((18,) * dim)  # v_vals[k] is v at y = k - 4, per axis
+    v_vals[(17,) * dim] = -30.0
+    v_vals[tuple(c + 4 for c in y_star)] = 1.0 - near
+    # near the origin v stays high enough that x = 0 scores below 1 there
+    v_vals[(4,) * dim] = 1.5
+    for k in range(dim):
+        for step in (-1, 1):
+            v_vals[tuple(4 + step * (m == k) for m in range(dim))] = 0.5
+    u = GridFunction(np.zeros(dim), np.full(dim, 7.0), u_vals)
+    v = GridFunction(np.full(dim, -4.0), np.full(dim, 13.0), v_vals)
+    spec = PenalizationSpec(epsilon=1.0, kappa=0.5, p=2.0)
+    res = doubling_maximize(u, v, spec)
+    y_index = int(np.ravel_multi_index(tuple(c + 4 for c in y_star), v_vals.shape))
+    assert (res.value, res.index) == _dense_doubling(u, v, spec) == (1.0, (0, y_index))
+    assert res.x_star.tolist() == [0.0] * dim and res.y_star.tolist() == list(map(float, y_star))
+
+
+@st.composite
+def _doubling_cases(draw):
+    """Two grids in d in 1..3 with their own node counts (up to 40, 12 and 6
+    per axis) and boxes, values drawn, quantised or constant (zero among
+    them) at scales up to 1e300, coordinates up to 1e150 in size, eps from
+    1e-12 to 1e18, kappa in {1e-3, 0.1, 0.5} and p in [1, 2].  v's box is
+    mostly a shifted and stretched copy of u's, so the grids overlap; the
+    numbers come from a drawn seed."""
+    dim = draw(st.integers(1, 3))
+    top = {1: 40, 2: 12, 3: 6}[dim]
+    shapes = [tuple(draw(st.lists(st.integers(2, top), min_size=dim, max_size=dim))) for _ in range(2)]
+    kind = draw(st.sampled_from(["normal", "quantised", "constant"]))
+    kappa, p = draw(st.sampled_from([1e-3, 0.1, 0.5])), draw(st.floats(1.0, 2.0))
+    scale = 10.0 ** draw(st.integers(-300, 300))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    spec = PenalizationSpec(epsilon=10.0 ** rng.uniform(-12.0, 18.0), kappa=kappa, p=p)
+    vals = {
+        "normal": lambda shape: rng.normal(size=shape),
+        "quantised": lambda shape: rng.integers(-4, 5, shape) / 4,
+        "constant": lambda shape: np.full(shape, float(rng.integers(-1, 2))),
+    }[kind]
+    width = 10.0 ** rng.uniform(-3.0, 150.0, dim)
+    lo = rng.uniform(-1.0, 1.0, dim) * 10.0 ** rng.uniform(-3.0, 150.0, dim)
+    if rng.random() < 0.8:
+        v_lo, v_width = lo + width * rng.uniform(-1.0, 1.0, dim), width * 10.0 ** rng.uniform(-1.0, 1.0, dim)
+    else:
+        v_lo, v_width = rng.uniform(-1.0, 1.0, dim) * 10.0 ** rng.uniform(-3.0, 150.0, dim), width[::-1]
+    grids = [
+        GridFunction(np.where(a + w > a, a, 0.0), np.where(a + w > a, a, 0.0) + w, vals(shape) * scale)
+        for a, w, shape in ((lo, width, shapes[0]), (v_lo, v_width, shapes[1]))
+    ]
+    return grids[0], grids[1], spec
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(_doubling_cases())
+def test_property_doubling_matches_dense_scan(case):
+    u, v, spec = case
+    res = doubling_maximize(u, v, spec)  # no RuntimeWarning, even where a penalty overflows
+    with np.errstate(over="ignore"):  # the oracle scores every pair, far ones to -inf
+        want = _dense_doubling(u, v, spec)
+    assert (res.value, res.index) == want
+    assert res.x_star.tobytes() == u.nodes()[res.index[0]].tobytes()
+    assert res.y_star.tobytes() == v.nodes()[res.index[1]].tobytes()
+
+
+@pytest.mark.parametrize("p", [1.9, 2.0])
+@pytest.mark.parametrize("dim", [1, 2])
+def test_doubling_overflowing_penalties_score_minus_inf(dim, p):
+    # eps = 1e-12 on grids 1e150 apart: at p = 2 every penalty overflows, so
+    # every pair scores -inf and the tie rule picks (0, 0); at p = 1.9 the
+    # scores stay finite.  Neither raises a RuntimeWarning.
+    rng = np.random.default_rng(7)
+    u = GridFunction(np.full(dim, 1e150), np.full(dim, 1.5e150), rng.normal(size=(9,) * dim))
+    v = GridFunction(np.full(dim, -1e150), np.full(dim, -0.5e150), rng.normal(size=(10,) * dim))
+    spec = PenalizationSpec(epsilon=1e-12, kappa=0.5, p=p)
+    res = doubling_maximize(u, v, spec)
+    with np.errstate(over="ignore"):
+        assert (res.value, res.index) == _dense_doubling(u, v, spec)
+    assert (res.value == -math.inf) == (p == 2.0)
 
 
 def test_doubling_rejects_overflowing_difference():
