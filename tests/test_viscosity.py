@@ -8,7 +8,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.spatial.distance import cdist
 
-from levyot import viscosity
 from levyot.measures import DiscreteMeasure
 from levyot.suites import random_grid_function
 from levyot.viscosity import (
@@ -342,22 +341,6 @@ def test_doubling_tie_rule_orders_x_before_y():
     spec = PenalizationSpec(epsilon=1.0, kappa=0.5, p=2.0)
     res = doubling_maximize(u, v, spec)
     assert (res.value, res.index) == _dense_doubling(u, v, spec) == (0.0, (9, 25))
-
-
-@pytest.mark.parametrize("case", ["1d-mismatched", "2d-mismatched", "2d-30x17-box", "tie"])
-def test_doubling_blocks_change_no_bit(case, monkeypatch):
-    # with a one-pair block size every live tile is a block of its own, so
-    # the best pair is merged across blocks; in "tie" the two tied maxima lie
-    # in different tiles
-    if case == "tie":
-        cases = [(*_crossed_tie_grids(), PenalizationSpec(epsilon=1.0, kappa=0.5, p=2.0))]
-    else:
-        u, v = _doubling_grids(case)
-        cases = [(*g, PenalizationSpec(epsilon=eps, kappa=0.1, p=1.5)) for g in ((u, v), (v, u)) for eps in (0.05, 0.5)]
-    monkeypatch.setattr(viscosity, "_BLOCK", 1)
-    for u, v, spec in cases:
-        res = doubling_maximize(u, v, spec)
-        assert (res.value, res.index) == _dense_doubling(u, v, spec)
 
 
 @pytest.mark.parametrize("p", [1.0, 1.5, 2.0])
