@@ -17,7 +17,7 @@ from typing import Callable
 
 import numpy as np
 
-from .measures import DiscreteMeasure, _check_p, _pow, _signed_sites, weight_by_power, tv_distance
+from .measures import DiscreteMeasure, _check_p, _number_in, _pow, _signed_sites, weight_by_power, tv_distance
 from . import transport
 
 __all__ = [
@@ -149,10 +149,7 @@ def radial_lower_bound(mu: DiscreteMeasure, nu: DiscreteMeasure, p: float) -> fl
 
 
 def _check_radius(r: float) -> float:
-    r = float(r)
-    if not 0.0 < r <= 1.0:
-        raise ValueError(f"restriction radius must lie in (0, 1], got {r!r}")
-    return r
+    return _number_in(r, "restriction radius", 0.0, 1.0, "(]")
 
 
 def restriction_bound(mu: DiscreteMeasure, r: float, p: float) -> float:
@@ -204,8 +201,7 @@ def restricted_integral_bound(
     from the origin and inside the closed unit ball.
     """
     p = _check_p(p)
-    if not 0.0 <= dist < math.inf:
-        raise ValueError(f"dist must be a finite distance >= 0, got {dist!r}")
+    dist = _number_in(dist, "dist", 0.0, math.inf, "[)", "be a finite distance >= 0")
     a, b = psi.support
     if a <= 0.0:
         raise ValueError("test function support must stay away from the origin")
@@ -225,19 +221,15 @@ def mutilde_checks(family, x, y) -> tuple[float, float]:
     For the density a(x) |z|^{-d-sigma} split at r_x = a(x)^{1/sigma}, the
     middle piece lives on r_x <= |z| < 1.  Returns its total mass at ``x`` and
     the quotient (integral of |z| against the variation between x and y)
-    divided by |x - y|, both integrated in closed form.
+    divided by |x - y|, both integrated in closed form.  ``family`` is a
+    ``FracLaplFamily``, which holds sigma in (1, 2) and a(x) in (0, 1].
     """
     sigma = family.sigma
-    if not 1.0 < sigma < 2.0:
-        raise ValueError("annulus checks require sigma strictly between 1 and 2")
     d = family.dim
     omega = sphere_area(d)
     x = np.atleast_1d(np.asarray(x, dtype=float))
     y = np.atleast_1d(np.asarray(y, dtype=float))
-    ax, ay = float(family.a(x)), float(family.a(y))
-    for val in (ax, ay):
-        if not 0.0 < val <= 1.0:
-            raise ValueError("coefficient a(x) must lie in (0, 1]")
+    ax, ay = family.coefficient(x), family.coefficient(y)
     rx = ax ** (1.0 / sigma)
 
     def radial(lo: float, hi: float, power: float) -> float:

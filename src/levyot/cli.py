@@ -27,6 +27,7 @@ from .measures import (
     DiscreteMeasure,
     SchemaError,
     _check_p,
+    _is_number,
     _read_json,
     load_measure,
     restrict_outside,
@@ -58,7 +59,7 @@ def _dump(obj, indent: int = 0) -> str:
         seq = list(obj)
         if not seq:
             return "[]"
-        if all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in seq):
+        if all(map(_is_number, seq)):
             return "[" + ", ".join(_fmt(v) if isinstance(v, float) else str(v) for v in seq) + "]"
         items = [f"{pad}  {_dump(v, indent + 1)}" for v in seq]
         return "[\n" + ",\n".join(items) + "\n" + pad + "]"

@@ -21,7 +21,8 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .measures import _MAX_RADIUS, _MIN_RADIUS, DiscreteMeasure, SchemaError, decompose, measure_from_dict, _check_p
+from .measures import _MAX_RADIUS, _MIN_RADIUS, DiscreteMeasure, SchemaError, decompose, measure_from_dict
+from .measures import _check_p, _is_int, _number_in
 from . import transport
 
 __all__ = [
@@ -160,14 +161,10 @@ class FracLaplFamily:
     dim: int = 1
 
     def __post_init__(self) -> None:
-        if not 1.0 < self.sigma < 2.0:
-            raise ValueError("sigma must lie strictly between 1 and 2")
+        _number_in(self.sigma, "sigma", 1.0, 2.0)
 
     def coefficient(self, x) -> float:
-        val = float(self.a(np.atleast_1d(np.asarray(x, dtype=float))))
-        if not 0.0 < val <= 1.0:
-            raise ValueError(f"a(x) must lie in (0, 1], got {val}")
-        return val
+        return _number_in(self.a(np.atleast_1d(np.asarray(x, dtype=float))), "a(x)", 0.0, 1.0, "(]")
 
     def split_radius(self, x) -> float:
         return self.coefficient(x) ** (1.0 / self.sigma)
@@ -210,17 +207,8 @@ def split_fraclap(
     pos, w, lefts = _discretize_density(
         family.density_at(x), family.dim, grid, extra_breaks=(rx, 1.0)
     )
-    whole = DiscreteMeasure(family.dim, pos, w)
-
-    def pick(mask) -> DiscreteMeasure:
-        if whole.n_atoms < w.size:  # two cells share a centroid: merge them only within a part
-            return DiscreteMeasure(family.dim, pos[mask], w[mask])
-        return whole._restrict(mask)
-
-    hat = pick(lefts < min(rx, 1.0))
-    tilde = pick((lefts >= rx) & (lefts < 1.0))
-    check = pick(lefts >= 1.0)
-    return hat, tilde, check
+    masks = (lefts < min(rx, 1.0), (lefts >= rx) & (lefts < 1.0), lefts >= 1.0)
+    return tuple(DiscreteMeasure(family.dim, pos[m], w[m]) for m in masks)
 
 
 def pushforward(family: LevyItoFamily, x) -> DiscreteMeasure:
@@ -260,10 +248,7 @@ class SweepReport:
 
 
 def _check_s(s: float) -> float:
-    s = float(s)
-    if not 0.0 < s < math.inf:
-        raise ValueError(f"regularity exponent s must be positive and finite, got {s!r}")
-    return s
+    return _number_in(s, "regularity exponent s", 0.0, math.inf, rule="be positive and finite")
 
 
 def regularity_sweep(
@@ -377,10 +362,13 @@ def _power_truncation(dim: int, sigma: float, p: float, grid: AnnularGrid) -> fl
     return len(dirs) * ang_w * val
 
 
+def _check_sigma(sigma: float) -> float:
+    return _number_in(sigma, "'sigma'", 0.0, math.inf, "(]", "be positive")
+
+
 def _unit_power_law(dim: int, sigma: float, grid: AnnularGrid) -> DiscreteMeasure:
     """|z|^{-dim-sigma} dz on the grid: a grid family's x-free factor, levyito's default base."""
-    if not sigma > 0.0:
-        raise ValueError(f"'sigma' must be positive, got {sigma!r}")
+    _check_sigma(sigma)
     pos, w, _ = _discretize_density(lambda Z: np.linalg.norm(Z, axis=1) ** -(dim + sigma), dim, grid)
     return DiscreteMeasure(dim, pos, w)
 
@@ -403,11 +391,7 @@ def _section(config: dict, key: str) -> dict:
 
 
 def _number(section: dict, key: str, default: Optional[float] = None) -> float:
-    val = section.get(key, default)
-    try:
-        return float(val)
-    except (TypeError, ValueError, OverflowError):
-        raise ValueError(f"{key!r} must be a number in the float range, got {val!r}") from None
+    return _number_in(section.get(key, default), repr(key), -math.inf, math.inf, rule="be a finite number")
 
 
 # Counts size arrays (shells, directions, subsamples) and feed float
@@ -418,7 +402,7 @@ _MAX_COUNT = 1 << 20
 
 def _count(section: dict, key: str, default: Optional[int] = None) -> int:
     val = section.get(key, default)
-    if isinstance(val, bool) or not isinstance(val, int) or not 1 <= val <= _MAX_COUNT:
+    if not _is_int(val) or not 1 <= val <= _MAX_COUNT:
         raise ValueError(f"{key!r} must be an integer in [1, {_MAX_COUNT}], got {val!r}")
     return val
 
@@ -507,8 +491,7 @@ def _build_family(config: dict) -> FamilyRuntime:
             a1 = _number(params, "a1", 0.25)
             if a0 - abs(a1) <= 0.0:
                 raise ValueError("levyito scaling needs a0 > |a1|, so the scale stays positive")
-            if not sigma > 0.0:
-                raise ValueError(f"'sigma' must be positive, got {sigma!r}")
+            _check_sigma(sigma)
             # Every point's scale lies in [lo, hi], so checking both ends here
             # keeps each pushed-forward measure valid.
             try:

@@ -36,11 +36,29 @@ class SchemaError(ValueError):
     """Raised when an input file (measure, grid, family config, bundle) is malformed."""
 
 
+def _number_in(value, name: str, lo: float, hi: float, ends: str = "()", rule: str = "") -> float:
+    """``value`` as a float in the interval from ``lo`` to ``hi``, each end open or
+    closed as ``ends`` reads: "()", "(]", "[)" or "[]".
+
+    Anything else raises ValueError "<name> must <rule>, got <value>", where
+    ``rule`` defaults to "lie in" the interval: NaN, a float outside, and a value
+    that does not convert, such as an integer beyond the float range.  This is
+    the rule of every scalar parameter read from outside.
+    """
+    try:
+        x = float(value)
+    except (TypeError, ValueError, OverflowError):
+        x = math.nan
+    # NaN fails every comparison
+    if (lo < x if ends[0] == "(" else lo <= x) and (x < hi if ends[1] == ")" else x <= hi):
+        return x
+    rule = rule or f"lie in {ends[0]}{lo:g}, {hi:g}{ends[1]}"
+    # the float, or the value as given where it is NaN or did not convert
+    raise ValueError(f"{name} must {rule}, got {x if x == x else value!r}")
+
+
 def _check_p(p: float) -> float:
-    p = float(p)
-    if not 1.0 <= p <= 2.0:
-        raise ValueError(f"exponent p must lie in [1, 2], got {p}")
-    return p
+    return _number_in(p, "exponent p", 1.0, 2.0, "[]")
 
 
 def _pow(r: np.ndarray, p: float) -> np.ndarray:
@@ -266,10 +284,14 @@ def decompose(mu: DiscreteMeasure) -> MeasureDecomposition:
 
 def restrict_outside(mu: DiscreteMeasure, r: float) -> DiscreteMeasure:
     """Keep only the atoms with |z| >= r (the measure with B_r emptied out)."""
-    r = float(r)
-    if r <= 0.0:
-        raise ValueError("restriction radius must be positive")
+    r = _number_in(r, "restriction radius", 0.0, math.inf, "(]", "be positive")
     return mu._restrict(mu.radii >= r)
+
+
+def _check_dims(mu: DiscreteMeasure, nu: DiscreteMeasure) -> None:
+    """The rule of every pair of measures: one ambient dimension."""
+    if mu.dim != nu.dim:
+        raise ValueError("measures must share the ambient dimension")
 
 
 def _signed_sites(mu: DiscreteMeasure, nu: DiscreteMeasure) -> tuple[np.ndarray, np.ndarray]:
@@ -278,8 +300,7 @@ def _signed_sites(mu: DiscreteMeasure, nu: DiscreteMeasure) -> tuple[np.ndarray,
     Returns (index, net): each site's first atom in mu's atoms followed by
     nu's, and its net weight.
     """
-    if mu.dim != nu.dim:
-        raise ValueError("measures must share the ambient dimension")
+    _check_dims(mu, nu)
     return _merge_sites(
         np.concatenate([mu.positions, nu.positions]),
         np.concatenate([mu.weights, -nu.weights]),
@@ -316,7 +337,13 @@ def measure_to_dict(mu: DiscreteMeasure) -> dict:
 
 
 def _is_number(x) -> bool:
+    """True for a JSON number: an int or a float, not a bool."""
     return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
+def _is_int(x) -> bool:
+    """True for a JSON integer."""
+    return isinstance(x, int) and _is_number(x)
 
 
 def measure_from_dict(data: dict) -> DiscreteMeasure:
@@ -328,7 +355,7 @@ def measure_from_dict(data: dict) -> DiscreteMeasure:
     if not isinstance(data, dict):
         raise SchemaError("measure document must be a JSON object")
     dim = data.get("dim")
-    if not isinstance(dim, int) or isinstance(dim, bool):
+    if not _is_int(dim):
         raise SchemaError(f"missing or invalid 'dim' field: expected a JSON integer, got {dim!r}")
     atoms = data.get("atoms", [])
     if not isinstance(atoms, list):

@@ -16,7 +16,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import bounds, transport, viscosity
-from .measures import DiscreteMeasure, SchemaError, restrict_outside, tv_distance
+from .measures import DiscreteMeasure, SchemaError, _is_int, _is_number, _number_in, restrict_outside, tv_distance
 
 __all__ = [
     "InstanceResult",
@@ -316,11 +316,7 @@ SUITES: dict[str, Callable[[int, int, dict], InstanceResult]] = {
 
 
 def _check_tol(tol: float) -> float:
-    """A tolerance is a finite number >= 0."""
-    tol = float(tol)
-    if not (math.isfinite(tol) and tol >= 0.0):
-        raise ValueError(f"a tolerance must be a finite number >= 0, got {tol!r}")
-    return tol
+    return _number_in(tol, "a tolerance", 0.0, math.inf, "[)", "be a finite number >= 0")
 
 
 def _tolerances(overrides: Optional[dict]) -> dict:
@@ -328,8 +324,7 @@ def _tolerances(overrides: Optional[dict]) -> dict:
     values ``_check_tol`` refuses raise SchemaError."""
     overrides = overrides or {}
     if not isinstance(overrides, dict) or not all(
-        k in DEFAULT_TOLS and isinstance(v, (int, float)) and not isinstance(v, bool)
-        for k, v in overrides.items()
+        k in DEFAULT_TOLS and _is_number(v) for k, v in overrides.items()
     ):
         raise SchemaError(f"tolerances {overrides!r} need names in {', '.join(DEFAULT_TOLS)} and numbers")
     try:
@@ -359,6 +354,6 @@ def replay(bundle: dict) -> InstanceResult:
     if not isinstance(bundle, dict) or bundle.get("suite") not in list(SUITES):
         raise SchemaError(f"replay bundle must be an object naming a suite in {', '.join(SUITES)}")
     seed, index = bundle.get("seed"), bundle.get("index")
-    if not all(isinstance(v, int) and not isinstance(v, bool) and v >= 0 for v in (seed, index)):
+    if not all(_is_int(v) and v >= 0 for v in (seed, index)):
         raise SchemaError(f"replay bundle 'seed' and 'index' must be nonnegative integers: {seed!r}, {index!r}")
     return SUITES[bundle["suite"]](seed, index, _tolerances(bundle.get("tols")))

@@ -31,7 +31,7 @@ from typing import Optional
 
 import numpy as np
 
-from .measures import DiscreteMeasure, _check_p, _pow
+from .measures import DiscreteMeasure, _check_dims, _check_p, _pow
 
 __all__ = [
     "CostSpec",
@@ -943,8 +943,7 @@ def solve(mu: DiscreteMeasure, nu: DiscreteMeasure, cost: CostSpec) -> SolveRepo
 
 def _check_pair(mu: DiscreteMeasure, nu: DiscreteMeasure) -> None:
     """Refuse two dimensions, or total masses whose sum, which every path adds up, overflows."""
-    if mu.dim != nu.dim:
-        raise ValueError("measures must share the ambient dimension")
+    _check_dims(mu, nu)
     if not math.isfinite(mu.total_mass() + nu.total_mass()):
         raise ValueError(
             f"the total masses {mu.total_mass()!r} and {nu.total_mass()!r} sum beyond the float range; "
@@ -1285,8 +1284,7 @@ def brute_force_unit(mu: DiscreteMeasure, nu: DiscreteMeasure, p: float) -> floa
     optimum.
     """
     p = _check_p(p)
-    if mu.dim != nu.dim:
-        raise ValueError("measures must share the ambient dimension")
+    _check_dims(mu, nu)
     m, n = mu.n_atoms, nu.n_atoms
     if m > 6 or n > 6:
         raise ValueError("brute force oracle accepts at most 6 atoms per side")

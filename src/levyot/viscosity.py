@@ -19,7 +19,7 @@ from typing import Callable, Sequence
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .measures import DiscreteMeasure, SchemaError, decompose, tv_distance, _check_p
+from .measures import DiscreteMeasure, SchemaError, decompose, tv_distance, _check_p, _number_in
 from . import transport
 
 __all__ = [
@@ -63,8 +63,8 @@ class GridFunction:
         vals = np.asarray(self.values, dtype=float)
         if vals.ndim != lo.size or lo.size != hi.size:
             raise ValueError("value array rank must match the box dimension")
-        if np.any(hi <= lo):
-            raise ValueError("box must have positive extent")
+        for a, b in zip(lo.tolist(), hi.tolist()):
+            _number_in(b - a, "every box extent hi - lo", 0.0, math.inf, rule="be positive and finite")
         if any(s < 2 for s in vals.shape):
             raise ValueError("need at least two nodes per axis")
         if not np.all(np.isfinite(vals)):
@@ -131,29 +131,21 @@ def grid_from_dict(doc: dict, source: str) -> GridFunction:
             np.asarray(doc["hi"], dtype=float),
             np.asarray(doc["values"], dtype=float),
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:  # OverflowError: an int beyond the float range
         raise SchemaError(f"{source}: invalid grid function document: {exc}") from exc
 
 
 def _check_epsilon(epsilon: float) -> float:
-    epsilon = float(epsilon)
-    if not (0.0 < epsilon < math.inf and 1.0 / epsilon < math.inf):
-        raise ValueError(f"epsilon must be positive and finite, with 1/epsilon finite, got {epsilon!r}")
-    return epsilon
+    # 1/epsilon overflows exactly for epsilon <= 2^-1024
+    return _number_in(epsilon, "epsilon", 2.0 ** -1024, math.inf, rule="be positive and finite, with 1/epsilon finite")
 
 
 def _check_kappa(kappa: float) -> float:
-    kappa = float(kappa)
-    if not 0.0 < kappa < 1.0:
-        raise ValueError(f"kappa must lie in (0, 1), got {kappa!r}")
-    return kappa
+    return _number_in(kappa, "kappa", 0.0, 1.0)
 
 
 def _check_delta(delta: float) -> float:
-    delta = float(delta)
-    if not 0.0 < delta < math.inf:
-        raise ValueError(f"delta must be positive and finite, got {delta!r}")
-    return delta
+    return _number_in(delta, "delta", 0.0, math.inf, rule="be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -529,11 +521,7 @@ def coupling_inequality_check(
 
 
 def _check_lam(lam: float) -> float:
-    """``lam`` when it is positive and finite."""
-    lam = float(lam)
-    if not 0.0 < lam < math.inf:
-        raise ValueError(f"lam must be positive and finite, got {lam!r}")
-    return lam
+    return _number_in(lam, "lam", 0.0, math.inf, rule="be positive and finite")
 
 
 @dataclass(frozen=True)

@@ -8,6 +8,7 @@ import sys
 import pytest
 
 from levyot.cli import main
+from levyot.measures import _is_number
 
 from test_families import SWEEP_HEAVY, SWEEP_KERNEL
 from test_measures import MALFORMED_MEASURES
@@ -849,3 +850,97 @@ def test_outputs_use_17_digit_format(measure_files, capsys, tmp_path):
     assert code == 0
     text = out_path.read_text()
     assert "0.10000000000000001" in text or "0.1000000000000000" in text
+
+
+# One valid input file per command; each numeric field in turn is written as a
+# number that no float holds, or as a JSON extension that is not finite.
+FILE_DOCS = {
+    "dist": {"dim": 1, "atoms": [{"z": [0.3], "w": 1.0}]},
+    "convolve": {"lo": [0.0], "hi": [1.0], "values": [0.0, 1.0, 0.0]},
+    "doubling": {"lo": [0.0], "hi": [1.0], "values": [0.0, 1.0, 0.0]},
+    "sweep-kernel": {
+        "type": "kernel", "dim": 1, "sigma": 0.5, "gamma": 1.0,
+        "params": {"base": 1.0, "amplitude": 0.5, "lambda1": 1.5},
+        "grid": {"r_min": 0.05, "r_max": 1.0, "n_radial": 10, "n_angular": 4, "refine": 2},
+    },
+    "sweep-fraclap": {"type": "fraclap", "dim": 1, "sigma": 1.5, "params": {"a0": 0.5, "a1": 0.25}},
+    "sweep-scaling": {"type": "levyito", "dim": 1, "sigma": 1.5, "params": {"kind": "scaling", "a0": 0.5, "a1": 0.25}},
+    "sweep-translation": {
+        "type": "levyito", "dim": 1, "base": {"dim": 1, "atoms": [{"z": [0.3], "w": 1.0}]},
+        "params": {"kind": "translation", "shift": 0.1},
+    },
+    "replay": {"suite": "duality", "seed": 0, "index": 0, "tols": {"duality_rel": 1e-9}},
+}
+BAD_NUMBERS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity", "big": "1" + "0" * 400}
+
+
+def _numeric_fields(doc, path=()):
+    if isinstance(doc, dict):
+        return [f for k, v in doc.items() for f in _numeric_fields(v, path + (k,))]
+    if isinstance(doc, list):
+        return [f for k, v in enumerate(doc) for f in _numeric_fields(v, path + (k,))]
+    return [path] if _is_number(doc) else []
+
+
+def _with_token(doc, field, token):
+    """The JSON text of ``doc`` with the number at ``field`` written as ``token``."""
+    doc = json.loads(json.dumps(doc))
+    node = doc
+    for key in field[:-1]:
+        node = node[key]
+    node[field[-1]] = "@"
+    return json.dumps(doc).replace('"@"', token)
+
+
+def _file_argv(command, path, tmp_path):
+    ok = tmp_path / "ok.json"
+    ok.write_text(json.dumps(FILE_DOCS[command]))
+    return {
+        "dist": ["dist", path, str(ok)],
+        "convolve": ["convolve", path, "--delta", "0.1"],
+        "doubling": ["doubling", str(ok), path, "--epsilon", "0.1"],
+        "replay": ["verify", "--replay", path],
+    }.get(command, ["sweep", "--config", path, "--pairs", "1"])
+
+
+FILE_CASES = [
+    pytest.param(command, field, token, id=f"{command}-{'.'.join(map(str, field))}-{name}")
+    for command, doc in FILE_DOCS.items()
+    for field in _numeric_fields(doc)
+    for name, token in BAD_NUMBERS.items()
+    # a bundle may name any nonnegative integer seed and index, as --seed may
+    if not (command == "replay" and field[0] in ("seed", "index") and name == "big")
+]
+
+
+@pytest.mark.parametrize("command, field, token", FILE_CASES)
+def test_malformed_numbers_in_files_are_usage_errors(command, field, token, tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text(_with_token(FILE_DOCS[command], field, token))
+    code, out, err = run_cli(_file_argv(command, str(path), tmp_path), capsys)
+    assert code == 2
+    assert out == "" and err.startswith("error:")
+
+
+@pytest.mark.parametrize(
+    "command, field, token",
+    [
+        ("dist", ("atoms", 0, "w"), BAD_NUMBERS["big"]),
+        ("convolve", ("lo", 0), "NaN"),
+        ("doubling", ("hi", 0), BAD_NUMBERS["big"]),
+        ("sweep-kernel", ("params", "lambda1"), "Infinity"),
+        ("replay", ("tols", "duality_rel"), BAD_NUMBERS["big"]),
+    ],
+    ids=["dist", "convolve", "doubling", "sweep", "replay"],
+)
+def test_malformed_number_file_exits_2_without_a_traceback(command, field, token, tmp_path):
+    import subprocess
+    from pathlib import Path
+
+    path = tmp_path / "bad.json"
+    path.write_text(_with_token(FILE_DOCS[command], field, token))
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    argv = [sys.executable, "-m", "levyot", *_file_argv(command, str(path), tmp_path)]
+    done = subprocess.run(argv, env=env, capture_output=True, text=True, cwd=tmp_path)
+    assert done.returncode == 2
+    assert done.stdout == "" and done.stderr.startswith("error:") and "Traceback" not in done.stderr

@@ -8,8 +8,17 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from levyot.bounds import RadialTestFunction, positive_part_dual_bound, restriction_bound
-from levyot.families import AnnularGrid, FracLaplFamily, LevyItoFamily, _discretize_density, pushforward, split_fraclap
+from levyot import families, viscosity
+from levyot.bounds import RadialTestFunction, positive_part_dual_bound, restricted_integral_bound, restriction_bound
+from levyot.families import (
+    AnnularGrid,
+    FracLaplFamily,
+    LevyItoFamily,
+    _discretize_density,
+    pushforward,
+    regularity_sweep,
+    split_fraclap,
+)
 from levyot.measures import (
     DiscreteMeasure,
     _merge_sites,
@@ -23,7 +32,7 @@ from levyot.measures import (
     tv_distance,
     weight_by_power,
 )
-from levyot.suites import random_grid_function, random_measure, random_unit_measure
+from levyot.suites import _tolerances, random_grid_function, random_measure, random_unit_measure
 from levyot.transport import CostSpec, DualPotentials, solve
 from levyot.viscosity import levy_op_eval
 
@@ -297,15 +306,21 @@ def test_sub_measures_equal_constructor_built_parts(rng, make_measure):
 
 @pytest.mark.parametrize("dim", [1, 2, 3])
 def test_split_fraclap_parts_equal_constructor_built_parts(dim):
-    fam = FracLaplFamily(a=lambda x: (0.5 + 0.25 * math.sin(x[0])) ** 1.5, sigma=1.5, dim=dim)
-    for grid in (AnnularGrid(r_min=1e-3, r_max=2.0, n_radial=40, n_angular=6), AnnularGrid(n_radial=30)):
-        for x in (0.0, 1.3, -0.7):
-            x = [x] * dim
-            rx = fam.split_radius(x)
-            pos, w, lefts = _discretize_density(fam.density_at(x), dim, grid, extra_breaks=(rx, 1.0))
-            masks = (lefts < min(rx, 1.0), (lefts >= rx) & (lefts < 1.0), lefts >= 1.0)
-            for part, mask in zip(split_fraclap(fam, x, grid), masks):
-                _assert_built_from_rows(part, dim, pos[mask], w[mask])
+    # each part is the constructor's measure on its rows, and also the whole
+    # discretised measure restricted to the part, bit for bit
+    for sigma in (1.2, 1.5, 1.8):
+        fam = FracLaplFamily(a=lambda x: (0.5 + 0.25 * math.sin(x[0])) ** sigma, sigma=sigma, dim=dim)
+        for grid in (AnnularGrid(r_min=1e-3, r_max=2.0, n_radial=40, n_angular=6), AnnularGrid(n_radial=30)):
+            for x in (0.0, 1.3, -0.7, 0.4, 2.2, -1.9, 3.0):
+                x = [x] * dim
+                rx = fam.split_radius(x)
+                pos, w, lefts = _discretize_density(fam.density_at(x), dim, grid, extra_breaks=(rx, 1.0))
+                whole = DiscreteMeasure(dim, pos, w)
+                assert whole.n_atoms == w.size  # no two cells share a centroid
+                masks = (lefts < min(rx, 1.0), (lefts >= rx) & (lefts < 1.0), lefts >= 1.0)
+                for part, mask in zip(split_fraclap(fam, x, grid), masks):
+                    _assert_built_from_rows(part, dim, pos[mask], w[mask])
+                    _assert_built_from_rows(whole._restrict(mask), dim, pos[mask], w[mask])
     # with r_max = 1 the far part is the zero measure
     assert split_fraclap(fam, [0.0] * dim, AnnularGrid(n_radial=30))[2] == DiscreteMeasure.empty(dim)
 
@@ -443,3 +458,43 @@ def test_zero_atom_measure_takes_the_general_path(dim):
         assert draw(rng, dim, max_atoms=0).n_atoms == 0
         ref.integers(0, 1)
         assert rng.random(4).tolist() == ref.random(4).tolist()
+
+
+# Every number rule read from outside: how it is applied, its interval's ends,
+# and which of the probes below it accepts.  "big" is a 400-digit integer,
+# which no float holds.
+_UNIT = DiscreteMeasure(1, [[0.5]], [1.0])
+_RULE_GRID = random_grid_function(np.random.default_rng(0), 1, 6)
+NUMBER_RULES = {
+    "p": (CostSpec, 1.0, 2.0, {"lo", "hi", "mid"}),
+    "epsilon": (lambda v: viscosity.PenalizationSpec(v, 0.5, 2.0), 2.0 ** -1024, math.inf, {"mid"}),
+    "kappa": (lambda v: viscosity.PenalizationSpec(0.1, v, 2.0), 0.0, 1.0, {"mid"}),
+    "delta": (lambda v: viscosity.sup_convolution(_RULE_GRID, v), 0.0, math.inf, {"mid"}),
+    "lam": (lambda v: viscosity.EquationSpec(v, math.sin, lambda x: _UNIT), 0.0, math.inf, {"mid"}),
+    "s": (lambda v: regularity_sweep(lambda x: _UNIT, [], 1.0, v), 0.0, math.inf, {"mid"}),
+    "restriction radius": (lambda v: restriction_bound(_UNIT, v, 1.0), 0.0, 1.0, {"hi", "mid"}),
+    "tolerance": (lambda v: _tolerances({"duality_rel": v}), 0.0, math.inf, {"lo", "mid"}),
+    "dist": (
+        lambda v: restricted_integral_bound(_UNIT, _UNIT, RadialTestFunction.hat(0.2, 0.8), 1.0, v),
+        0.0, math.inf, {"lo", "mid"},
+    ),
+    "restrict_outside r": (lambda v: restrict_outside(_UNIT, v), 0.0, math.inf, {"hi", "inf", "mid"}),
+    "fraclap sigma": (lambda v: FracLaplFamily(a=lambda x: 0.5, sigma=v), 1.0, 2.0, {"mid"}),
+    "sigma > 0": (lambda v: families._check_sigma(v), 0.0, math.inf, {"hi", "inf", "mid"}),
+    "a(x)": (lambda v: FracLaplFamily(a=lambda x: v, sigma=1.5).coefficient(0.0), 0.0, 1.0, {"hi", "mid"}),
+}
+
+
+@pytest.mark.parametrize("rule", NUMBER_RULES)
+def test_number_rules_accept_their_interval_and_refuse_the_rest(rule):
+    apply, lo, hi, accepts = NUMBER_RULES[rule]
+    mid = 1.5 if hi == 2.0 else 0.5
+    probes = {"nan": math.nan, "-inf": -math.inf, "inf": math.inf, "lo": lo, "hi": hi, "mid": mid, "big": 10**400}
+    accepted = set()
+    for label, value in probes.items():
+        try:
+            apply(value)
+        except ValueError:
+            continue
+        accepted.add(label)
+    assert accepted == accepts
